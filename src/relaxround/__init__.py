@@ -8,17 +8,17 @@ rationals.
 """
 
 from .model import (AdditiveValuation, Allocation, EnumerationTooLargeError,
-                    EvaluationError, FamilySpec, Instance,
+                    EvaluationError, FamilySpec, Instance, InvariantError,
                     SingleMindedValuation, SinglePeakedValuation,
                     TableValuation, ValuationProfile, enumerate_feasible,
                     fractional_value, indicator, social_welfare, value_of)
-from .lp import (FractionalPoint, LPInputError, Polytope, UnboundedError,
-                 contains, enumerate_vertices, maximize_linear,
+from .lp import (FinalTableau, FractionalPoint, LPInputError, Polytope,
+                 UnboundedError, contains, enumerate_vertices, maximize_linear,
                  solve_feasibility)
 from .relaxation import (AlphaAudit, PiecewiseCurve, RelaxedObjective,
                          UnsupportedFamilyError, audit_alpha, build_polytope,
-                         build_relaxation, residual_objective,
-                         solve_relaxation)
+                         build_relaxation, residual_maximum,
+                         residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, ConvexDecomposition,
                        DecompositionInfeasibleError, adjust, convex_decompose,
                        exact_distribution, expected_value_per_bidder,

@@ -2,9 +2,10 @@
 
 Each constructor declares the family's guarantee factor, decomposition
 scale, rounding case and keep-probability formula, then audits the
-guarantees it relies on before handing the instance out: the alpha contract
-on probe profiles, decomposability at every polytope vertex for the scaled
-families, and the exact thinning calibration for the curved family.
+guarantees it relies on before handing the instance out: that the polytope
+contains every feasible allocation's indicator, the alpha contract on probe
+profiles, decomposability at every polytope vertex for the scaled families,
+and the exact thinning calibration for the curved family.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterable, Sequence
 from .lp import FractionalPoint, contains, enumerate_vertices
 from .model import (AdditiveValuation, FamilySpec, Instance,
                     SingleMindedValuation, SinglePeakedValuation,
-                    ValuationProfile, ZERO, ONE)
+                    ValuationProfile, ZERO, ONE, enumerate_feasible,
+                    indicator)
 from .relaxation import (PiecewiseCurve, audit_alpha, build_polytope,
                          build_relaxation)
 from .rounding import (DecompositionInfeasibleError, adjust, convex_decompose,
@@ -89,6 +91,20 @@ def _probe_profiles(instance: Instance) -> list[ValuationProfile]:
     return [profile_for(instance, values) for values in scalars]
 
 
+def _audit_containment(instance: Instance) -> None:
+    """The polytope must contain every feasible allocation's indicator.
+
+    This depends on the instance alone, so it is proved once here, not for
+    every profile's relaxation.
+    """
+    poly = build_polytope(instance)
+    for alloc in enumerate_feasible(instance):
+        if not contains(poly, FractionalPoint(indicator(instance, alloc))):
+            raise FamilyConstructionError(
+                "polytope does not contain a feasible allocation's "
+                f"indicator: {alloc.bitmasks()}")
+
+
 def _audit_alpha_on_probes(instance: Instance) -> None:
     for profile in _probe_profiles(instance):
         objective, _ = build_relaxation(instance, profile)
@@ -159,6 +175,7 @@ def make_single_item(n: int) -> Instance:
     spec = FamilySpec(tag="single-item", alpha=ONE, decomposition_scale=ONE,
                       rounding_case="c")
     instance = Instance("single-item", n, 1, variables, spec)
+    _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     return instance
 
@@ -187,6 +204,7 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
     spec = FamilySpec(tag="single-minded-ca", alpha=alpha,
                       decomposition_scale=alpha, rounding_case="c")
     instance = Instance("single-minded-ca", len(bundles), m, variables, spec)
+    _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     _audit_decomposability(instance)
     return instance
@@ -221,6 +239,7 @@ def make_gap_toy(bidders: int, machines: int,
                       keep_prob_name="curve-ratio",
                       keep_prob=_curve_ratio_keep, curve=curve.points)
     instance = Instance("gap-toy", bidders, machines, variables, spec)
+    _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     _audit_calibration(instance)
     return instance
@@ -238,6 +257,7 @@ def make_case_b_family(n: int, beta: Fraction) -> Instance:
                       keep_prob_name=f"uniform-{beta}",
                       keep_prob=_constant_keep(beta))
     instance = Instance("case-b", n, 1, variables, spec)
+    _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     _audit_calibration(instance)
     return instance

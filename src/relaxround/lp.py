@@ -118,12 +118,58 @@ def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
         basis[leave] = enter
 
 
-def maximize_linear(objective: Sequence[Fraction],
-                    poly: Polytope) -> tuple[FractionalPoint, Fraction]:
+class FinalTableau:
+    """The optimal tableau a ``maximize_linear`` call ended on.
+
+    Pass one to ``maximize_linear`` to have it filled in.  A new cost row
+    over the same polytope leaves that basis primal feasible, so
+    ``maximum`` prices the row out of it and resumes Bland's rule there
+    instead of at the slack basis; Bland's rule terminates from any
+    feasible basis.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[list[Fraction]] | None = None
+        self.basis: tuple[int, ...] = ()
+        self.objective: tuple[Fraction, ...] = ()
+        self.cost: tuple[Fraction, ...] = ()
+
+    def maximum(self, objective: Sequence[Fraction]) -> Fraction:
+        """Optimal value of objective.x over the recorded polytope.
+
+        The value is unique, so it equals the value of a cold solve even
+        where the optimal vertex would differ.
+        """
+        if self.rows is None:
+            raise LPInputError("no optimal tableau has been recorded")
+        n = len(self.objective)
+        if len(objective) != n:
+            raise LPInputError(f"objective has length {len(objective)}, "
+                               f"expected {n}")
+        # Reduced costs are linear in the cost row, so only the change from
+        # the recorded objective needs pricing out, through the rows whose
+        # basic variable's cost changed.
+        delta = [new - old for new, old in zip(objective, self.objective)]
+        cost = [c + d for c, d in zip(self.cost, delta)] + list(self.cost[n:])
+        for row, b in zip(self.rows, self.basis):
+            f = delta[b] if b < n else ZERO
+            if f != 0:
+                cost = [c - f * a for c, a in zip(cost, row)]
+        # _pivot replaces rows and never mutates them, so a copy of the row
+        # list leaves the recorded tableau intact for the next cost row.
+        _bland_loop(list(self.rows), cost, list(self.basis),
+                    n + len(self.rows))
+        return -cost[-1]
+
+
+def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
+                    final: FinalTableau | None = None
+                    ) -> tuple[FractionalPoint, Fraction]:
     """Maximize c.x over the polytope; returns an exact optimal vertex.
 
     Ties are resolved by Bland's rule (lowest-index entering variable),
-    which also guarantees termination.
+    which also guarantees termination.  ``final``, if given, receives the
+    optimal tableau for re-optimizing other cost rows.
     """
     n = poly.num_vars
     if len(objective) != n:
@@ -139,6 +185,9 @@ def maximize_linear(objective: Sequence[Fraction],
     cost = list(objective) + [ZERO] * (k + 1)
     basis = list(range(n, n + k))
     _bland_loop(tableau, cost, basis, n + k)
+    if final is not None:
+        final.rows, final.basis = tableau, tuple(basis)
+        final.objective, final.cost = tuple(objective), tuple(cost)
     coords = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .lp import FractionalPoint, Polytope, contains
-from .model import (Allocation, Instance, ValuationProfile, ZERO, ONE,
-                    enumerate_feasible, indicator, validate_profile,
-                    value_of)
-from .relaxation import (PiecewiseCurve, UnsupportedFamilyError,
-                         build_polytope, build_relaxation,
+from .lp import FinalTableau, FractionalPoint, Polytope, contains
+from .model import (Allocation, Instance, InvariantError, ValuationProfile,
+                    ZERO, ONE, enumerate_feasible, indicator,
+                    validate_profile, value_of)
+from .relaxation import (PiecewiseCurve, RelaxedObjective,
+                         UnsupportedFamilyError, build_polytope,
+                         build_relaxation, residual_maximum,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, adjust, convex_decompose,
                        exact_distribution, expected_value_per_bidder, sample)
@@ -67,6 +68,26 @@ def _round_point(instance: Instance,
                   keep_probabilities(instance, x))
 
 
+def _solve(instance: Instance, profile: ValuationProfile
+           ) -> tuple[RelaxedObjective, FractionalPoint, FinalTableau]:
+    """Build (L, P) and maximize L once, keeping the optimal tableau."""
+    objective, poly = build_relaxation(instance, profile)
+    final = FinalTableau()
+    optimum = solve_relaxation(objective, poly, final)
+    return objective, optimum, final
+
+
+def _charge(instance: Instance, profile: ValuationProfile,
+            dist: AllocationDistribution, objective: RelaxedObjective,
+            final: FinalTableau) -> tuple[Fraction, ...]:
+    """Externality payments, each residual maximum taken from ``final``."""
+    expectations = expected_value_per_bidder(dist, profile)
+    total = sum(expectations, ZERO)
+    gamma = instance.spec.calibration
+    return tuple(gamma * residual_maximum(objective, k, final)
+                 - (total - expectations[k]) for k in range(instance.n))
+
+
 def allocate(instance: Instance, profile: ValuationProfile
              ) -> tuple[FractionalPoint, AllocationDistribution]:
     """Relax, maximize, decompose, thin; deterministic end to end."""
@@ -79,41 +100,38 @@ def payments(instance: Instance, profile: ValuationProfile,
              dist: AllocationDistribution) -> tuple[Fraction, ...]:
     """Expected externality payments on the calibrated scale.
 
-    p_k = calibration * max L^{-k} - E[sum of the others' values], with the
-    residual maximum solved by the same exact pipeline machinery so both
-    terms live on the same scale.
+    p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
+    residual maximum is re-optimized from the optimal tableau of max L, on
+    the same (segment-expanded) LP, so both terms live on the same scale.
     """
-    objective, poly = build_relaxation(instance, profile)
-    expectations = expected_value_per_bidder(dist, profile)
-    total = sum(expectations, ZERO)
-    gamma = instance.spec.calibration
-    result = []
-    for k in range(instance.n):
-        residual = residual_objective(objective, k)
-        best = solve_relaxation(residual, poly)
-        ceiling = residual.evaluate(best.coords)
-        result.append(gamma * ceiling - (total - expectations[k]))
-    return tuple(result)
+    objective, _, final = _solve(instance, profile)
+    return _charge(instance, profile, dist, objective, final)
 
 
 def run(instance: Instance, profile: ValuationProfile,
         seed: int) -> MechanismOutcome:
-    """Full mechanism: allocate, price, and sample one allocation."""
-    objective, _ = build_relaxation(instance, profile)
-    optimum, dist = allocate(instance, profile)
-    pay = payments(instance, profile, dist)
+    """Full mechanism: allocate, price, and sample one allocation.
+
+    One relaxation is built and solved; the payments re-optimize from it.
+    """
+    objective, optimum, final = _solve(instance, profile)
+    dist = _round_point(instance, optimum)
+    pay = _charge(instance, profile, dist, objective, final)
     realized = sample(dist, seed)
-    assert realized in dist.support()
+    if realized not in dist.support():
+        raise InvariantError(f"sampled allocation {realized.bitmasks()} "
+                             "is outside the distribution's support")
     return MechanismOutcome(distribution=dist, realized=realized,
                             expected_payments=pay,
                             relaxed_value=objective.evaluate(optimum.coords),
                             calibration=instance.spec.calibration, seed=seed)
 
 
-def _excluded_distribution(instance: Instance, profile: ValuationProfile,
-                           k: int) -> AllocationDistribution:
+def _excluded_distribution(instance: Instance, objective: RelaxedObjective,
+                           poly: Polytope, k: int) -> AllocationDistribution:
     """Pipeline run on the residual objective with bidder k silenced."""
-    objective, poly = build_relaxation(instance, profile)
+    # Cold solve: this rounds the residual vertex, not just its value, and a
+    # warm start may stop at another optimal vertex.
     best = solve_relaxation(residual_objective(objective, k), poly)
     return _round_point(instance, best)
 
@@ -127,11 +145,12 @@ def expected_realized_payments(instance: Instance,
     their welfare under the main pipeline; in expectation this equals the
     expected payment rule.
     """
-    _, dist = allocate(instance, profile)
+    objective, poly = build_relaxation(instance, profile)
+    dist = _round_point(instance, solve_relaxation(objective, poly))
     main = expected_value_per_bidder(dist, profile)
     result = []
     for k in range(instance.n):
-        excluded = _excluded_distribution(instance, profile, k)
+        excluded = _excluded_distribution(instance, objective, poly, k)
         without_k = expected_value_per_bidder(excluded, profile)
         first = sum((without_k[i] for i in range(instance.n) if i != k), ZERO)
         second = sum((main[i] for i in range(instance.n) if i != k), ZERO)
@@ -145,11 +164,12 @@ def realized_payments(instance: Instance, profile: ValuationProfile,
 
     The k-excluded pipeline uses the derived seed seed * 1_000_003 + k + 1.
     """
-    _, dist = allocate(instance, profile)
-    main = sample(dist, seed)
+    objective, poly = build_relaxation(instance, profile)
+    main = sample(_round_point(instance, solve_relaxation(objective, poly)),
+                  seed)
     result = []
     for k in range(instance.n):
-        excluded = _excluded_distribution(instance, profile, k)
+        excluded = _excluded_distribution(instance, objective, poly, k)
         drawn = sample(excluded, seed * 1_000_003 + k + 1)
         first = sum((value_of(profile, i, drawn)
                      for i in range(instance.n) if i != k), ZERO)

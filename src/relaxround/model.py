@@ -26,6 +26,10 @@ ALL_FAMILIES = AUCTION_FAMILIES + SHARED_OUTCOME_FAMILIES
 ROUNDING_CASES = ("a", "b", "c")
 
 
+class InvariantError(RuntimeError):
+    """An internal guarantee failed: the program is at fault, not its input."""
+
+
 class EvaluationError(ValueError):
     """A valuation lookup failed (e.g. unknown bundle in an explicit table)."""
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp import (FractionalPoint, LPInputError, Polytope, contains,
+from .lp import (FinalTableau, FractionalPoint, LPInputError, Polytope,
                  maximize_linear)
-from .model import (Allocation, Instance, ValuationProfile, ZERO, ONE,
-                    enumerate_feasible, indicator, social_welfare, value_of,
-                    validate_profile)
+from .model import (Allocation, Instance, InvariantError, ValuationProfile,
+                    ZERO, ONE, enumerate_feasible, indicator, social_welfare,
+                    value_of, validate_profile)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -155,8 +155,8 @@ def build_relaxation(instance: Instance,
                      profile: ValuationProfile) -> tuple[RelaxedObjective, Polytope]:
     """Assemble (L, P) for the reported profile, per the family recipe.
 
-    Containment of every feasible allocation's indicator in P is verified
-    for enumerable instances.
+    That P contains every feasible allocation's indicator depends on the
+    instance alone; the family constructors prove it once per instance.
     """
     validate_profile(instance, profile)
     poly = build_polytope(instance)
@@ -173,25 +173,13 @@ def build_relaxation(instance: Instance,
                        for v in range(instance.num_vars))
         objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
                                      curves=curves)
-    for alloc in enumerate_feasible(instance):
-        point = FractionalPoint(indicator(instance, alloc))
-        if not contains(poly, point):
-            raise ValueError("polytope does not contain a feasible "
-                             f"allocation's indicator: {alloc.bitmasks()}")
     return objective, poly
 
 
-def solve_relaxation(objective: RelaxedObjective,
-                     poly: Polytope) -> FractionalPoint:
-    """Exact maximizer of L over P, deterministic via Bland's rule."""
-    if objective.num_vars != poly.num_vars:
-        raise LPInputError("objective and polytope dimensions differ")
-    if objective.is_linear:
-        point, _ = maximize_linear(objective.linear_coeffs, poly)
-        return point
+def _segment_columns(objective: RelaxedObjective
+                     ) -> tuple[list[int], list[Fraction], list[Fraction]]:
+    """Variable, slope and length of every piece of a curved objective."""
     assert objective.curves is not None
-    # Segment expansion: one delta variable per linear piece; concavity
-    # (nonincreasing slopes) makes the expansion exact at any LP optimum.
     col_var: list[int] = []
     col_obj: list[Fraction] = []
     col_cap: list[Fraction] = []
@@ -200,6 +188,24 @@ def solve_relaxation(objective: RelaxedObjective,
             col_var.append(v)
             col_obj.append(slope)
             col_cap.append(length)
+    return col_var, col_obj, col_cap
+
+
+def solve_relaxation(objective: RelaxedObjective, poly: Polytope,
+                     final: FinalTableau | None = None) -> FractionalPoint:
+    """Exact maximizer of L over P, deterministic via Bland's rule.
+
+    ``final``, if given, receives the optimal tableau of the LP solved
+    (the segment-expanded one for a curved L), for ``residual_maximum``.
+    """
+    if objective.num_vars != poly.num_vars:
+        raise LPInputError("objective and polytope dimensions differ")
+    if objective.is_linear:
+        point, _ = maximize_linear(objective.linear_coeffs, poly, final)
+        return point
+    # Segment expansion: one delta variable per linear piece; concavity
+    # (nonincreasing slopes) makes the expansion exact at any LP optimum.
+    col_var, col_obj, col_cap = _segment_columns(objective)
     ncols = len(col_var)
     rows = []
     for coeffs, bound in poly.constraints:
@@ -208,22 +214,50 @@ def solve_relaxation(objective: RelaxedObjective,
         unit = tuple(ONE if j == c else ZERO for j in range(ncols))
         rows.append((unit, col_cap[c]))
     expanded = Polytope(ncols, tuple(rows), packing=True)
-    delta, value = maximize_linear(col_obj, expanded)
+    delta, value = maximize_linear(col_obj, expanded, final)
     coords = [ZERO] * poly.num_vars
     for c, d in enumerate(delta.coords):
         coords[col_var[c]] += d
     point = FractionalPoint(tuple(coords))
     # Any optimal fill is ordered up to slope ties, so folding is lossless.
-    assert objective.evaluate(point.coords) == value
+    folded = objective.evaluate(point.coords)
+    if folded != value:
+        raise InvariantError(f"folding the segment fill changed the value "
+                             f"from {value} to {folded}")
     return point
+
+
+def _check_bidder(objective: RelaxedObjective, k: int) -> None:
+    known = [o for o in objective.owners if o is not None]
+    if k < 0 or (known and k > max(known)):
+        raise IndexError(f"bidder index {k} out of range")
+
+
+def residual_maximum(objective: RelaxedObjective, k: int,
+                     final: FinalTableau) -> Fraction:
+    """max L^{-k} over P, re-optimized from the solve of L.
+
+    ``final`` holds the optimal tableau of ``solve_relaxation(objective,
+    poly)``.  Bidder k's cost entries are set to zero on the same columns
+    (its segment slopes, for a curved L), so that basis stays feasible.
+    Zeroed columns add nothing and P is packing, so the maximum equals that
+    of ``residual_objective(objective, k)`` over P.
+    """
+    _check_bidder(objective, k)
+    if objective.is_linear:
+        owners = objective.owners
+        costs: Sequence[Fraction] = objective.linear_coeffs
+    else:
+        col_var, costs, _ = _segment_columns(objective)
+        owners = tuple(objective.owners[v] for v in col_var)
+    return final.maximum([ZERO if owner == k else c
+                          for c, owner in zip(costs, owners)])
 
 
 def residual_objective(objective: RelaxedObjective,
                        k: int) -> RelaxedObjective:
     """L with bidder k removed: zero out every variable k owns."""
-    known = [o for o in objective.owners if o is not None]
-    if k < 0 or (known and k > max(known)):
-        raise IndexError(f"bidder index {k} out of range")
+    _check_bidder(objective, k)
     if objective.is_linear:
         coeffs = tuple(ZERO if owner == k else c
                        for c, owner in zip(objective.linear_coeffs,

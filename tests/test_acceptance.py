@@ -114,6 +114,9 @@ def test_criterion_3_utility_identity():
             pay = payments(instance, profile, dist)
             values = expected_value_per_bidder(dist, profile)
             top = objective.evaluate(optimum.coords)
+            outcome = run(instance, profile, seed=0)
+            assert outcome.expected_payments == pay, f"{name} bids={bids}"
+            assert outcome.relaxed_value == top, f"{name} bids={bids}"
             for k in range(instance.n):
                 residual = residual_objective(objective, k)
                 ceiling = residual.evaluate(

@@ -11,12 +11,36 @@ from relaxround import (FamilyConstructionError, adjust, allocate,
                         make_gap_toy, make_no_money, make_single_item,
                         make_single_minded_ca, profile_for, run,
                         solve_relaxation, unit_gap_curve)
+from relaxround import families
 from relaxround.families import InputError
-from relaxround.lp import FractionalPoint
+from relaxround.lp import FractionalPoint, Polytope
 from relaxround.mechanism import keep_probabilities
 
 ZERO = F(0)
 ONE = F(1)
+
+
+class TestContainmentAudit:
+    @pytest.mark.parametrize("build", [
+        lambda: make_single_item(2),
+        lambda: make_case_b_family(2, F(1, 2)),
+        lambda: make_single_minded_ca(2, [{0}, {0, 1}]),
+        lambda: make_gap_toy(2, 1),
+    ])
+    def test_polytope_missing_an_indicator_fails_construction(
+            self, build, monkeypatch):
+        exact = families.build_polytope
+
+        def item_zero_closed(instance):
+            poly = exact(instance)
+            rows = list(poly.constraints)
+            coeffs, _ = rows[instance.n]  # bidder rows come first
+            rows[instance.n] = (coeffs, ZERO)
+            return Polytope(poly.num_vars, tuple(rows))
+
+        monkeypatch.setattr(families, "build_polytope", item_zero_closed)
+        with pytest.raises(FamilyConstructionError, match="indicator"):
+            build()
 
 
 class TestSingleItem:

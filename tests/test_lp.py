@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FractionalPoint, LPInputError, Polytope,
-                        UnboundedError, contains, enumerate_vertices,
-                        maximize_linear, solve_feasibility)
+from relaxround import (FinalTableau, FractionalPoint, LPInputError,
+                        Polytope, UnboundedError, contains,
+                        enumerate_vertices, maximize_linear,
+                        solve_feasibility)
 
 ZERO = F(0)
 ONE = F(1)
@@ -79,6 +80,40 @@ class TestMaximizeLinear:
             oracle = max(sum((c * v for c, v in zip(objective, vert.coords)), ZERO)
                          for vert in enumerate_vertices(poly))
             assert value == oracle
+
+
+class TestFinalTableau:
+    def test_reoptimized_values_match_cold_solves(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = tuple((tuple(F(rng.randint(0, 3)) for _ in range(n)),
+                          F(rng.randint(0, 4), rng.randint(1, 3)))
+                         for _ in range(rng.randint(1, 4)))
+            poly = Polytope(n, rows + box(n).constraints)
+            main = [F(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(n)]
+            final = FinalTableau()
+            _, top = maximize_linear(main, poly, final)
+            # Zeroing each entry of the main costs, as the payment LPs do,
+            # then fresh cost rows with negative entries as well.
+            others = [[ZERO if j == k else c for j, c in enumerate(main)]
+                      for k in range(n)]
+            others += [[F(rng.randint(-3, 5), rng.randint(1, 3))
+                        for _ in range(n)] for _ in range(3)]
+            for cost in others:
+                assert final.maximum(cost) == maximize_linear(cost, poly)[1]
+            # The recorded tableau is left as it was.
+            assert final.maximum(main) == top
+
+    def test_nothing_recorded_raises(self):
+        with pytest.raises(LPInputError):
+            FinalTableau().maximum([ONE])
+
+    def test_cost_length_mismatch_raises(self):
+        final = FinalTableau()
+        maximize_linear([ONE, ONE], box(2), final)
+        with pytest.raises(LPInputError):
+            final.maximum([ONE])
 
 
 class TestContains:

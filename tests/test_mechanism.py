@@ -12,6 +12,7 @@ from relaxround import (Allocation, AllocationDistribution, allocate,
                         profile_for, range_contains, realized_payments,
                         residual_objective, run, run_without_money,
                         solve_relaxation)
+from relaxround import InvariantError, mechanism
 from relaxround.relaxation import UnsupportedFamilyError
 
 ZERO = F(0)
@@ -31,6 +32,9 @@ def utility_identity_holds(instance, profile):
     values = expected_value_per_bidder(dist, profile)
     gamma = instance.spec.calibration
     top = objective.evaluate(optimum.coords)
+    outcome = run(instance, profile, seed=0)
+    assert outcome.expected_payments == pay
+    assert outcome.relaxed_value == top
     for k in range(instance.n):
         residual = residual_objective(objective, k)
         ceiling = residual.evaluate(solve_relaxation(residual, poly).coords)
@@ -102,6 +106,13 @@ class TestRun:
         inst = make_single_item(3)
         outcome = run(inst, profile_for(inst, [ZERO] * 3), seed=5)
         assert outcome.expected_payments == (ZERO, ZERO, ZERO)
+
+    def test_sample_outside_the_support_raises(self, monkeypatch):
+        inst = make_single_item(2)
+        monkeypatch.setattr(mechanism, "sample",
+                            lambda dist, seed: Allocation.empty(2))
+        with pytest.raises(InvariantError, match="support"):
+            run(inst, profile_for(inst, [F(5), F(3)]), seed=1)
 
     def test_seed_determinism(self):
         inst = make_case_b_family(2, F(1, 2))

@@ -4,12 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FractionalPoint, PiecewiseCurve, RelaxedObjective,
+from relaxround import (FinalTableau, FractionalPoint, InvariantError,
+                        PiecewiseCurve, RelaxedObjective,
                         UnsupportedFamilyError, audit_alpha, build_polytope,
                         build_relaxation, contains, enumerate_feasible,
                         indicator, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
-                        residual_objective, solve_relaxation)
+                        residual_maximum, residual_objective,
+                        solve_relaxation)
+from relaxround import relaxation
 
 ZERO = F(0)
 ONE = F(1)
@@ -90,6 +93,46 @@ class TestSolveRelaxation:
         direct = sum((curve.value_at(x) for curve, x
                       in zip(objective.curves, optimum.coords)), ZERO)
         assert direct == objective.evaluate(optimum.coords)
+
+    def test_fold_mismatch_raises(self, monkeypatch):
+        inst = make_gap_toy(2, 1)
+        objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
+        exact = relaxation.maximize_linear
+
+        def off_by_one(objective, poly, final=None):
+            point, value = exact(objective, poly, final)
+            return point, value + 1
+
+        monkeypatch.setattr(relaxation, "maximize_linear", off_by_one)
+        with pytest.raises(InvariantError, match="folding"):
+            solve_relaxation(objective, poly)
+
+
+class TestResidualMaximum:
+    @pytest.mark.parametrize("build", [
+        lambda: (make_single_item(3), [F(5), F(5), F(2)]),
+        lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
+                 [F(3), F(2), ZERO]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)]),
+    ])
+    def test_matches_the_cold_residual_solve(self, build):
+        instance, scalars = build()
+        objective, poly = build_relaxation(instance,
+                                           profile_for(instance, scalars))
+        final = FinalTableau()
+        solve_relaxation(objective, poly, final)
+        for k in range(instance.n):
+            residual = residual_objective(objective, k)
+            cold = residual.evaluate(solve_relaxation(residual, poly).coords)
+            assert residual_maximum(objective, k, final) == cold
+
+    def test_index_out_of_range(self):
+        inst = make_single_item(2)
+        objective, poly = build_relaxation(inst, profile_for(inst, [F(5), F(3)]))
+        final = FinalTableau()
+        solve_relaxation(objective, poly, final)
+        with pytest.raises(IndexError):
+            residual_maximum(objective, 2, final)
 
 
 class TestResidualObjective:
