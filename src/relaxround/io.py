@@ -128,8 +128,9 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
     family = _require(obj, "family")
     n = _require(obj, "n")
     m = _require(obj, "m")
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise FormatError("n/m", "bidder and item counts must be integers")
+    for key, count in (("n", n), ("m", m)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise FormatError(key, "bidder and item counts must be integers")
     raw_vals = _require(obj, "valuations")
     if not isinstance(raw_vals, list) or len(raw_vals) != n:
         raise FormatError("valuations", f"expected a list of {n} valuations")
@@ -157,7 +158,8 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
             instance = families.make_single_minded_ca(m, bundles, alpha)
         elif family == "gap-toy":
             segments = obj.get("segments", families.DEFAULT_CURVE_SEGMENTS)
-            if not isinstance(segments, int) or segments < 1:
+            if (isinstance(segments, bool) or not isinstance(segments, int)
+                    or segments < 1):
                 raise FormatError("segments", "must be a positive integer")
             instance = families.make_gap_toy(n, m, segments)
         elif family == "no-money-lottery":

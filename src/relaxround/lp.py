@@ -1,8 +1,10 @@
 """Exact rational linear programming over explicit packing polytopes.
 
-A dense tableau simplex with Bland's anti-cycling rule, run entirely on
-``fractions.Fraction``.  Sizes are desk scale, so there is no scaling, no
-presolve and no sparsity; exactness and determinism are the product.
+A tableau simplex with Bland's anti-cycling rule, run entirely on
+``fractions.Fraction``.  Sizes are desk scale, so there is no scaling and
+no presolve; exactness and determinism are the product.  Tableau rows stay
+dense lists, but a pivot only touches the pivot row's nonzero columns,
+which leaves every entry exactly as a dense pivot would.
 """
 
 from __future__ import annotations
@@ -79,19 +81,31 @@ def contains(poly: Polytope, x: FractionalPoint) -> bool:
     return True
 
 
+def _minus(target: list[Fraction], f: Fraction, prow: list[Fraction],
+           nonzero: list[int]) -> list[Fraction]:
+    """A new list target - f * prow, where prow is zero off ``nonzero``."""
+    out = list(target)
+    for j in nonzero:
+        out[j] -= f * prow[j]
+    return out
+
+
 def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
            row: int, col: int) -> None:
+    # Rows are replaced, never mutated, so a FinalTableau's rows stay as
+    # recorded.  Since a - f * 0 == a and 0 / p == 0 exactly, skipping the
+    # pivot row's zeros changes no entry.
     piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
+    prow = list(tableau[row])
+    nonzero = [j for j, v in enumerate(prow) if v]
+    for j in nonzero:
+        prow[j] /= piv
+    tableau[row] = prow
     for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            f = other[col]
-            tableau[i] = [a - f * b for a, b in zip(other, prow)]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+        if i != row and other[col]:
+            tableau[i] = _minus(other, other[col], prow, nonzero)
+    if cost[col]:
+        cost[:] = _minus(cost, cost[col], prow, nonzero)
 
 
 def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
@@ -153,8 +167,9 @@ class FinalTableau:
         cost = [c + d for c, d in zip(self.cost, delta)] + list(self.cost[n:])
         for row, b in zip(self.rows, self.basis):
             f = delta[b] if b < n else ZERO
-            if f != 0:
-                cost = [c - f * a for c, a in zip(cost, row)]
+            if f:
+                cost = _minus(cost, f, row,
+                              [j for j, a in enumerate(row) if a])
         # _pivot replaces rows and never mutates them, so a copy of the row
         # list leaves the recorded tableau intact for the next cost row.
         _bland_loop(list(self.rows), cost, list(self.basis),
@@ -255,20 +270,16 @@ def solve_feasibility(equalities: Sequence[Row],
 
 def _solve_square(rows: list[list[Fraction]],
                   rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Gaussian elimination on an n x n rational system; None if singular."""
+    """Gauss-Jordan elimination on an n x n rational system; None if singular."""
     n = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    a = [row + [b] for row, b in zip(rows, rhs)]
+    no_cost = [ZERO] * (n + 1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        _pivot(a, no_cost, col, col)
     return [a[i][-1] for i in range(n)]
 
 

@@ -141,17 +141,20 @@ class _Misreport:
 
 
 def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
-                include_bundle_misreports: bool) -> list[_Misreport]:
+                include_bundle_misreports: bool
+                ) -> tuple[list[_Misreport], str]:
+    """The misreports to try, and a note naming any that were left out."""
     values = [Fraction(g) for g in misreport_grid]
     reports = [_Misreport(v) for v in values]
-    if (instance.family == "single-minded-ca" and include_bundle_misreports
-            and instance.m <= 3):
-        bundles = []
-        for mask in range(1, 2 ** instance.m):
-            bundles.append(frozenset(j for j in range(instance.m)
-                                     if mask & (1 << j)))
-        reports = [_Misreport(v, b) for b in bundles for v in values]
-    return reports
+    if instance.family != "single-minded-ca" or not include_bundle_misreports:
+        return reports, ""
+    if instance.m > 3:
+        return reports, f"bundle misreports omitted (m={instance.m} > 3)"
+    bundles = []
+    for mask in range(1, 2 ** instance.m):
+        bundles.append(frozenset(j for j in range(instance.m)
+                                 if mask & (1 << j)))
+    return [_Misreport(v, b) for b in bundles for v in values], ""
 
 
 class _PipelineCache:
@@ -205,15 +208,16 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     """Exhaustive truthfulness-in-expectation check over grid profiles.
 
     For every grid profile, bidder, and grid misreport (bundle misreports
-    included for single-minded instances with at most three items), the two
-    sides of the incentive inequality are computed from exact distributions
-    and expected payments and compared with zero tolerance.
+    included for single-minded instances with at most three items; the
+    report's domain says when they were omitted), the two sides of the
+    incentive inequality are computed from exact distributions and expected
+    payments and compared with zero tolerance.
     """
     if not value_grid or not misreport_grid:
         raise ValueError("value and misreport grids must be nonempty")
     profiles = grid_profiles(instance, value_grid)
-    misreports = _misreports(instance, misreport_grid,
-                             include_bundle_misreports)
+    misreports, omitted = _misreports(instance, misreport_grid,
+                                      include_bundle_misreports)
     required = len(profiles) * (1 + instance.n * len(misreports))
     if required > budget:
         raise VerificationBudgetError(required, budget)
@@ -245,6 +249,8 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     domain = (f"family={instance.family} n={instance.n} m={instance.m} "
               f"values={[str(v) for v in value_grid]} "
               f"misreports={len(misreports)} per bidder")
+    if omitted:
+        domain += f"; {omitted}"
     check = CheckResult(name="truthfulness-in-expectation",
                         passed=not witnesses, cases=cases, domain=domain,
                         witnesses=tuple(witnesses))
@@ -285,20 +291,26 @@ def default_probe_point(instance: Instance) -> FractionalPoint:
 
 def check_obliviousness(instance: Instance,
                         profiles: Sequence[ValuationProfile],
-                        point: Optional[FractionalPoint] = None
+                        point: Optional[FractionalPoint] = None,
+                        rounder: Optional[Rounder] = None
                         ) -> VerificationReport:
     """Fixed-point rounding must be bit-identical under every profile.
 
-    Distributions obtained from different fractional points may of course
-    differ; only the fixed-x comparison is asserted.
+    Every profile is handed to ``rounder`` (by default the shipped
+    pipeline, ``oblivious_rounder(instance)``) together with the same
+    fractional point, and each distribution is compared with the first
+    profile's.  Distributions obtained from different fractional points
+    may of course differ; only the fixed-x comparison is asserted.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two profiles to compare")
     x = point if point is not None else default_probe_point(instance)
-    reference = _round_point(instance, x)
+    if rounder is None:
+        rounder = oblivious_rounder(instance)
+    reference = rounder(x, profiles[0])
     witnesses = []
     for idx, profile in enumerate(profiles):
-        outcome = _round_point(instance, x)
+        outcome = rounder(x, profile)
         if outcome != reference:
             witnesses.append(Witness(profile=profile_signature(profile),
                                      bidder=None, misreport=f"profile#{idx}",

@@ -176,7 +176,8 @@ def test_criterion_5_decomposition_identities():
 
 
 def test_criterion_6_obliviousness():
-    """Fixed-x rounding is bit-identical across >= 10 random profile pairs."""
+    """Fixed-x rounding is bit-identical across >= 10 random profile pairs;
+    the valuation-reading rounder fails the same check."""
     pairs = 0
     for family_idx, (name, instance, grid) in enumerate(desk_families()):
         rng = random.Random(1000 + family_idx)
@@ -188,7 +189,15 @@ def test_criterion_6_obliviousness():
             report = check_obliviousness(instance, profiles)
             assert report.passed, name
             pairs += 1
-    verdict(6, f"obliviousness, {pairs} seeded profile pairs", True)
+        ascending = [F(i + 1) for i in range(instance.n)]
+        control = check_obliviousness(
+            instance, [profile_for(instance, ascending),
+                       profile_for(instance, ascending[::-1])],
+            rounder=adversarial_rounder(instance))
+        assert not control.passed, name
+        assert control.checks[0].witnesses, name
+    verdict(6, f"obliviousness, {pairs} seeded profile pairs, "
+               "negative-control rounder rejected", True)
 
 
 def test_criterion_7_without_money_properties():

@@ -92,6 +92,23 @@ class TestInstanceDocuments:
         with pytest.raises(FormatError, match="payment_rule"):
             load_instance_document(doc)
 
+    @pytest.mark.parametrize("field, doc", [
+        ("n", {"family": "single-item", "n": True, "m": 1,
+               "valuations": [{"kind": "additive", "values": ["1"]}]}),
+        ("m", {"family": "single-item", "n": 1, "m": True,
+               "valuations": [{"kind": "additive", "values": ["1"]}]}),
+        ("segments", {"family": "gap-toy", "n": 2, "m": 1, "segments": True,
+                      "valuations": [{"kind": "additive", "values": ["1"]},
+                                     {"kind": "additive", "values": ["2"]}]}),
+    ])
+    def test_boolean_count_rejected(self, field, doc, tmp_path, capsys):
+        # JSON true is a Python bool, which isinstance(..., int) accepts.
+        with pytest.raises(FormatError, match=repr(field)):
+            load_instance_document(doc)
+        path = _write(tmp_path, "bool.json", doc)
+        assert main(["--instance", str(path), "--mode", "run"]) == 2
+        assert repr(field) in capsys.readouterr().err
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name

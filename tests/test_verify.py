@@ -72,6 +72,17 @@ class TestCheckTruthfulness:
         assert report.passed
         # 9 profiles x 2 bidders x (3 bundles x 3 values) misreports
         assert report.cases == 9 * 2 * 9
+        assert "omitted" not in report.checks[0].domain
+
+    def test_bundle_misreports_omitted_above_three_items_says_so(self):
+        inst = make_single_minded_ca(4, [{0, 1}, {2, 3}])
+        small = [F(0), F(1)]
+        report = check_truthfulness(inst, small, small)
+        assert report.passed
+        # 4 profiles x 2 bidders x 2 value misreports, no bundle misreports
+        assert report.cases == 4 * 2 * 2
+        assert report.checks[0].domain.endswith(
+            "; bundle misreports omitted (m=4 > 3)")
 
 
 class TestCheckApproximation:
@@ -109,6 +120,27 @@ class TestCheckObliviousness:
         inst = make_single_item(2)
         with pytest.raises(ValueError):
             check_obliviousness(inst, [profile_for(inst, [F(1), F(2)])])
+
+    def test_oblivious_rounder_is_the_default(self):
+        inst = make_gap_toy(2, 1)
+        profiles = [profile_for(inst, [F(5), F(3)]),
+                    profile_for(inst, [F(3), F(5)])]
+        default = check_obliviousness(inst, profiles)
+        explicit = check_obliviousness(inst, profiles,
+                                       rounder=oblivious_rounder(inst))
+        assert default == explicit and default.passed
+
+    def test_adversarial_rounder_fails_with_witness(self):
+        inst = make_single_item(2)
+        profiles = [profile_for(inst, [F(5), F(3)]),
+                    profile_for(inst, [F(5), F(4)]),
+                    profile_for(inst, [F(3), F(5)])]
+        report = check_obliviousness(inst, profiles,
+                                     rounder=adversarial_rounder(inst))
+        assert not report.passed
+        # Only the third profile moves the lowest bid to another bidder.
+        witnesses = report.checks[0].witnesses
+        assert [w.misreport for w in witnesses] == ["profile#2"]
 
 
 class TestNonObliviousCondition:
