@@ -3,7 +3,8 @@
 Loads an instance file, runs the mechanism or one of the verification
 suites, writes machine-readable reports and prints a one-line summary per
 check.  Exit codes: 0 all passed, 1 a verification failed (witness file
-written), 2 input errors.
+written), 2 input errors, 3 internal errors (the program is at fault, not
+the document).
 """
 
 from __future__ import annotations
@@ -17,14 +18,20 @@ from pathlib import Path
 
 from . import io as rio
 from . import mechanism, verify
-from .model import Instance, ValuationProfile, ONE
+from .lp import UnboundedError
+from .model import Instance, InvariantError, ValuationProfile, ONE
 from .relaxation import build_relaxation, solve_relaxation
-from .rounding import convex_decompose
+from .rounding import DecompositionInfeasibleError, convex_decompose
 from .verify import CheckResult, VerificationReport
 
 MODES = ("run", "verify-truthfulness", "verify-ratio", "verify-no-money",
          "decompose")
 NO_MONEY_FAMILIES = ("no-money-lottery", "single-peaked")
+#: Program faults, not bad input: a broken internal guarantee, and, once a
+#: document has loaded, an infeasible decomposition (its construction audits
+#: rule one out) or an unbounded LP (packing bounds rule one out).
+INTERNAL_ERRORS = (InvariantError, DecompositionInfeasibleError,
+                   UnboundedError)
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     try:
         if config.mode == "run":
             return _mode_run(config, instance, profile)
@@ -207,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         if config.mode == "verify-no-money":
             return _mode_verify_no_money(config, instance, profile)
         return _mode_decompose(config, instance, profile)
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

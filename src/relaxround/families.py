@@ -10,19 +10,23 @@ and the exact thinning calibration for the curved family.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .lp import FractionalPoint, contains, enumerate_vertices
-from .model import (AdditiveValuation, FamilySpec, Instance,
+from .mechanism import _round_point
+from .model import (AdditiveValuation, FamilySpec, Instance, InvariantError,
                     SingleMindedValuation, SinglePeakedValuation,
                     ValuationProfile, ZERO, ONE, enumerate_feasible,
                     indicator)
 from .relaxation import (PiecewiseCurve, audit_alpha, build_polytope,
                          build_relaxation)
-from .rounding import (DecompositionInfeasibleError, adjust, convex_decompose,
-                       exact_distribution, expected_value_per_bidder)
+from .rounding import (AllocationDistribution, DecompositionInfeasibleError,
+                       adjust, convex_decompose, exact_distribution,
+                       expected_value_per_bidder)
 
 DEFAULT_SINGLE_MINDED_ALPHA = Fraction(1, 2)
 DEFAULT_CURVE_SEGMENTS = 16
@@ -56,11 +60,14 @@ def _constant_keep(beta: Fraction):
 def _curve_ratio_keep(instance: Instance,
                       coords: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """keep_i = curve(x_i) / x_i, the exact case-(a) deflation to L."""
-    assert instance.spec.curve is not None
+    if instance.spec.curve is None:
+        raise InvariantError("the curve-ratio keep formula needs a curve")
     unit = PiecewiseCurve(instance.spec.curve)
     probs = [ONE] * instance.n
     for x, (owner, _) in zip(coords, instance.variable_index):
-        assert owner is not None
+        if owner is None:
+            raise InvariantError("the curve-ratio keep formula needs an "
+                                 "owner for every variable")
         probs[owner] = unit.value_at(x) / x if x > 0 else ONE
     return tuple(probs)
 
@@ -115,22 +122,29 @@ def _audit_alpha_on_probes(instance: Instance) -> None:
                 f"counterexample {audit.counterexample}")
 
 
-def _audit_decomposability(instance: Instance) -> None:
+def _audit_decomposability(instance: Instance
+                           ) -> dict[tuple[Fraction, ...],
+                                     AllocationDistribution]:
     """Scaled decomposition must exist at every vertex of the polytope.
 
     Vertices suffice: the decomposable set is convex, so covering all
-    vertices covers the whole polytope.
+    vertices covers the whole polytope.  Returns each vertex's finished
+    lottery (decomposed and thinned), keyed by its coordinates: a linear
+    relaxation's simplex optimum is a vertex, so these are the only
+    lotteries ``run`` can play.
     """
     poly = build_polytope(instance)
     scale = instance.spec.decomposition_scale
+    lotteries = {}
     for vertex in enumerate_vertices(poly):
         try:
-            convex_decompose(vertex, scale, instance)
+            lotteries[vertex.coords] = _round_point(instance, vertex)
         except DecompositionInfeasibleError as exc:
             raise FamilyConstructionError(
                 f"decomposition of vertex {vertex.coords} at scale {scale} "
                 f"is infeasible (residual {exc.residual}); declare a smaller "
                 "alpha") from exc
+    return lotteries
 
 
 def _audit_calibration(instance: Instance) -> None:
@@ -206,8 +220,8 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
     instance = Instance("single-minded-ca", len(bundles), m, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
-    _audit_decomposability(instance)
-    return instance
+    lotteries = _audit_decomposability(instance)
+    return replace(instance, vertex_lotteries=MappingProxyType(lotteries))
 
 
 def with_desires(instance: Instance,

@@ -61,7 +61,14 @@ def keep_probabilities(instance: Instance,
 
 def _round_point(instance: Instance,
                  x: FractionalPoint) -> AllocationDistribution:
-    """The oblivious part of the pipeline: decompose, then thin."""
+    """The oblivious part of the pipeline: decompose, then thin.
+
+    A vertex the family constructor already rounded is read back from
+    ``instance.vertex_lotteries`` as it is.
+    """
+    cached = instance.vertex_lotteries.get(x.coords)
+    if cached is not None:
+        return cached
     dist = exact_distribution(
         convex_decompose(x, instance.spec.decomposition_scale, instance))
     return adjust(dist, instance.spec.rounding_case,
@@ -209,7 +216,8 @@ def range_contains(descriptor: RangeDescriptor, instance: Instance,
             marginals[v] += p * chi[v]
     coords = []
     if descriptor.rounding_case == "a":
-        assert instance.spec.curve is not None
+        if instance.spec.curve is None:
+            raise InvariantError("rounding case a needs the family's curve")
         unit = PiecewiseCurve(instance.spec.curve)
         for m_v in marginals:
             if m_v > unit.points[-1][1]:

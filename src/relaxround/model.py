@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from .rounding import AllocationDistribution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -117,7 +121,10 @@ class Instance:
 
     ``variable_index`` is a bijection between relaxation variables and
     (bidder, bundle) pairs; the owner is None for shared-outcome families
-    where every bidder consumes the same point.
+    where every bidder consumes the same point.  ``vertex_lotteries`` maps
+    each polytope vertex's coordinates to its finished lottery, for the
+    families whose constructor rounds every vertex anyway (empty for the
+    rest); it is a cache, so it takes no part in equality or hashing.
     """
 
     family: str
@@ -125,6 +132,10 @@ class Instance:
     m: int
     variable_index: tuple[tuple[int | None, frozenset[int]], ...]
     spec: FamilySpec
+    vertex_lotteries: Mapping[tuple[Fraction, ...],
+                              AllocationDistribution] = field(
+        default_factory=lambda: MappingProxyType({}), compare=False,
+        repr=False)
 
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:

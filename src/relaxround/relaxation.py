@@ -118,7 +118,8 @@ class RelaxedObjective:
             raise LPInputError("point dimension does not match objective")
         if self.linear_coeffs is not None:
             return sum((c * x for c, x in zip(self.linear_coeffs, coords)), ZERO)
-        assert self.curves is not None
+        if self.curves is None:
+            raise InvariantError("a curved objective must carry curves")
         return sum((curve.value_at(x)
                     for curve, x in zip(self.curves, coords)), ZERO)
 
@@ -145,7 +146,8 @@ def build_polytope(instance: Instance) -> Polytope:
 def _bundle_value(profile: ValuationProfile, instance: Instance,
                   var: int) -> Fraction:
     owner, bundle = instance.variable_index[var]
-    assert owner is not None
+    if owner is None:
+        raise InvariantError(f"variable {var} has no owner to value it")
     probe = Allocation(tuple(bundle if i == owner else frozenset()
                              for i in range(instance.n)))
     return value_of(profile, owner, probe)
@@ -167,7 +169,9 @@ def build_relaxation(instance: Instance,
         objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
                                      linear_coeffs=coeffs)
     else:  # gap-toy: per-variable concave curves scaled by the bid
-        assert instance.spec.curve is not None
+        if instance.spec.curve is None:
+            raise InvariantError(f"family {instance.family!r} declares no "
+                                 "curve for its concave objective")
         unit = PiecewiseCurve(instance.spec.curve)
         curves = tuple(unit.scaled(_bundle_value(profile, instance, v))
                        for v in range(instance.num_vars))
@@ -179,7 +183,8 @@ def build_relaxation(instance: Instance,
 def _segment_columns(objective: RelaxedObjective
                      ) -> tuple[list[int], list[Fraction], list[Fraction]]:
     """Variable, slope and length of every piece of a curved objective."""
-    assert objective.curves is not None
+    if objective.curves is None:
+        raise InvariantError("segment columns need a curved objective")
     col_var: list[int] = []
     col_obj: list[Fraction] = []
     col_cap: list[Fraction] = []
@@ -264,7 +269,8 @@ def residual_objective(objective: RelaxedObjective,
                                            objective.owners))
         return RelaxedObjective(alpha=objective.alpha, owners=objective.owners,
                                 linear_coeffs=coeffs)
-    assert objective.curves is not None
+    if objective.curves is None:
+        raise InvariantError("a curved objective must carry curves")
     curves = tuple(zero_curve() if owner == k else curve
                    for curve, owner in zip(objective.curves, objective.owners))
     return RelaxedObjective(alpha=objective.alpha, owners=objective.owners,

@@ -14,9 +14,10 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .lp import FractionalPoint
-from .model import (Allocation, Instance, SingleMindedValuation,
-                    ValuationProfile, ZERO, ONE, enumerate_feasible,
-                    fractional_value, indicator, social_welfare, value_of)
+from .model import (Allocation, Instance, InvariantError,
+                    SingleMindedValuation, ValuationProfile, ZERO, ONE,
+                    enumerate_feasible, fractional_value, indicator,
+                    social_welfare, value_of)
 from .relaxation import build_polytope, build_relaxation
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
@@ -107,7 +108,9 @@ def brute_force_opt(instance: Instance,
         if best is None or welfare > best:
             best = welfare
             best_alloc = alloc
-    assert best_alloc is not None and best is not None
+    if best_alloc is None or best is None:
+        raise InvariantError("the feasible set is empty; it always holds "
+                             "the empty allocation")
     return best_alloc, best
 
 
@@ -227,9 +230,9 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     cases = 0
     for truth in profiles:
         dist_truth, pay_truth = cache.outcome(instance, truth)
-        utility_truth = [
-            expected_value_per_bidder(dist_truth, truth)[k] - pay_truth[k]
-            for k in range(instance.n)]
+        value_truth = expected_value_per_bidder(dist_truth, truth)
+        utility_truth = [value_truth[k] - pay_truth[k]
+                         for k in range(instance.n)]
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1

@@ -1,15 +1,20 @@
 """Interchange round trips and the command-line runner's exit contract."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FormatError, dump_instance_document, format_fraction,
+from relaxround import (DecompositionInfeasibleError, FormatError,
+                        InvariantError, UnboundedError,
+                        UnsupportedFamilyError, VerificationBudgetError,
+                        dump_instance_document, format_fraction,
                         load_instance, load_instance_document, make_case_b_family,
                         make_gap_toy, make_no_money, make_single_item,
                         make_single_minded_ca, parse_fraction, profile_for,
                         write_instance)
+from relaxround import cli, io as rio
 from relaxround.cli import main
 
 ONE = F(1)
@@ -108,6 +113,40 @@ class TestInstanceDocuments:
         path = _write(tmp_path, "bool.json", doc)
         assert main(["--instance", str(path), "--mode", "run"]) == 2
         assert repr(field) in capsys.readouterr().err
+
+
+class TestBidderCap:
+    def test_huge_n_exits_two_fast(self, tmp_path, capsys):
+        doc = {"family": "single-item", "n": 10**6, "m": 1,
+               "valuations": [{"kind": "additive", "values": ["1"]}]}
+        path = _write(tmp_path, "huge.json", doc)
+        start = time.perf_counter()
+        assert main(["--instance", str(path), "--mode", "run"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "'n'" in err
+
+    @pytest.mark.parametrize("family", sorted(rio.MAX_BIDDERS))
+    def test_one_over_the_cap_is_rejected_before_construction(
+            self, family, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a constructor ran")
+
+        for name in ("make_single_item", "make_case_b_family",
+                     "make_no_money"):
+            monkeypatch.setattr(rio.families, name, never)
+        n = rio.MAX_BIDDERS[family] + 1
+        doc = {"family": family, "n": n, "m": 1, "beta": "1/2",
+               "valuations": [{"kind": "additive", "values": ["1"]}] * n}
+        with pytest.raises(FormatError, match="'n'.*at most"):
+            load_instance_document(doc)
+
+    def test_the_cap_itself_loads(self):
+        n = rio.MAX_BIDDERS["no-money-lottery"]
+        doc = {"family": "no-money-lottery", "n": n, "m": 1,
+               "valuations": [{"kind": "additive", "values": ["1"]}] * n}
+        instance, _, _ = load_instance_document(doc)
+        assert instance.n == n
 
 
 def _write(tmp_path, name, doc):
@@ -212,3 +251,51 @@ class TestCli:
         path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
         assert main(["--instance", str(path),
                      "--mode", "verify-truthfulness"]) == 2
+
+
+class TestInternalErrors:
+    """Failures a loaded instance rules out exit 3, not as bad input."""
+
+    @pytest.mark.parametrize("error", [
+        InvariantError("broken guarantee"),
+        DecompositionInfeasibleError(F(1, 3)),
+        UnboundedError("objective is unbounded"),
+    ])
+    def test_internal_failure_exits_three(self, error, tmp_path, capsys,
+                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.mechanism, "run", fail)
+        path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
+        assert main(["--instance", str(path), "--mode", "run",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:")
+        assert str(error) in err
+
+    def test_invariant_failure_while_loading_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InvariantError("audit broke")
+
+        monkeypatch.setattr(rio.families, "make_single_item", fail)
+        path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
+        assert main(["--instance", str(path), "--mode", "run"]) == 3
+        assert "internal error: audit broke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        VerificationBudgetError(10, 1),
+        UnsupportedFamilyError("no relaxation recipe"),
+    ])
+    def test_input_failures_still_exit_two(self, error, tmp_path, capsys,
+                                           monkeypatch):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.verify, "check_truthfulness", fail)
+        path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
+        assert main(["--instance", str(path), "--mode",
+                     "verify-truthfulness", "--grid", "0,1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
