@@ -54,8 +54,9 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(rio.parse_fraction(part.strip(), "--grid")
+                     for part in text.split(","))
+    except ValueError as exc:
         raise ValueError(f"malformed --grid {text!r}: {exc}") from exc
 
 
@@ -129,6 +130,7 @@ def _mode_verify_truthfulness(config: ExperimentConfig, instance: Instance,
 
 def _mode_verify_ratio(config: ExperimentConfig, instance: Instance,
                        profile: ValuationProfile) -> int:
+    verify.require_budget(len(config.grid) ** instance.n + 1)
     witnesses = []
     cases = 0
     worst = None
@@ -155,12 +157,12 @@ def _mode_verify_no_money(config: ExperimentConfig, instance: Instance,
                           profile: ValuationProfile) -> int:
     if instance.family not in NO_MONEY_FAMILIES:
         raise ValueError("verify-no-money requires a without-money family")
+    # The median sweep runs first so that its budget check comes before
+    # any other work; the report keeps its order.
+    median = (verify.check_median_no_improvement(instance, config.grid).checks
+              if instance.family == "single-peaked" else ())
     report = verify.check_without_money(instance, profile, ONE)
-    checks = list(report.checks)
-    if instance.family == "single-peaked":
-        median = verify.check_median_no_improvement(instance, config.grid)
-        checks.extend(median.checks)
-    return _emit_report(VerificationReport(tuple(checks)), config)
+    return _emit_report(VerificationReport(report.checks + median), config)
 
 
 def _mode_decompose(config: ExperimentConfig, instance: Instance,

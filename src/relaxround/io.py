@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -32,6 +33,17 @@ PAYMENT_RULES = ("expected-vcg", "first-price")
 #: single-item, where `run_without_money` takes 0.01 s.
 MAX_BIDDERS = {"single-item": 32, "case-b": 5, "no-money-lottery": 32}
 
+#: Largest m per family whose constructor accepts any m.  gap-toy builds one
+#: polytope row per machine for each of its 5**n calibration probes, and
+#: single-peaked one variable per position.  Measured the same way: gap-toy
+#: with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments
+#: together (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB
+#: at m=10000 (0.84 s and 101 MiB at m=200000).
+MAX_ITEMS = {"gap-toy": 64, "single-peaked": 10_000}
+
+#: Largest number of curve segments in a gap-toy document (see MAX_ITEMS).
+MAX_SEGMENTS = 32
+
 
 class FormatError(ValueError):
     """Malformed document; the message names the offending field."""
@@ -51,6 +63,10 @@ def parse_fraction(obj: Any, fieldname: str = "value") -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        # Fraction("1e999999999") would build a billion-digit integer.
+        if re.search("[0-9][eE]", obj):
+            raise FormatError(fieldname, "exponent notation is not "
+                                         f"accepted, write p/q: {obj!r}")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
@@ -63,6 +79,23 @@ def _require(obj: dict, key: str, fieldname: str | None = None) -> Any:
     if key not in obj:
         raise FormatError(fieldname or key, "missing required field")
     return obj[key]
+
+
+def _list(obj: dict, key: str, fieldname: str) -> list:
+    value = _require(obj, key, f"{fieldname}.{key}")
+    if not isinstance(value, list):
+        raise FormatError(f"{fieldname}.{key}", "expected a list")
+    return value
+
+
+def _bundle(obj: Any, fieldname: str) -> frozenset[int]:
+    # int(1.5) == 1 and iterating "12" gives items 1 and 2, so only a list
+    # of integers is read.
+    if not isinstance(obj, list) or any(
+            isinstance(j, bool) or not isinstance(j, int) for j in obj):
+        raise FormatError(fieldname, "a bundle must be a list of item "
+                                     "indices")
+    return frozenset(obj)
 
 
 def valuation_to_obj(v: Valuation) -> dict:
@@ -87,20 +120,20 @@ def valuation_from_obj(obj: Any, fieldname: str) -> Valuation:
     kind = _require(obj, "kind", f"{fieldname}.kind")
     try:
         if kind == "additive":
-            values = _require(obj, "values", f"{fieldname}.values")
+            values = _list(obj, "values", fieldname)
             return AdditiveValuation(tuple(
                 parse_fraction(x, f"{fieldname}.values[{i}]")
                 for i, x in enumerate(values)))
         if kind == "single-minded":
-            bundle = _require(obj, "bundle", f"{fieldname}.bundle")
+            bundle = _bundle(_require(obj, "bundle", f"{fieldname}.bundle"),
+                             f"{fieldname}.bundle")
             value = parse_fraction(_require(obj, "value", f"{fieldname}.value"),
                                    f"{fieldname}.value")
-            return SingleMindedValuation(frozenset(int(j) for j in bundle),
-                                         value)
+            return SingleMindedValuation(bundle, value)
         if kind == "table":
-            entries = _require(obj, "entries", f"{fieldname}.entries")
+            entries = _list(obj, "entries", fieldname)
             return TableValuation(tuple(
-                (frozenset(int(j) for j in bundle),
+                (_bundle(bundle, f"{fieldname}.entries[{i}]"),
                  parse_fraction(value, f"{fieldname}.entries[{i}]"))
                 for i, (bundle, value) in enumerate(entries)))
         if kind == "single-peaked":
@@ -139,10 +172,12 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
     for key, count in (("n", n), ("m", m)):
         if isinstance(count, bool) or not isinstance(count, int):
             raise FormatError(key, "bidder and item counts must be integers")
-    cap = MAX_BIDDERS.get(family) if isinstance(family, str) else None
-    if cap is not None and n > cap:
-        raise FormatError("n", f"{family} documents accept at most {cap} "
-                               f"bidders, got {n}")
+    for key, count, caps, noun in (("n", n, MAX_BIDDERS, "bidders"),
+                                   ("m", m, MAX_ITEMS, "items")):
+        cap = caps.get(family) if isinstance(family, str) else None
+        if cap is not None and count > cap:
+            raise FormatError(key, f"{family} documents accept at most {cap} "
+                                   f"{noun}, got {count}")
     raw_vals = _require(obj, "valuations")
     if not isinstance(raw_vals, list) or len(raw_vals) != n:
         raise FormatError("valuations", f"expected a list of {n} valuations")
@@ -173,6 +208,10 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
             if (isinstance(segments, bool) or not isinstance(segments, int)
                     or segments < 1):
                 raise FormatError("segments", "must be a positive integer")
+            if segments > MAX_SEGMENTS:
+                raise FormatError("segments", f"gap-toy documents accept at "
+                                              f"most {MAX_SEGMENTS} curve "
+                                              f"segments, got {segments}")
             instance = families.make_gap_toy(n, m, segments)
         elif family == "no-money-lottery":
             if m != 1:

@@ -1,7 +1,10 @@
 """Exact rational linear programming over explicit packing polytopes.
 
-A tableau simplex with Bland's anti-cycling rule, run entirely on
-``fractions.Fraction``.  Sizes are desk scale, so there is no scaling and
+A bounded-variable tableau simplex with Bland's anti-cycling rule, run
+entirely on ``fractions.Fraction``.  LP columns may share a polytope
+variable and carry an upper bound, so a concave objective's curve
+segments are columns of one tableau column, and their caps are bound
+flips instead of rows.  Sizes are desk scale, so there is no scaling and
 no presolve; exactness and determinism are the product.  Tableau rows stay
 dense lists, but a pivot only touches the pivot row's nonzero columns,
 which leaves every entry exactly as a dense pivot would.
@@ -9,7 +12,7 @@ which leaves every entry exactly as a dense pivot would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -90,8 +93,10 @@ def _minus(target: list[Fraction], f: Fraction, prow: list[Fraction],
     return out
 
 
-def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
-           row: int, col: int) -> None:
+def _pivot(tableau: list[list[Fraction]], prices: list[Fraction],
+           row: int, col: int, excess: Fraction) -> None:
+    """Pivot on (row, col), then take excess times the new pivot row off
+    the prices (excess: the entering column's price minus its cost)."""
     # Rows are replaced, never mutated, so a FinalTableau's rows stay as
     # recorded.  Since a - f * 0 == a and 0 / p == 0 exactly, skipping the
     # pivot row's zeros changes no entry.
@@ -104,112 +109,219 @@ def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
     for i, other in enumerate(tableau):
         if i != row and other[col]:
             tableau[i] = _minus(other, other[col], prow, nonzero)
-    if cost[col]:
-        cost[:] = _minus(cost, cost[col], prow, nonzero)
+    if excess:
+        prices[:] = _minus(prices, excess, prow, nonzero)
 
 
-def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
-                basis: list[int], num_cols: int) -> None:
-    """Run primal simplex to optimality; raises UnboundedError."""
-    while True:
-        enter = next((j for j in range(num_cols) if cost[j] > 0), None)
-        if enter is None:
-            return
-        leave = None
-        best: Optional[Fraction] = None
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise UnboundedError("objective is unbounded in the entering "
-                                 f"direction of variable {enter}")
-        _pivot(tableau, cost, leave, enter)
-        basis[leave] = enter
-
-
+@dataclass(eq=False)
 class FinalTableau:
-    """The optimal tableau a ``maximize_linear`` call ended on.
+    """The state of a bounded-variable simplex: the optimum a solve ended on.
 
-    Pass one to ``maximize_linear`` to have it filled in.  A new cost row
-    over the same polytope leaves that basis primal feasible, so
-    ``maximum`` prices the row out of it and resumes Bland's rule there
-    instead of at the slack basis; Bland's rule terminates from any
-    feasible basis.
+    The LP maximizes sum_c slopes[c] * y_c over the polytope's rows, where
+    LP column c adds y_c to polytope variable ``var[c]`` and 0 <= y_c <=
+    ``cap[c]`` (None: no upper bound).  Columns of one variable share that
+    variable's tableau column, so ``rows`` has one row per polytope row,
+    over the variables, the slacks and the right-hand side.  ``basis``
+    names each row's basic LP column c, or slack i as len(slopes) + i;
+    ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
+    holds c_B B^-1 over the tableau columns, then the objective value.
+
+    Pass one to ``maximize_linear`` to have it filled in.  A new cost per
+    LP column leaves that basis and those caps primal feasible, so
+    ``maximum`` prices the change in and resumes Bland's rule there instead
+    of at the slack basis; Bland's rule terminates from any feasible basis.
     """
 
-    def __init__(self) -> None:
-        self.rows: list[list[Fraction]] | None = None
-        self.basis: tuple[int, ...] = ()
-        self.objective: tuple[Fraction, ...] = ()
-        self.cost: tuple[Fraction, ...] = ()
+    rows: list[list[Fraction]] | None = None
+    basis: list[int] = field(default_factory=list)
+    at_cap: list[bool] = field(default_factory=list)
+    prices: list[Fraction] = field(default_factory=list)
+    slopes: tuple[Fraction, ...] = ()
+    var: tuple[int, ...] = ()
+    cap: tuple[Optional[Fraction], ...] = ()
 
     def maximum(self, objective: Sequence[Fraction]) -> Fraction:
-        """Optimal value of objective.x over the recorded polytope.
+        """Optimal value of the LP with per-column costs ``objective``.
 
         The value is unique, so it equals the value of a cold solve even
         where the optimal vertex would differ.
         """
         if self.rows is None:
             raise LPInputError("no optimal tableau has been recorded")
-        n = len(self.objective)
+        n = len(self.slopes)
         if len(objective) != n:
             raise LPInputError(f"objective has length {len(objective)}, "
                                f"expected {n}")
-        # Reduced costs are linear in the cost row, so only the change from
-        # the recorded objective needs pricing out, through the rows whose
-        # basic variable's cost changed.
-        delta = [new - old for new, old in zip(objective, self.objective)]
-        cost = [c + d for c, d in zip(self.cost, delta)] + list(self.cost[n:])
+        # Prices are linear in the basic costs, so only the change from the
+        # recorded costs needs pricing in: through the rows whose basic
+        # column's cost changed, and into the value for columns at cap.
+        prices = list(self.prices)
         for row, b in zip(self.rows, self.basis):
-            f = delta[b] if b < n else ZERO
-            if f:
-                cost = _minus(cost, f, row,
-                              [j for j, a in enumerate(row) if a])
-        # _pivot replaces rows and never mutates them, so a copy of the row
-        # list leaves the recorded tableau intact for the next cost row.
-        _bland_loop(list(self.rows), cost, list(self.basis),
-                    n + len(self.rows))
-        return -cost[-1]
+            if b < n and objective[b] != self.slopes[b]:
+                prices = _minus(prices, self.slopes[b] - objective[b], row,
+                                [j for j, a in enumerate(row) if a])
+        for c in range(n):
+            if self.at_cap[c]:
+                prices[-1] += (objective[c] - self.slopes[c]) * self.cap[c]
+        # Pivots and flips replace rows and never mutate them, so copies of
+        # the lists leave the recorded state intact for the next cost row.
+        resumed = replace(self, rows=list(self.rows), basis=list(self.basis),
+                          at_cap=list(self.at_cap), prices=prices,
+                          slopes=tuple(objective))
+        _bland(resumed)
+        return resumed.prices[-1]
+
+
+def _flip(t: FinalTableau, c: int, to_cap: bool) -> None:
+    """Move LP column c to its cap, or from its cap to zero, nonbasic.
+
+    Only the right-hand side and the objective value change.  A column
+    basic in row r has the unit tableau column e_r, so this also moves a
+    leaving basic column to its cap.
+    """
+    v = t.var[c]
+    step = t.cap[c] if to_cap else -t.cap[c]
+    for i, row in enumerate(t.rows):
+        if row[v]:
+            row = list(row)
+            row[-1] -= step * row[v]
+            t.rows[i] = row
+    t.prices[-1] += step * (t.slopes[c] - t.prices[v])
+    t.at_cap[c] = to_cap
+
+
+def _step(t: FinalTableau) -> bool:
+    """One step of Bland's rule: a pivot or a bound flip; False at optimum.
+
+    Bland's rule chooses in the numbering of the same LP with one explicit
+    row y_c + s_c = cap[c] per capped column: LP column c, slack n + i,
+    cap slack n + k + c, for n LP columns and k rows.  Ratio ties go to the
+    lowest such leaving id, so the bases visited are the explicit LP's.
+    """
+    rows, basis, at_cap, prices = t.rows, t.basis, t.at_cap, t.prices
+    slopes, var, cap = t.slopes, t.var, t.cap
+    n, k = len(slopes), len(rows)
+    width = len(prices) - k - 1
+    # Entering: a column below its cap whose cost beats its variable's
+    # price, else a slack with a negative price, else a column at its cap
+    # whose cost falls short of that price (its cap slack enters).
+    up = False
+    enter = next((c for c in range(n)
+                  if slopes[c] > prices[var[c]] and not at_cap[c]), None)
+    if enter is not None:
+        col = var[enter]
+    else:
+        slack = next((i for i in range(k) if prices[width + i] < 0), None)
+        if slack is not None:
+            enter, col = n + slack, width + slack
+        else:
+            enter = next((c for c in range(n)
+                          if at_cap[c] and prices[var[c]] > slopes[c]), None)
+            if enter is None:
+                return False
+            up, col = True, var[enter]
+    # Ratio test over the explicit LP's rows: the entering column's own cap
+    # row, and for each tableau row its basic variable, which falls to zero
+    # or, for a capped column, rises to its cap.
+    best: Optional[Fraction] = None
+    leave = leave_row = -1
+    if enter < n and cap[enter] is not None:
+        best = cap[enter]
+        leave = enter if up else n + k + enter
+    for i, row in enumerate(rows):
+        a = -row[col] if up else row[col]
+        if a > 0:
+            ratio, out = row[-1] / a, basis[i]
+        elif a and basis[i] < n and cap[basis[i]] is not None:
+            b = basis[i]
+            ratio, out = (cap[b] - row[-1]) / -a, n + k + b
+        else:
+            continue
+        if best is None or ratio < best or (ratio == best and out < leave):
+            best, leave, leave_row = ratio, out, i
+    if best is None:
+        raise UnboundedError("objective is unbounded in the entering "
+                             f"direction of variable {enter}")
+    if leave_row < 0:  # the entering column reaches its other bound
+        _flip(t, enter, not up)
+        return True
+    if up:
+        _flip(t, enter, False)
+    b = basis[leave_row]
+    if leave != b:
+        _flip(t, b, True)
+    excess = prices[col] - slopes[enter] if enter < n else prices[col]
+    _pivot(rows, prices, leave_row, col, excess)
+    basis[leave_row] = enter
+    return True
+
+
+def _bland(t: FinalTableau) -> None:
+    """Run Bland's rule to optimality; raises UnboundedError."""
+    while _step(t):
+        pass
+
+
+def _slack_start(t: FinalTableau, width: int, rows: Sequence[Row],
+                 slopes: Sequence[Fraction], var: Sequence[int],
+                 cap: Sequence[Optional[Fraction]]) -> None:
+    """Set t to the slack basis of rows over ``width`` variables, every LP
+    column at zero."""
+    k = len(rows)
+    tableau = []
+    for i, (coeffs, bound) in enumerate(rows):
+        row = list(coeffs) + [ZERO] * k + [bound]
+        row[width + i] = ONE
+        tableau.append(row)
+    n = len(slopes)
+    t.rows, t.basis, t.at_cap = tableau, list(range(n, n + k)), [False] * n
+    t.prices = [ZERO] * (width + k + 1)
+    t.slopes, t.var, t.cap = tuple(slopes), tuple(var), tuple(cap)
+
+
+def _values(t: FinalTableau) -> list[Fraction]:
+    """Every LP column's value in t's basic solution."""
+    values = [u if up else ZERO for u, up in zip(t.cap, t.at_cap)]
+    for row, b in zip(t.rows, t.basis):
+        if b < len(values):
+            values[b] = row[-1]
+    return values
 
 
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
-                    final: FinalTableau | None = None
+                    final: FinalTableau | None = None,
+                    columns: tuple[Sequence[int],
+                                   Sequence[Optional[Fraction]]] | None = None
                     ) -> tuple[FractionalPoint, Fraction]:
-    """Maximize c.x over the polytope; returns an exact optimal vertex.
+    """Maximize c.y over the polytope; returns an exact optimal vertex.
 
-    Ties are resolved by Bland's rule (lowest-index entering variable),
-    which also guarantees termination.  ``final``, if given, receives the
-    optimal tableau for re-optimizing other cost rows.
+    Without ``columns`` there is one LP column per polytope variable.  With
+    ``columns = (var, cap)``, LP column c adds y_c to variable ``var[c]``,
+    is bounded by 0 <= y_c <= ``cap[c]`` (None: unbounded) and costs
+    ``objective[c]``; the returned point then has one coordinate per LP
+    column.  Ties are resolved by Bland's rule (lowest-index entering
+    variable), which also guarantees termination.  ``final``, if given,
+    receives the optimal state for re-optimizing other costs.
     """
     n = poly.num_vars
-    if len(objective) != n:
+    if columns is None:
+        var: Sequence[int] = range(n)
+        cap: Sequence[Optional[Fraction]] = (None,) * n
+    else:
+        var, cap = columns
+        if len(var) != len(cap):
+            raise LPInputError("every LP column needs a variable and a cap")
+        if any(not 0 <= v < n for v in var):
+            raise LPInputError(f"LP columns must map into {n} variables")
+        if any(u is not None and u < 0 for u in cap):
+            raise LPInputError("column caps must be nonnegative")
+    if len(objective) != len(var):
         raise LPInputError(f"objective has length {len(objective)}, "
-                           f"expected {n}")
-    rows = poly.constraints
-    k = len(rows)
-    tableau: list[list[Fraction]] = []
-    for i, (coeffs, bound) in enumerate(rows):
-        row = list(coeffs) + [ZERO] * k + [bound]
-        row[n + i] = ONE
-        tableau.append(row)
-    cost = list(objective) + [ZERO] * (k + 1)
-    basis = list(range(n, n + k))
-    _bland_loop(tableau, cost, basis, n + k)
-    if final is not None:
-        final.rows, final.basis = tableau, tuple(basis)
-        final.objective, final.cost = tuple(objective), tuple(cost)
-    coords = [ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            coords[b] = tableau[i][-1]
-    point = FractionalPoint(tuple(coords))
-    value = sum((c * v for c, v in zip(objective, coords)), ZERO)
-    return point, value
+                           f"expected {len(var)}")
+    t = final if final is not None else FinalTableau()
+    _slack_start(t, n, poly.constraints, objective, var, cap)
+    _bland(t)
+    return FractionalPoint(tuple(_values(t))), t.prices[-1]
 
 
 def phase_one(equalities: Sequence[Row],
@@ -222,43 +334,31 @@ def phase_one(equalities: Sequence[Row],
     """
     if nonneg_vars < 1:
         raise LPInputError("need at least one variable")
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[Row] = []
     for coeffs, d in equalities:
         if len(coeffs) != nonneg_vars:
             raise LPInputError("equality row length does not match "
                                f"nonneg_vars={nonneg_vars}")
         if d < 0:
-            rows.append([-c for c in coeffs])
-            rhs.append(-d)
+            rows.append((tuple(-c for c in coeffs), -d))
         else:
-            rows.append(list(coeffs))
-            rhs.append(d)
-    k = len(rows)
-    if k == 0:
+            rows.append((tuple(coeffs), d))
+    if not rows:
         return tuple([ZERO] * nonneg_vars), ZERO
-    total = nonneg_vars + k
-    tableau = []
-    for i in range(k):
-        row = rows[i] + [ZERO] * k + [rhs[i]]
-        row[nonneg_vars + i] = ONE
-        tableau.append(row)
-    # Maximize minus the artificial sum; pricing out the artificial basis
-    # leaves column sums as reduced costs for the decision variables.
-    cost = [ZERO] * (total + 1)
-    for j in range(nonneg_vars):
-        cost[j] = sum((tableau[i][j] for i in range(k)), ZERO)
-    basis = list(range(nonneg_vars, total))
-    _bland_loop(tableau, cost, basis, total)
-    residual = sum((tableau[i][-1] for i in range(k)
-                    if basis[i] >= nonneg_vars), ZERO)
+    # The slacks are the artificial variables.  Maximizing the column sums
+    # times x maximizes minus the artificial sum, up to the constant sum d,
+    # and leaves the same reduced costs at every basis.
+    sums = [sum((coeffs[j] for coeffs, _ in rows), ZERO)
+            for j in range(nonneg_vars)]
+    t = FinalTableau()
+    _slack_start(t, nonneg_vars, rows, sums, range(nonneg_vars),
+                 (None,) * nonneg_vars)
+    _bland(t)
+    residual = sum((row[-1] for row, b in zip(t.rows, t.basis)
+                    if b >= nonneg_vars), ZERO)
     if residual > 0:
         return None, residual
-    coords = [ZERO] * nonneg_vars
-    for i, b in enumerate(basis):
-        if b < nonneg_vars:
-            coords[b] = tableau[i][-1]
-    return tuple(coords), ZERO
+    return tuple(_values(t)), ZERO
 
 
 def solve_feasibility(equalities: Sequence[Row],
@@ -273,13 +373,12 @@ def _solve_square(rows: list[list[Fraction]],
     """Gauss-Jordan elimination on an n x n rational system; None if singular."""
     n = len(rows)
     a = [row + [b] for row, b in zip(rows, rhs)]
-    no_cost = [ZERO] * (n + 1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        _pivot(a, no_cost, col, col)
+        _pivot(a, [], col, col, ZERO)
     return [a[i][-1] for i in range(n)]
 
 

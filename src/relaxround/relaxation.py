@@ -2,8 +2,8 @@
 
 The relaxed objective is either linear (one coefficient per variable) or
 separable concave, represented exactly as one piecewise-linear curve per
-variable.  Concave maximization is reduced to a single exact LP through the
-standard segment expansion, so one solver serves both shapes.
+variable.  Concave maximization is a single exact LP with one bounded
+column per curve segment, so one solver serves both shapes.
 """
 
 from __future__ import annotations
@@ -200,26 +200,19 @@ def solve_relaxation(objective: RelaxedObjective, poly: Polytope,
                      final: FinalTableau | None = None) -> FractionalPoint:
     """Exact maximizer of L over P, deterministic via Bland's rule.
 
-    ``final``, if given, receives the optimal tableau of the LP solved
-    (the segment-expanded one for a curved L), for ``residual_maximum``.
+    ``final``, if given, receives the optimal state of the LP solved (with
+    one capped column per curve segment for a curved L), for
+    ``residual_maximum``.
     """
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
     if objective.is_linear:
         point, _ = maximize_linear(objective.linear_coeffs, poly, final)
         return point
-    # Segment expansion: one delta variable per linear piece; concavity
-    # (nonincreasing slopes) makes the expansion exact at any LP optimum.
+    # One LP column per linear piece, capped at its length; concavity
+    # (nonincreasing slopes) makes the split exact at any LP optimum.
     col_var, col_obj, col_cap = _segment_columns(objective)
-    ncols = len(col_var)
-    rows = []
-    for coeffs, bound in poly.constraints:
-        rows.append((tuple(coeffs[col_var[c]] for c in range(ncols)), bound))
-    for c in range(ncols):
-        unit = tuple(ONE if j == c else ZERO for j in range(ncols))
-        rows.append((unit, col_cap[c]))
-    expanded = Polytope(ncols, tuple(rows), packing=True)
-    delta, value = maximize_linear(col_obj, expanded, final)
+    delta, value = maximize_linear(col_obj, poly, final, (col_var, col_cap))
     coords = [ZERO] * poly.num_vars
     for c, d in enumerate(delta.coords):
         coords[col_var[c]] += d

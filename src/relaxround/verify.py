@@ -40,10 +40,21 @@ class VerificationBudgetError(ValueError):
     """
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"verification needs {required} pipeline runs, "
+        # A grid of g values over n bidders needs g**n profiles, which can
+        # have more digits than int-to-str conversion allows.
+        shown = (str(required) if required.bit_length() <= 64
+                 else f"more than 2**{required.bit_length() - 1}")
+        super().__init__(f"verification needs {shown} pipeline runs, "
                          f"budget is {budget}; not sampling silently")
         self.required = required
         self.budget = budget
+
+
+def require_budget(required: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse a sweep beyond the budget; callers count it before building
+    a single profile."""
+    if required > budget:
+        raise VerificationBudgetError(required, budget)
 
 
 @dataclass(frozen=True)
@@ -218,12 +229,11 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     """
     if not value_grid or not misreport_grid:
         raise ValueError("value and misreport grids must be nonempty")
-    profiles = grid_profiles(instance, value_grid)
     misreports, omitted = _misreports(instance, misreport_grid,
                                       include_bundle_misreports)
-    required = len(profiles) * (1 + instance.n * len(misreports))
-    if required > budget:
-        raise VerificationBudgetError(required, budget)
+    require_budget(len(value_grid) ** instance.n
+                   * (1 + instance.n * len(misreports)), budget)
+    profiles = grid_profiles(instance, value_grid)
     cache = _PipelineCache(payment_rule)
     instance_cache: dict = {}
     witnesses = []
@@ -420,12 +430,14 @@ def median_of(peaks: Sequence[Fraction]) -> Fraction:
 
 
 def check_median_no_improvement(instance: Instance,
-                                peak_grid: Sequence[Fraction]
+                                peak_grid: Sequence[Fraction],
+                                budget: int = DEFAULT_BUDGET
                                 ) -> VerificationReport:
     """No misreported peak may move the median closer to a true peak."""
     if instance.family != "single-peaked":
         raise ValueError("median check applies to the single-peaked family")
     grid = [Fraction(g) for g in peak_grid]
+    require_budget(len(grid) ** instance.n * instance.n * len(grid), budget)
     witnesses = []
     cases = 0
     for peaks in product(grid, repeat=instance.n):

@@ -82,6 +82,27 @@ class TestMaximizeLinear:
             assert value == oracle
 
 
+class TestColumnMaps:
+    def test_capped_columns_share_a_variable(self):
+        # Two pieces of one variable, slopes 3 and 1 with caps 1/2 and 1,
+        # under x0 <= 1: the steep piece fills first, then the flat one.
+        poly = Polytope(1, (((ONE,), ONE),))
+        point, value = maximize_linear([F(3), ONE], poly, None,
+                                       ([0, 0], [F(1, 2), ONE]))
+        assert point.coords == (F(1, 2), F(1, 2))
+        assert value == F(2)
+
+    @pytest.mark.parametrize("columns", [
+        ([0, 2], [ONE, ONE]),          # no variable 2
+        ([0, 1], [ONE, F(-1)]),        # negative cap
+        ([0, 1], [ONE]),               # a cap missing
+    ])
+    def test_malformed_column_maps_raise(self, columns):
+        poly = Polytope(2, (((ONE, ONE), ONE),))
+        with pytest.raises(LPInputError):
+            maximize_linear([ONE, ONE], poly, None, columns)
+
+
 class TestFinalTableau:
     def test_reoptimized_values_match_cold_solves(self):
         rng = random.Random(7)

@@ -1,30 +1,44 @@
-"""Differential oracle for the simplex pivot.
+"""Differential oracles for the simplex core.
 
-``dense_pivot`` and ``dense_maximum`` are the dense routines the sparse
-``lp._pivot`` replaced, kept verbatim.  Every scenario runs once with a
-recorder around the oracle and once with a recorder around the shipped
-pivot; the two must pivot on the same (row, col) sequence and leave the
-same tableau and cost row after every pivot, entry for entry.  Since the
-Bland choices read only those entries, this pins the pivot path, and with
-it every vertex and tie-break, to the dense solver's.
+Two oracles, each kept from the code it checks:
+
+* ``dense_pivot`` is the dense pivot that the sparse ``lp._pivot``
+  replaced, taking the same price-row update.  ``assert_same_path`` runs a
+  scenario once under each; the two must pivot on the same (row, col)
+  sequence and leave the same tableau and price row after every pivot,
+  entry for entry.
+* ``explicit_lp`` with ``_bland_loop``, ``maximize_linear`` and
+  ``FinalTableau.maximum`` below, verbatim, is the solver that the
+  bounded-variable loop replaced: one LP column per curve segment, plus
+  one explicit unit row per capped column.  ``lp.maximize_linear`` with a column map must
+  walk the same bases in the same order, as read in that LP's numbering,
+  and reach the same vertex, value and warm maxima.
 """
 
 import random
+import sys
+from dataclasses import replace
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import pytest
 
-from relaxround import (FinalTableau, Polytope, UnboundedError,
-                        build_relaxation, make_gap_toy, profile_for,
-                        residual_maximum, solve_relaxation)
+from relaxround import (FractionalPoint, LPInputError, Polytope,
+                        RelaxedObjective, UnboundedError, build_relaxation,
+                        make_gap_toy, profile_for, residual_maximum,
+                        solve_relaxation)
 from relaxround import lp
+from relaxround.families import unit_gap_curve
+from relaxround.relaxation import _segment_columns
 
 ZERO = F(0)
 ONE = F(1)
 SHIPPED_PIVOT = lp._pivot
+ORACLE = sys.modules[__name__]
 
 
-def dense_pivot(tableau, cost, row, col):
+def dense_pivot(tableau, prices, row, col, excess):
     piv = tableau[row][col]
     tableau[row] = [v / piv for v in tableau[row]]
     prow = tableau[row]
@@ -32,24 +46,27 @@ def dense_pivot(tableau, cost, row, col):
         if i != row and other[col] != 0:
             f = other[col]
             tableau[i] = [a - f * b for a, b in zip(other, prow)]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+    if excess != 0:
+        for j in range(len(prices)):
+            prices[j] -= excess * prow[j]
 
 
 def dense_maximum(final, objective):
-    """``FinalTableau.maximum`` with the dense pricing-out loop."""
-    n = len(final.objective)
-    delta = [new - old for new, old in zip(objective, final.objective)]
-    cost = [c + d for c, d in zip(final.cost, delta)] + list(final.cost[n:])
+    """``FinalTableau.maximum`` with dense pricing-in loops."""
+    n = len(final.slopes)
+    prices = list(final.prices)
     for row, b in zip(final.rows, final.basis):
-        f = delta[b] if b < n else ZERO
-        if f != 0:
-            cost = [c - f * a for c, a in zip(cost, row)]
-    lp._bland_loop(list(final.rows), cost, list(final.basis),
-                   n + len(final.rows))
-    return -cost[-1]
+        if b < n and objective[b] != final.slopes[b]:
+            f = objective[b] - final.slopes[b]
+            prices = [p + f * a for p, a in zip(prices, row)]
+    for c in range(n):
+        if final.at_cap[c]:
+            prices[-1] += (objective[c] - final.slopes[c]) * final.cap[c]
+    resumed = replace(final, rows=list(final.rows), basis=list(final.basis),
+                      at_cap=list(final.at_cap), prices=prices,
+                      slopes=tuple(objective))
+    lp._bland(resumed)
+    return resumed.prices[-1]
 
 
 def dense_solve_square(rows, rhs):
@@ -70,13 +87,237 @@ def dense_solve_square(rows, rhs):
     return [a[i][-1] for i in range(n)]
 
 
+# --- The explicit-cap-row solver, verbatim -------------------------------
+
+def explicit_lp(poly, col_var, col_cap):
+    """The LP over one column per entry of col_var, with unit cap rows."""
+    ncols = len(col_var)
+    rows = []
+    for coeffs, bound in poly.constraints:
+        rows.append((tuple(coeffs[col_var[c]] for c in range(ncols)), bound))
+    for c in range(ncols):
+        if col_cap[c] is None:  # an uncapped column gets no cap row
+            continue
+        unit = tuple(ONE if j == c else ZERO for j in range(ncols))
+        rows.append((unit, col_cap[c]))
+    return Polytope(ncols, tuple(rows), packing=True)
+
+
+def _minus(target: list[Fraction], f: Fraction, prow: list[Fraction],
+           nonzero: list[int]) -> list[Fraction]:
+    """A new list target - f * prow, where prow is zero off ``nonzero``."""
+    out = list(target)
+    for j in nonzero:
+        out[j] -= f * prow[j]
+    return out
+
+
+def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
+           row: int, col: int) -> None:
+    # Rows are replaced, never mutated, so a FinalTableau's rows stay as
+    # recorded.  Since a - f * 0 == a and 0 / p == 0 exactly, skipping the
+    # pivot row's zeros changes no entry.
+    piv = tableau[row][col]
+    prow = list(tableau[row])
+    nonzero = [j for j, v in enumerate(prow) if v]
+    for j in nonzero:
+        prow[j] /= piv
+    tableau[row] = prow
+    for i, other in enumerate(tableau):
+        if i != row and other[col]:
+            tableau[i] = _minus(other, other[col], prow, nonzero)
+    if cost[col]:
+        cost[:] = _minus(cost, cost[col], prow, nonzero)
+
+
+def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
+                basis: list[int], num_cols: int) -> None:
+    """Run primal simplex to optimality; raises UnboundedError."""
+    while True:
+        enter = next((j for j in range(num_cols) if cost[j] > 0), None)
+        if enter is None:
+            return
+        leave = None
+        best: Optional[Fraction] = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise UnboundedError("objective is unbounded in the entering "
+                                 f"direction of variable {enter}")
+        _pivot(tableau, cost, leave, enter)
+        basis[leave] = enter
+
+
+class FinalTableau:
+    """The optimal tableau a ``maximize_linear`` call ended on.
+
+    Pass one to ``maximize_linear`` to have it filled in.  A new cost row
+    over the same polytope leaves that basis primal feasible, so
+    ``maximum`` prices the row out of it and resumes Bland's rule there
+    instead of at the slack basis; Bland's rule terminates from any
+    feasible basis.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[list[Fraction]] | None = None
+        self.basis: tuple[int, ...] = ()
+        self.objective: tuple[Fraction, ...] = ()
+        self.cost: tuple[Fraction, ...] = ()
+
+    def maximum(self, objective: Sequence[Fraction]) -> Fraction:
+        """Optimal value of objective.x over the recorded polytope.
+
+        The value is unique, so it equals the value of a cold solve even
+        where the optimal vertex would differ.
+        """
+        if self.rows is None:
+            raise LPInputError("no optimal tableau has been recorded")
+        n = len(self.objective)
+        if len(objective) != n:
+            raise LPInputError(f"objective has length {len(objective)}, "
+                               f"expected {n}")
+        # Reduced costs are linear in the cost row, so only the change from
+        # the recorded objective needs pricing out, through the rows whose
+        # basic variable's cost changed.
+        delta = [new - old for new, old in zip(objective, self.objective)]
+        cost = [c + d for c, d in zip(self.cost, delta)] + list(self.cost[n:])
+        for row, b in zip(self.rows, self.basis):
+            f = delta[b] if b < n else ZERO
+            if f:
+                cost = _minus(cost, f, row,
+                              [j for j, a in enumerate(row) if a])
+        # _pivot replaces rows and never mutates them, so a copy of the row
+        # list leaves the recorded tableau intact for the next cost row.
+        _bland_loop(list(self.rows), cost, list(self.basis),
+                    n + len(self.rows))
+        return -cost[-1]
+
+
+def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
+                    final: FinalTableau | None = None
+                    ) -> tuple[FractionalPoint, Fraction]:
+    """Maximize c.x over the polytope; returns an exact optimal vertex.
+
+    Ties are resolved by Bland's rule (lowest-index entering variable),
+    which also guarantees termination.  ``final``, if given, receives the
+    optimal tableau for re-optimizing other cost rows.
+    """
+    n = poly.num_vars
+    if len(objective) != n:
+        raise LPInputError(f"objective has length {len(objective)}, "
+                           f"expected {n}")
+    rows = poly.constraints
+    k = len(rows)
+    tableau: list[list[Fraction]] = []
+    for i, (coeffs, bound) in enumerate(rows):
+        row = list(coeffs) + [ZERO] * k + [bound]
+        row[n + i] = ONE
+        tableau.append(row)
+    cost = list(objective) + [ZERO] * (k + 1)
+    basis = list(range(n, n + k))
+    _bland_loop(tableau, cost, basis, n + k)
+    if final is not None:
+        final.rows, final.basis = tableau, tuple(basis)
+        final.objective, final.cost = tuple(objective), tuple(cost)
+    coords = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            coords[b] = tableau[i][-1]
+    point = FractionalPoint(tuple(coords))
+    value = sum((c * v for c, v in zip(objective, coords)), ZERO)
+    return point, value
+
+
+SHIPPED_ORACLE_PIVOT = _pivot
+SHIPPED_ORACLE_LOOP = _bland_loop
+
+
+# --- Reading both solvers' paths in the explicit LP's numbering ----------
+
+def explicit_path(monkeypatch, scenario, ncols, nrows, col_cap):
+    """Run scenario on the explicit solver; its (entering, leaving) ids.
+
+    The explicit LP numbers the slack of the r-th cap row
+    ncols + nrows + r; it is mapped to ncols + nrows + c for the column c
+    that row caps, the id the bounded loop gives it.
+    """
+    capped = [c for c in range(ncols) if col_cap[c] is not None]
+    top = ncols + nrows
+
+    def explicit_id(j):
+        return top + capped[j - top] if j >= top else j
+
+    running = []  # the basis list of the Bland loop that is running
+    path = []
+
+    def loop_recorder(tableau, cost, basis, num_cols):
+        running.append(basis)
+        SHIPPED_ORACLE_LOOP(tableau, cost, basis, num_cols)
+
+    def pivot_recorder(tableau, cost, row, col):
+        path.append((explicit_id(col), explicit_id(running[-1][row])))
+        SHIPPED_ORACLE_PIVOT(tableau, cost, row, col)
+
+    monkeypatch.setattr(ORACLE, "_bland_loop", loop_recorder)
+    monkeypatch.setattr(ORACLE, "_pivot", pivot_recorder)
+    try:
+        result = scenario()
+    except UnboundedError:
+        result = "unbounded"
+    monkeypatch.setattr(ORACLE, "_bland_loop", SHIPPED_ORACLE_LOOP)
+    monkeypatch.setattr(ORACLE, "_pivot", SHIPPED_ORACLE_PIVOT)
+    return result, path
+
+
+def bounded_path(monkeypatch, scenario):
+    """Run scenario on the bounded loop; its (entering, leaving) ids.
+
+    After every step the basis of the explicit LP is read off the grouped
+    state: the basic columns and slacks, the columns at cap, and the cap
+    slacks of the capped columns below their cap.
+    """
+    path = []
+
+    def explicit_basis(t):
+        n, k = len(t.slopes), len(t.rows)
+        return (set(t.basis) | {c for c in range(n) if t.at_cap[c]}
+                | {n + k + c for c in range(n)
+                   if t.cap[c] is not None and not t.at_cap[c]})
+
+    def recorder(t):
+        before = explicit_basis(t)
+        moved = shipped_step(t)
+        after = explicit_basis(t)
+        if moved:
+            (entering,), (leaving,) = after - before, before - after
+            path.append((entering, leaving))
+        return moved
+
+    shipped_step = lp._step
+    monkeypatch.setattr(lp, "_step", recorder)
+    try:
+        result = scenario()
+    except UnboundedError:
+        result = "unbounded"
+    monkeypatch.setattr(lp, "_step", shipped_step)
+    return result, path
+
+
+# --- Dense versus sparse pivot on the bounded loop ------------------------
+
 def recorded(monkeypatch, pivot, scenario):
     """Run scenario with lp._pivot = pivot; return its result and the log."""
     log = []
 
-    def recorder(tableau, cost, row, col):
-        pivot(tableau, cost, row, col)
-        log.append((row, col, [list(r) for r in tableau], list(cost)))
+    def recorder(tableau, prices, row, col, excess):
+        pivot(tableau, prices, row, col, excess)
+        log.append((row, col, [list(r) for r in tableau], list(prices)))
 
     monkeypatch.setattr(lp, "_pivot", recorder)
     try:
@@ -99,10 +340,169 @@ def assert_same_path(monkeypatch, scenario, oracle=None):
         [(r, c) for r, c, _, _ in want_log]
     for step, (mine, theirs) in enumerate(zip(got_log, want_log)):
         assert mine[2] == theirs[2], f"tableau differs after pivot {step}"
-        assert mine[3] == theirs[3], f"cost row differs after pivot {step}"
+        assert mine[3] == theirs[3], f"price row differs after pivot {step}"
     assert got == want
     return got, len(got_log)
 
+
+# --- Bounded columns against the explicit-cap-row solver ------------------
+
+def value_or_unbounded(solve):
+    try:
+        return solve()
+    except UnboundedError:
+        return "unbounded"
+
+
+def random_bounded_lp(rng):
+    """Packing rows over a few variables, each split into LP columns.
+
+    Columns get tied slopes (negative ones too), equal caps, zero caps and
+    sometimes no cap; rows get zero right-hand sides.  Columns of one
+    variable are not always adjacent.
+    """
+    nvars = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = tuple(F(rng.choice([0, 0, 1, 2, 3]), rng.randint(1, 3))
+                       for _ in range(nvars))
+        rows.append((coeffs, F(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 2))))
+    columns = []
+    for v in range(nvars):
+        for _ in range(rng.choice([1, 2, 3, 4])):
+            cap = (None if rng.random() < 0.15
+                   else F(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2])))
+            slope = F(rng.choice([-1, 0, 1, 1, 2, 2, 3]), rng.choice([1, 2]))
+            columns.append((v, cap, slope))
+    if rng.random() < 0.5:
+        rng.shuffle(columns)
+    col_var = [v for v, _, _ in columns]
+    col_cap = [cap for _, cap, _ in columns]
+    objective = [slope for _, _, slope in columns]
+    return Polytope(nvars, tuple(rows)), objective, col_var, col_cap
+
+
+def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
+    rng = random.Random(17)
+    seen = dict.fromkeys(("unbounded", "uncapped", "zero rhs", "tied slopes",
+                          "equal caps", "flip", "cap slack enters",
+                          "leaves at cap", "warm"), 0)
+    for _ in range(240):
+        poly, objective, col_var, col_cap = random_bounded_lp(rng)
+        n, top = len(col_var), len(col_var) + len(poly.constraints)
+        seen["uncapped"] += None in col_cap
+        seen["zero rhs"] += any(b == 0 for _, b in poly.constraints)
+        seen["tied slopes"] += len(set(objective)) < n
+        caps = [u for u in col_cap if u is not None]
+        seen["equal caps"] += len(set(caps)) < len(caps)
+        # A cost change as the payment rule makes one (zero the columns of
+        # one variable), and an arbitrary one; both resume from the same
+        # recorded state, so they also check that it is left intact.
+        k = rng.randrange(poly.num_vars)
+        warm = [[ZERO if v == k else c for c, v in zip(objective, col_var)],
+                [F(rng.randint(-2, 4), rng.randint(1, 2)) for _ in col_var]]
+        result, path = assert_explicit_path(monkeypatch, objective, poly,
+                                            col_var, col_cap, warm)
+        if result == "unbounded":
+            seen["unbounded"] += 1
+            continue
+        seen["warm"] += 1
+        for entering, leaving in path:
+            seen["flip"] += entering in (leaving - top, leaving + top)
+            seen["cap slack enters"] += entering >= top
+            seen["leaves at cap"] += (leaving >= top
+                                      and entering != leaving - top)
+    assert all(seen.values()), seen
+
+
+def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
+                         warm_costs):
+    """Both solvers agree on the path, vertex, value and warm maxima."""
+    expanded = explicit_lp(poly, col_var, col_cap)
+
+    def explicit():
+        final = FinalTableau()
+        point, value = maximize_linear(objective, expanded, final)
+        return point, value, [value_or_unbounded(lambda: final.maximum(cost))
+                              for cost in warm_costs]
+
+    def bounded():
+        final = lp.FinalTableau()
+        point, value = lp.maximize_linear(objective, poly, final,
+                                          (col_var, col_cap))
+        return point, value, [value_or_unbounded(lambda: final.maximum(cost))
+                              for cost in warm_costs]
+
+    want, want_path = explicit_path(monkeypatch, explicit, len(col_var),
+                                    len(poly.constraints), col_cap)
+    got, got_path = bounded_path(monkeypatch, bounded)
+    assert got_path == want_path
+    assert got == want
+    return got, got_path
+
+
+GAP_TOY_BIDS = ([F(5), F(3), F(4)], [F(4), F(3), F(5)],
+                [F(7, 2), F(0), F(7, 2)])
+
+
+def gap_toy_lp(bids, machines, segments):
+    """gap-toy's (L, P) for one profile, without the construction audits."""
+    unit = unit_gap_curve(segments)
+    n = len(bids)
+    rows = [(tuple(ONE if j == i else ZERO for j in range(n)), ONE)
+            for i in range(n)]
+    rows += [(tuple(ONE if j % machines == item else ZERO for j in range(n)),
+              ONE) for item in range(machines)]
+    objective = RelaxedObjective(alpha=unit.value_at(ONE),
+                                 owners=tuple(range(n)),
+                                 curves=tuple(unit.scaled(b) for b in bids))
+    return objective, Polytope(n, tuple(rows))
+
+
+def test_gap_toy_lp_is_the_family_relaxation():
+    instance = make_gap_toy(3, 2)
+    for bids in GAP_TOY_BIDS:
+        assert gap_toy_lp(bids, 2, 16) == build_relaxation(
+            instance, profile_for(instance, bids))
+
+
+def seeded_bids(seed, n, count):
+    rng = random.Random(seed)
+    return [[F(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(n)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("bids, machines, segments", [
+    *((bids, 2, 16) for bids in GAP_TOY_BIDS),
+    ([F(5), F(3), F(4)], 2, 1),
+    ([F(5), F(3), F(4)], 2, 2),
+    ([F(4), F(1), F(4), F(2)], 2, 16),
+    *((bids, 2, 16) for bids in seeded_bids(7, 3, 6)),
+    *((bids, 2, 16) for bids in seeded_bids(8, 4, 2)),
+])
+def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
+                                           segments):
+    objective, poly = gap_toy_lp(bids, machines, segments)
+    col_var, col_obj, col_cap = _segment_columns(objective)
+    n = len(bids)
+    warm = [[ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)]
+            for k in range(n)]
+    (point, value, maxima), path = assert_explicit_path(
+        monkeypatch, col_obj, poly, col_var, col_cap, warm)
+    assert len(path) > segments
+    # solve_relaxation folds the same vertex, and residual_maximum reads
+    # the same warm maxima.
+    final = lp.FinalTableau()
+    folded = solve_relaxation(objective, poly, final)
+    want = [ZERO] * n
+    for c, d in enumerate(point.coords):
+        want[col_var[c]] += d
+    assert folded.coords == tuple(want)
+    assert objective.evaluate(folded.coords) == value
+    assert [residual_maximum(objective, k, final) for k in range(n)] == maxima
+
+
+# --- Dense versus sparse pivot --------------------------------------------
 
 def random_packing_lp(rng):
     """Small packing LP with zero bounds, zero columns and tied costs."""
@@ -130,7 +530,7 @@ def test_random_packing_lps_and_warm_maxima(monkeypatch):
             outcomes["degenerate"] += 1
         if len(set(objective)) < len(objective):
             outcomes["tied"] += 1
-        final = FinalTableau()
+        final = lp.FinalTableau()
         result, _ = assert_same_path(
             monkeypatch, lambda: lp.maximize_linear(objective, poly, final))
         if result == "unbounded":
@@ -153,19 +553,27 @@ def test_random_packing_lps_and_warm_maxima(monkeypatch):
 
 def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
     instance = make_gap_toy(3, 2)
-    for bids in ([F(5), F(3), F(4)], [F(4), F(3), F(5)],
-                 [F(7, 2), F(0), F(7, 2)]):
+    for bids in GAP_TOY_BIDS:
         profile = profile_for(instance, bids)
         objective, poly = build_relaxation(instance, profile)
 
         def scenario():
-            final = FinalTableau()
+            final = lp.FinalTableau()
             point = solve_relaxation(objective, poly, final)
             residuals = [residual_maximum(objective, k, final)
                          for k in range(instance.n)]
             return point, residuals
 
-        _, pivots = assert_same_path(monkeypatch, scenario)
+        def oracle():
+            final = lp.FinalTableau()
+            point = solve_relaxation(objective, poly, final)
+            col_var, col_obj, _ = _segment_columns(objective)
+            residuals = [dense_maximum(final, [
+                ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)])
+                for k in range(instance.n)]
+            return point, residuals
+
+        _, pivots = assert_same_path(monkeypatch, scenario, oracle)
         assert pivots > 50
 
 

@@ -99,8 +99,8 @@ class TestSolveRelaxation:
         objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
         exact = relaxation.maximize_linear
 
-        def off_by_one(objective, poly, final=None):
-            point, value = exact(objective, poly, final)
+        def off_by_one(objective, poly, final=None, columns=None):
+            point, value = exact(objective, poly, final, columns)
             return point, value + 1
 
         monkeypatch.setattr(relaxation, "maximize_linear", off_by_one)
