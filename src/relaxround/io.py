@@ -30,8 +30,11 @@ PAYMENT_RULES = ("expected-vcg", "first-price")
 #: Python 3.11 on a 2-vCPU VM: single-item 0.59 s at n=32 (1.09 s at
 #: n=40), case-b 0.68 s at n=5 (3.8 s at n=6, since its calibration audit
 #: probes 5**n grid points).  The lottery has no audit; its cap matches
-#: single-item, where `run_without_money` takes 0.01 s.
-MAX_BIDDERS = {"single-item": 32, "case-b": 5, "no-money-lottery": 32}
+#: single-item, where `run_without_money` takes 0.01 s.  Single-minded
+#: auctions have one variable per bidder, and their decomposability audit
+#: enumerates vertices in at most 8 variables.
+MAX_BIDDERS = {"single-item": 32, "case-b": 5, "no-money-lottery": 32,
+               "single-minded-ca": 8}
 
 #: Largest m per family whose constructor accepts any m.  gap-toy builds one
 #: polytope row per machine for each of its 5**n calibration probes, and

@@ -387,17 +387,19 @@ def enumerate_vertices(poly: Polytope, max_vars: int = 8,
     """Brute-force vertex enumeration for desk-scale polytopes.
 
     Intersects every choice of ``num_vars`` constraint/nonnegativity planes
-    and keeps the feasible solutions.  Intended as an oracle and for
-    construction-time audits, not as a solver.
+    and keeps the feasible solutions.  A system holding an all-zero or a
+    repeated plane is singular, so those planes are dropped first (and
+    ``max_systems`` counts the choices that remain).  Intended as an oracle
+    and for construction-time audits, not as a solver.
     """
     n = poly.num_vars
     if n > max_vars:
         raise LPInputError(f"vertex enumeration is limited to {max_vars} "
                            "variables")
-    planes: list[tuple[tuple[Fraction, ...], Fraction]] = list(poly.constraints)
-    for j in range(n):
-        unit = tuple(ONE if i == j else ZERO for i in range(n))
-        planes.append((unit, ZERO))
+    units = [(tuple(ONE if i == j else ZERO for i in range(n)), ZERO)
+             for j in range(n)]
+    planes = list(dict.fromkeys(plane for plane in
+                                [*poly.constraints, *units] if any(plane[0])))
     from math import comb
     if comb(len(planes), n) > max_systems:
         raise LPInputError("too many candidate plane intersections")

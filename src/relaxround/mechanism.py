@@ -95,23 +95,31 @@ def _charge(instance: Instance, profile: ValuationProfile,
                  - (total - expectations[k]) for k in range(instance.n))
 
 
-def allocate(instance: Instance, profile: ValuationProfile
+def allocate(instance: Instance, profile: ValuationProfile,
+             final: FinalTableau | None = None
              ) -> tuple[FractionalPoint, AllocationDistribution]:
-    """Relax, maximize, decompose, thin; deterministic end to end."""
+    """Relax, maximize, decompose, thin; deterministic end to end.  ``final``,
+    if given, receives the optimal tableau, for ``payments``."""
     objective, poly = build_relaxation(instance, profile)
-    optimum = solve_relaxation(objective, poly)
+    optimum = solve_relaxation(objective, poly, final)
     return optimum, _round_point(instance, optimum)
 
 
 def payments(instance: Instance, profile: ValuationProfile,
-             dist: AllocationDistribution) -> tuple[Fraction, ...]:
+             dist: AllocationDistribution,
+             final: FinalTableau | None = None) -> tuple[Fraction, ...]:
     """Expected externality payments on the calibrated scale.
 
     p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
     residual maximum is re-optimized from the optimal tableau of max L, on
     the same (segment-expanded) LP, so both terms live on the same scale.
+    That tableau is ``final`` as ``allocate`` recorded it for this instance
+    and profile, or else a new solve; another LP's raises InvariantError.
     """
-    objective, _, final = _solve(instance, profile)
+    if final is None:
+        objective, _, final = _solve(instance, profile)
+    else:
+        objective, _ = build_relaxation(instance, profile)
     return _charge(instance, profile, dist, objective, final)
 
 

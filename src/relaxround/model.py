@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from .rounding import AllocationDistribution
@@ -124,7 +124,9 @@ class Instance:
     where every bidder consumes the same point.  ``vertex_lotteries`` maps
     each polytope vertex's coordinates to its finished lottery, for the
     families whose constructor rounds every vertex anyway (empty for the
-    rest); it is a cache, so it takes no part in equality or hashing.
+    rest).  ``derived`` keeps facts of the instance alone (its polytope and
+    feasible set), each computed on first use and never changed after.
+    Both are caches, so they take no part in equality or hashing.
     """
 
     family: str
@@ -136,6 +138,8 @@ class Instance:
                               AllocationDistribution] = field(
         default_factory=lambda: MappingProxyType({}), compare=False,
         repr=False)
+    derived: dict[str, Any] = field(default_factory=dict, init=False,
+                                    compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
@@ -302,8 +306,20 @@ def enumerate_feasible(instance: Instance,
     Auction families: every subset of variables with no shared bidder and
     pairwise-disjoint bundles (each winner receives exactly the bundle of
     its variable; the empty allocation is always included).  Shared-outcome
-    families: the empty allocation plus one allocation per position.
+    families: the empty allocation plus one allocation per position.  The
+    set is enumerated once per instance; every call checks ``bound``
+    against it and returns a fresh list.
     """
+    found = instance.derived.get("feasible")
+    if found is None:
+        found = instance.derived["feasible"] = tuple(
+            _feasible(instance, bound))
+    elif len(found) > bound:
+        raise EnumerationTooLargeError(bound, len(found))
+    return list(found)
+
+
+def _feasible(instance: Instance, bound: int) -> list[Allocation]:
     if instance.family in SHARED_OUTCOME_FAMILIES:
         if instance.m + 1 > bound:
             raise EnumerationTooLargeError(bound, instance.m + 1)

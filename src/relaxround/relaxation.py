@@ -125,11 +125,16 @@ class RelaxedObjective:
 
 
 def build_polytope(instance: Instance) -> Polytope:
-    """The packing polytope of the family: bidder rows then item rows."""
+    """The packing polytope of the family: bidder rows then item rows.
+
+    It depends on the instance alone, so it is built once per instance.
+    """
     if instance.family not in ("single-item", "case-b", "single-minded-ca",
                                "gap-toy"):
         raise UnsupportedFamilyError(
             f"family {instance.family!r} has no relaxation recipe")
+    if "polytope" in instance.derived:
+        return instance.derived["polytope"]
     nv = instance.num_vars
     rows = []
     for bidder in range(instance.n):
@@ -140,7 +145,7 @@ def build_polytope(instance: Instance) -> Polytope:
         coeffs = tuple(ONE if item in bundle else ZERO
                        for _, bundle in instance.variable_index)
         rows.append((coeffs, ONE))
-    return Polytope(nv, tuple(rows), packing=True)
+    return instance.derived.setdefault("polytope", Polytope(nv, tuple(rows)))
 
 
 def _bundle_value(profile: ValuationProfile, instance: Instance,
@@ -239,7 +244,8 @@ def residual_maximum(objective: RelaxedObjective, k: int,
     poly)``.  Bidder k's cost entries are set to zero on the same columns
     (its segment slopes, for a curved L), so that basis stays feasible.
     Zeroed columns add nothing and P is packing, so the maximum equals that
-    of ``residual_objective(objective, k)`` over P.
+    of ``residual_objective(objective, k)`` over P.  Raises InvariantError
+    if ``final`` was recorded for other costs than L's.
     """
     _check_bidder(objective, k)
     if objective.is_linear:
@@ -248,6 +254,9 @@ def residual_maximum(objective: RelaxedObjective, k: int,
     else:
         col_var, costs, _ = _segment_columns(objective)
         owners = tuple(objective.owners[v] for v in col_var)
+    if tuple(costs) != final.slopes:
+        raise InvariantError("the recorded tableau was solved for other "
+                             "costs than this relaxation's")
     return final.maximum([ZERO if owner == k else c
                           for c, owner in zip(costs, owners)])
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .lp import FractionalPoint
+from .lp import FinalTableau, FractionalPoint
 from .model import (Allocation, Instance, InvariantError,
                     SingleMindedValuation, ValuationProfile, ZERO, ONE,
                     enumerate_feasible, fractional_value, indicator,
@@ -172,7 +172,8 @@ def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
 
 
 class _PipelineCache:
-    """Memoizes (distribution, payments) per reported instance + profile."""
+    """Memoizes (distribution, payments) per reported instance + profile;
+    a miss solves one LP, whose optimal tableau the payments re-price."""
 
     def __init__(self, payment_rule: Optional[PaymentRule]):
         self.payment_rule = payment_rule
@@ -182,9 +183,10 @@ class _PipelineCache:
         bundles = tuple(b for _, b in instance.variable_index)
         key = (bundles, profile)
         if key not in self._store:
-            _, dist = allocate(instance, profile)
+            final = FinalTableau()
+            _, dist = allocate(instance, profile, final)
             if self.payment_rule is None:
-                pay = payments(instance, profile, dist)
+                pay = payments(instance, profile, dist, final)
             else:
                 pay = self.payment_rule(instance, profile, dist)
             self._store[key] = (dist, pay)
@@ -235,7 +237,7 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
                    * (1 + instance.n * len(misreports)), budget)
     profiles = grid_profiles(instance, value_grid)
     cache = _PipelineCache(payment_rule)
-    instance_cache: dict = {}
+    instance_cache = {tuple(b for _, b in instance.variable_index): instance}
     witnesses = []
     cases = 0
     for truth in profiles:
@@ -249,10 +251,8 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
                 rep_instance, rep_profile = _reported(instance, truth, k, mis,
                                                       instance_cache)
                 dist_mis, pay_mis = cache.outcome(rep_instance, rep_profile)
-                hybrid = list(rep_profile.valuations)
-                hybrid[k] = truth.valuations[k]
-                true_value = expected_value_per_bidder(
-                    dist_mis, ValuationProfile(tuple(hybrid)))[k]
+                true_value = sum((p * value_of(truth, k, a)
+                                  for a, p in dist_mis.entries), ZERO)
                 utility_mis = true_value - pay_mis[k]
                 if utility_truth[k] < utility_mis:
                     witnesses.append(Witness(

@@ -133,7 +133,7 @@ class TestBidderCap:
             raise AssertionError("a constructor ran")
 
         for name in ("make_single_item", "make_case_b_family",
-                     "make_no_money"):
+                     "make_no_money", "make_single_minded_ca"):
             monkeypatch.setattr(rio.families, name, never)
         n = rio.MAX_BIDDERS[family] + 1
         doc = {"family": family, "n": n, "m": 1, "beta": "1/2",

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from relaxround import lp
 from relaxround import (FinalTableau, FractionalPoint, LPInputError,
                         Polytope, UnboundedError, contains,
                         enumerate_vertices, maximize_linear,
@@ -199,3 +201,50 @@ class TestEnumerateVertices:
     def test_guard_on_large_dimension(self):
         with pytest.raises(LPInputError):
             enumerate_vertices(box(9))
+
+    def test_zero_and_repeated_planes_leave_the_vertices_alone(self):
+        """Seeded packing polytopes, then the same with spare rows added."""
+        rng = random.Random(606)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [(tuple(F(rng.randint(0, 3)) for _ in range(n)),
+                     F(rng.randint(0, 4))) for _ in range(rng.randint(1, 4))]
+            rows.append((tuple(ONE for _ in range(n)), F(rng.randint(1, 3))))
+            # Repeats, zero rows and looser parallel rows (another plane,
+            # the same polytope).
+            spares = rows + [((ZERO,) * n, F(rng.randint(0, 2)))] + [
+                (coeffs, bound + 1) for coeffs, bound in rows]
+            padded = list(rows)
+            for _ in range(rng.randint(1, 4)):
+                padded.insert(rng.randint(0, len(padded)), rng.choice(spares))
+            plain = Polytope(n, tuple(rows))
+            spare = Polytope(n, tuple(padded))
+            assert enumerate_vertices(spare) == enumerate_vertices(plain)
+            assert enumerate_vertices(spare) == every_plane_vertices(spare)
+
+    def test_system_cap_counts_distinct_nonzero_planes(self):
+        # 3 copies of x0 + x1 <= 1 and a zero row: 6 planes with the two
+        # nonnegativity planes, C(6, 2) = 15 systems, but only 3 distinct
+        # nonzero planes, C(3, 2) = 3.
+        row = ((ONE, ONE), ONE)
+        poly = Polytope(2, (row, row, ((ZERO, ZERO), ONE), row))
+        assert len(enumerate_vertices(poly, max_systems=3)) == 3
+        with pytest.raises(LPInputError):
+            enumerate_vertices(poly, max_systems=2)
+
+
+def every_plane_vertices(poly):
+    """Vertex enumeration over every choice of planes, spare ones too."""
+    n = poly.num_vars
+    planes = list(poly.constraints) + [
+        (tuple(ONE if i == j else ZERO for i in range(n)), ZERO)
+        for j in range(n)]
+    found = set()
+    for chosen in combinations(planes, n):
+        sol = lp._solve_square([list(c) for c, _ in chosen],
+                               [b for _, b in chosen])
+        if sol is not None and all(v >= 0 for v in sol):
+            point = FractionalPoint(tuple(sol))
+            if contains(poly, point):
+                found.add(point.coords)
+    return [FractionalPoint(c) for c in sorted(found)]

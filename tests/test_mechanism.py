@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (Allocation, AllocationDistribution, allocate,
+from relaxround import (Allocation, AllocationDistribution, FinalTableau,
+                        allocate,
                         build_relaxation, distributional_range,
                         expected_realized_payments, expected_value_per_bidder,
                         make_case_b_family, make_gap_toy, make_no_money,
@@ -81,6 +82,32 @@ class TestPayments:
         profile = profile_for(inst, [F(4), F(4)])
         _, dist = allocate(inst, profile)
         assert payments(inst, profile, dist) == (F(4), ZERO)
+
+    @pytest.mark.parametrize("build", [
+        lambda: (make_single_minded_ca(2, [{0, 1}, {0}, {1}]), [F(5), F(3), F(3)]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(3), F(7, 2)]),
+    ])
+    def test_recorded_tableau_gives_the_cold_payments(self, build):
+        instance, scalars = build()
+        profile = profile_for(instance, scalars)
+        final = FinalTableau()
+        _, dist = allocate(instance, profile, final)
+        assert payments(instance, profile, dist, final) == payments(
+            instance, profile, dist)
+
+    @pytest.mark.parametrize("build", [
+        lambda: (make_single_minded_ca(2, [{0, 1}, {0}, {1}]), [F(5), F(3), F(3)]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(3), F(7, 2)]),
+    ])
+    def test_another_profiles_tableau_is_refused(self, build):
+        """Negative control: the tableau of other bids must not be reused."""
+        instance, scalars = build()
+        other = FinalTableau()
+        allocate(instance, profile_for(instance, scalars[::-1]), other)
+        profile = profile_for(instance, scalars)
+        _, dist = allocate(instance, profile)
+        with pytest.raises(InvariantError, match="other costs"):
+            payments(instance, profile, dist, other)
 
     @pytest.mark.parametrize("build", [
         lambda: (make_single_item(3), [F(5), F(3), F(2)]),

@@ -1,5 +1,10 @@
 """Core model: valuations, welfare, feasible-set enumeration."""
 
+import gc
+import sys
+import threading
+import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,7 +13,8 @@ import pytest
 from relaxround import (AdditiveValuation, Allocation, EnumerationTooLargeError,
                         EvaluationError, SingleMindedValuation,
                         SinglePeakedValuation, TableValuation,
-                        ValuationProfile, enumerate_feasible, make_no_money,
+                        ValuationProfile, build_polytope, enumerate_feasible,
+                        make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
                         social_welfare, value_of)
 from relaxround.model import scale_valuation
@@ -153,6 +159,88 @@ class TestEnumerateFeasible:
         with pytest.raises(EnumerationTooLargeError) as err:
             enumerate_feasible(inst, bound=2)
         assert err.value.bound == 2
+
+
+class TestPerInstanceMemo:
+    """The polytope and the feasible set are computed once per instance."""
+
+    def test_a_warm_memo_still_checks_a_smaller_bound(self):
+        inst = make_single_minded_ca(2, [{0}, {1}])
+        assert len(enumerate_feasible(inst)) == 4
+        with pytest.raises(EnumerationTooLargeError) as err:
+            enumerate_feasible(inst, bound=3)
+        assert err.value.bound == 3
+        assert len(enumerate_feasible(inst, bound=4)) == 4
+
+    def test_shared_outcome_memo_checks_the_bound_too(self):
+        inst = make_no_money(2, "single_peaked", positions=5)
+        assert len(enumerate_feasible(inst)) == 6
+        with pytest.raises(EnumerationTooLargeError):
+            enumerate_feasible(inst, bound=5)
+
+    def test_a_failed_enumeration_is_not_kept(self):
+        inst = make_no_money(2, "lottery")
+        with pytest.raises(EnumerationTooLargeError):
+            enumerate_feasible(inst, bound=2)
+        assert len(enumerate_feasible(inst)) == 3
+
+    def test_callers_receive_a_fresh_list(self):
+        inst = make_single_minded_ca(2, [{0}, {1}])
+        first = enumerate_feasible(inst)
+        first.clear()
+        assert len(enumerate_feasible(inst)) == 4
+        assert enumerate_feasible(inst) is not enumerate_feasible(inst)
+
+    def test_the_polytope_is_built_once_per_instance_object(self):
+        inst = make_single_item(2)
+        assert build_polytope(inst) is build_polytope(inst)
+        twin = make_single_item(2)
+        assert twin == inst
+        assert build_polytope(twin) is not build_polytope(inst)
+        copy = replace(inst)
+        assert build_polytope(copy) is not build_polytope(inst)
+        assert build_polytope(copy) == build_polytope(inst)
+
+    def test_memo_takes_no_part_in_equality_hashing_or_repr(self):
+        cold = make_no_money(2, "lottery")
+        warm = make_no_money(2, "lottery")
+        enumerate_feasible(warm)
+        assert "feasible" in warm.derived and not cold.derived
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_threads_sharing_a_cold_instance_agree(self):
+        base = make_single_minded_ca(3, [{0, 1}, {1, 2}, {0}])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                inst = replace(base)  # same instance, empty memo
+                results = []
+
+                def work():
+                    results.append((build_polytope(inst),
+                                    enumerate_feasible(inst)))
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 8
+                assert all(poly is results[0][0] for poly, _ in results)
+                assert all(found == results[0][1] for _, found in results)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_memo_lives_as_long_as_its_instance(self):
+        inst = make_single_item(2)
+        poly = weakref.ref(build_polytope(inst))
+        del inst
+        gc.collect()
+        assert poly() is None
 
 
 class TestInstanceInvariants:

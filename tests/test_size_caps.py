@@ -26,6 +26,12 @@ def gap_toy_doc(n=2, m=1, **extra):
                            for i in range(n)]}
 
 
+def single_minded_doc(n=2, m=3):
+    return {"family": "single-minded-ca", "n": n, "m": m,
+            "valuations": [{"kind": "single-minded", "bundle": [i % m],
+                            "value": "1"} for i in range(n)]}
+
+
 def single_peaked_doc(n=2, m=8):
     return {"family": "single-peaked", "n": n, "m": m,
             "valuations": [{"kind": "single-peaked", "peak": "1"}] * n}
@@ -35,6 +41,7 @@ def single_peaked_doc(n=2, m=8):
     ("segments", {**gap_toy_doc(), "segments": 10**6}),
     ("m", {**gap_toy_doc(), "m": 10**6}),
     ("m", {**single_peaked_doc(), "m": 10**6}),
+    ("n", {**single_minded_doc(), "n": 10**6}),
 ])
 def test_a_million_exits_two_fast(field, doc, tmp_path, capsys):
     path = _write(tmp_path, doc)
@@ -68,6 +75,17 @@ def test_one_over_the_cap_is_rejected_before_construction(field, doc,
 def test_the_caps_themselves_load(doc):
     instance, _, _ = load_instance_document(doc)
     assert instance.m == doc["m"]
+
+
+def test_nine_single_minded_bidders_fail_on_n(tmp_path, capsys):
+    """Vertex enumeration takes at most 8 variables, one per bidder, so the
+    document fails on its bidder count before any audit runs."""
+    path = _write(tmp_path, single_minded_doc(n=9))
+    start = time.perf_counter()
+    assert main(["--instance", str(path), "--mode", "run"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "input error: field 'n'" in err and "at most 8 bidders" in err
 
 
 @pytest.fixture(scope="module")
