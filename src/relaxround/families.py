@@ -221,7 +221,9 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     lotteries = _audit_decomposability(instance)
-    return replace(instance, vertex_lotteries=MappingProxyType(lotteries))
+    audited = replace(instance, vertex_lotteries=MappingProxyType(lotteries))
+    audited.derived.update(instance.derived)  # the audits' polytope and set
+    return audited
 
 
 def with_desires(instance: Instance,

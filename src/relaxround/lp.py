@@ -8,11 +8,17 @@ flips instead of rows.  Sizes are desk scale, so there is no scaling and
 no presolve; exactness and determinism are the product.  Tableau rows stay
 dense lists, but a pivot only touches the pivot row's nonzero columns,
 which leaves every entry exactly as a dense pivot would.
+
+Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
+held to Bland's path: the entering scan skips concave runs of segments
+that cannot enter, and resumes after a bound flip with its ratio test
+carried along.  Each shortcut leaves out only comparisons whose outcome is
+known, so every step makes the full scan's choice (see ``_step``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -125,6 +131,7 @@ class FinalTableau:
     names each row's basic LP column c, or slack i as len(slopes) + i;
     ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
     holds c_B B^-1 over the tableau columns, then the objective value.
+    ``polytope`` is the one solved on; ``_step`` explains the rest.
 
     Pass one to ``maximize_linear`` to have it filled in.  A new cost per
     LP column leaves that basis and those caps primal feasible, so
@@ -139,6 +146,10 @@ class FinalTableau:
     slopes: tuple[Fraction, ...] = ()
     var: tuple[int, ...] = ()
     cap: tuple[Optional[Fraction], ...] = ()
+    polytope: Optional[Polytope] = None
+    ends: list[int] = field(default_factory=list)
+    start: int = 0
+    carry: Optional[tuple[int, Optional[Fraction], int, int]] = None
 
     def maximum(self, objective: Sequence[Fraction]) -> Fraction:
         """Optimal value of the LP with per-column costs ``objective``.
@@ -165,9 +176,10 @@ class FinalTableau:
                 prices[-1] += (objective[c] - self.slopes[c]) * self.cap[c]
         # Pivots and flips replace rows and never mutate them, so copies of
         # the lists leave the recorded state intact for the next cost row.
-        resumed = replace(self, rows=list(self.rows), basis=list(self.basis),
-                          at_cap=list(self.at_cap), prices=prices,
-                          slopes=tuple(objective))
+        resumed = FinalTableau(list(self.rows), list(self.basis),
+                               list(self.at_cap), prices, tuple(objective),
+                               self.var, self.cap, self.polytope,
+                               _run_ends(objective, self.var))
         _bland(resumed)
         return resumed.prices[-1]
 
@@ -190,6 +202,16 @@ def _flip(t: FinalTableau, c: int, to_cap: bool) -> None:
     t.at_cap[c] = to_cap
 
 
+def _run_ends(slopes: Sequence[Fraction], var: Sequence[int]) -> list[int]:
+    """For each LP column c, one past the longest run c, c + 1, ... of
+    adjacent columns of one variable with nonincreasing costs."""
+    ends = list(range(1, len(slopes) + 1))
+    for c in range(len(slopes) - 2, -1, -1):
+        if var[c] == var[c + 1] and slopes[c] >= slopes[c + 1]:
+            ends[c] = ends[c + 1]
+    return ends
+
+
 def _step(t: FinalTableau) -> bool:
     """One step of Bland's rule: a pivot or a bound flip; False at optimum.
 
@@ -197,18 +219,29 @@ def _step(t: FinalTableau) -> bool:
     row y_c + s_c = cap[c] per capped column: LP column c, slack n + i,
     cap slack n + k + c, for n LP columns and k rows.  Ratio ties go to the
     lowest such leaving id, so the bases visited are the explicit LP's.
+
+    Three shortcuts keep that choice.  A column below its cap whose cost
+    does not beat its variable's price has no later column of its run
+    (``ends``) beating it, so the scan jumps past the run.  A pure flip to
+    the cap moves no price, so the next scan resumes after the flipped
+    column (``start``; a pivot resets it).  That flip lowers every row's
+    ratio on its tableau column by exactly the cap, ties kept in order, so
+    a next entering column on that tableau column takes the rows' minimum
+    over (``carry``) instead of taking it afresh.
     """
     rows, basis, at_cap, prices = t.rows, t.basis, t.at_cap, t.prices
-    slopes, var, cap = t.slopes, t.var, t.cap
+    slopes, var, cap, ends = t.slopes, t.var, t.cap, t.ends
     n, k = len(slopes), len(rows)
     width = len(prices) - k - 1
     # Entering: a column below its cap whose cost beats its variable's
     # price, else a slack with a negative price, else a column at its cap
     # whose cost falls short of that price (its cap slack enters).
     up = False
-    enter = next((c for c in range(n)
-                  if slopes[c] > prices[var[c]] and not at_cap[c]), None)
-    if enter is not None:
+    enter = t.start
+    while enter < n and (at_cap[enter]
+                         or slopes[enter] <= prices[var[enter]]):
+        enter = enter + 1 if at_cap[enter] else ends[enter]
+    if enter < n:
         col = var[enter]
     else:
         slack = next((i for i in range(k) if prices[width + i] < 0), None)
@@ -218,33 +251,41 @@ def _step(t: FinalTableau) -> bool:
             enter = next((c for c in range(n)
                           if at_cap[c] and prices[var[c]] > slopes[c]), None)
             if enter is None:
+                t.start, t.carry = 0, None
                 return False
             up, col = True, var[enter]
-    # Ratio test over the explicit LP's rows: the entering column's own cap
-    # row, and for each tableau row its basic variable, which falls to zero
-    # or, for a capped column, rises to its cap.
-    best: Optional[Fraction] = None
-    leave = leave_row = -1
+    # Ratio test over the explicit LP's rows: for each tableau row its
+    # basic variable, which falls to zero or, for a capped column, rises to
+    # its cap; then the entering column's own cap row.
+    carry, t.carry = t.carry, None
+    if carry is not None and carry[0] == col and not up:
+        _, best, leave, leave_row = carry
+    else:
+        best, leave, leave_row = None, -1, -1
+        for i, row in enumerate(rows):
+            a = -row[col] if up else row[col]
+            if a > 0:
+                ratio, out = row[-1] / a, basis[i]
+            elif a and basis[i] < n and cap[basis[i]] is not None:
+                b = basis[i]
+                ratio, out = (cap[b] - row[-1]) / -a, n + k + b
+            else:
+                continue
+            if best is None or ratio < best or (ratio == best and out < leave):
+                best, leave, leave_row = ratio, out, i
     if enter < n and cap[enter] is not None:
-        best = cap[enter]
-        leave = enter if up else n + k + enter
-    for i, row in enumerate(rows):
-        a = -row[col] if up else row[col]
-        if a > 0:
-            ratio, out = row[-1] / a, basis[i]
-        elif a and basis[i] < n and cap[basis[i]] is not None:
-            b = basis[i]
-            ratio, out = (cap[b] - row[-1]) / -a, n + k + b
-        else:
-            continue
-        if best is None or ratio < best or (ratio == best and out < leave):
-            best, leave, leave_row = ratio, out, i
+        u, own = cap[enter], enter if up else n + k + enter
+        if best is None or u < best or (u == best and own < leave):
+            # The entering column reaches its other bound.
+            _flip(t, enter, not up)
+            if not up:
+                t.start = enter + 1
+                t.carry = (col, None if best is None else best - u, leave,
+                           leave_row)
+            return True
     if best is None:
         raise UnboundedError("objective is unbounded in the entering "
                              f"direction of variable {enter}")
-    if leave_row < 0:  # the entering column reaches its other bound
-        _flip(t, enter, not up)
-        return True
     if up:
         _flip(t, enter, False)
     b = basis[leave_row]
@@ -253,6 +294,7 @@ def _step(t: FinalTableau) -> bool:
     excess = prices[col] - slopes[enter] if enter < n else prices[col]
     _pivot(rows, prices, leave_row, col, excess)
     basis[leave_row] = enter
+    t.start = 0
     return True
 
 
@@ -277,6 +319,7 @@ def _slack_start(t: FinalTableau, width: int, rows: Sequence[Row],
     t.rows, t.basis, t.at_cap = tableau, list(range(n, n + k)), [False] * n
     t.prices = [ZERO] * (width + k + 1)
     t.slopes, t.var, t.cap = tuple(slopes), tuple(var), tuple(cap)
+    t.ends, t.start, t.carry = _run_ends(slopes, var), 0, None
 
 
 def _values(t: FinalTableau) -> list[Fraction]:
@@ -320,6 +363,7 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
                            f"expected {len(var)}")
     t = final if final is not None else FinalTableau()
     _slack_start(t, n, poly.constraints, objective, var, cap)
+    t.polytope = poly
     _bland(t)
     return FractionalPoint(tuple(_values(t))), t.prices[-1]
 

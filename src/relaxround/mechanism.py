@@ -119,7 +119,10 @@ def payments(instance: Instance, profile: ValuationProfile,
     if final is None:
         objective, _, final = _solve(instance, profile)
     else:
-        objective, _ = build_relaxation(instance, profile)
+        objective, poly = build_relaxation(instance, profile)
+        if final.polytope != poly:
+            raise InvariantError("the recorded tableau was solved on another "
+                                 "polytope than this instance's")
     return _charge(instance, profile, dist, objective, final)
 
 

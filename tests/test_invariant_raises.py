@@ -4,7 +4,9 @@ Each test reaches one guard through a hand-built object or a monkeypatch;
 no valid instance built by a family constructor can trip them.
 """
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,13 @@ def test_range_contains_case_a_without_a_curve():
     dist = AllocationDistribution.from_pairs([(Allocation.empty(2), ONE)])
     with pytest.raises(InvariantError, match="curve"):
         range_contains(descriptor, instance, dist)
+
+
+def test_no_guard_under_src_is_a_bare_assert():
+    """``python -O`` strips assert statements, so guards must raise."""
+    package = Path(relaxation.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -64,7 +64,8 @@ def dense_maximum(final, objective):
             prices[-1] += (objective[c] - final.slopes[c]) * final.cap[c]
     resumed = replace(final, rows=list(final.rows), basis=list(final.basis),
                       at_cap=list(final.at_cap), prices=prices,
-                      slopes=tuple(objective))
+                      slopes=tuple(objective),
+                      ends=lp._run_ends(objective, final.var))
     lp._bland(resumed)
     return resumed.prices[-1]
 
@@ -412,6 +413,64 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
             seen["cap slack enters"] += entering >= top
             seen["leaves at cap"] += (leaving >= top
                                       and entering != leaving - top)
+    assert all(seen.values()), seen
+
+
+def random_concave_lp(rng):
+    """Packing rows over 2 to 4 variables, each a run of 1 to 8 adjacent
+    columns with nonincreasing slopes, as a concave curve's segments are.
+
+    Slopes tie, and caps are zero or equal, often; rows share variables,
+    so a variable's price can rise past a filled segment's slope.
+    """
+    nvars = rng.randint(2, 4)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(F(rng.choice([0, 1, 1, 2, 3]), rng.randint(1, 2))
+                       for _ in range(nvars))
+        rows.append((coeffs, F(rng.choice([0, 1, 2, 3, 5]), rng.randint(1, 2))))
+    col_var, col_cap, objective = [], [], []
+    for v in range(nvars):
+        count = rng.randint(1, 8)
+        slopes = sorted((F(rng.choice([-1, 0, 1, 2, 2, 3, 4, 6]),
+                           rng.choice([1, 2])) for _ in range(count)),
+                        reverse=True)
+        col_var += [v] * count
+        col_cap += [F(rng.choice([0, 1, 1, 1, 2]), rng.choice([1, 1, 2]))
+                    for _ in range(count)]
+        objective += slopes
+    return Polytope(nvars, tuple(rows)), objective, col_var, col_cap
+
+
+def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
+    """The skip table, the resumed scan and the carried ratio test on the
+    LP shape they are built for, cold and warm."""
+    rng = random.Random(23)
+    seen = dict.fromkeys(("tied slopes", "zero cap", "equal caps", "flip",
+                          "middle released", "unordered warm"), 0)
+    for _ in range(150):
+        poly, objective, col_var, col_cap = random_concave_lp(rng)
+        n, top = len(col_var), len(col_var) + len(poly.constraints)
+        seen["tied slopes"] += any(
+            col_var[c] == col_var[c + 1] and objective[c] == objective[c + 1]
+            for c in range(n - 1))
+        seen["zero cap"] += ZERO in col_cap
+        seen["equal caps"] += len(set(col_cap)) < n
+        k = rng.randrange(poly.num_vars)
+        unordered = [F(rng.randint(-2, 6), rng.randint(1, 2)) for _ in col_var]
+        seen["unordered warm"] += any(
+            col_var[c] == col_var[c + 1] and unordered[c] < unordered[c + 1]
+            for c in range(n - 1))
+        warm = [[ZERO if v == k else c for c, v in zip(objective, col_var)],
+                unordered]
+        result, path = assert_explicit_path(monkeypatch, objective, poly,
+                                            col_var, col_cap, warm)
+        assert result != "unbounded"  # every column is capped
+        for entering, leaving in path:
+            seen["flip"] += entering in (leaving - top, leaving + top)
+            c = entering - top  # a cap slack enters: column c leaves its cap
+            seen["middle released"] += (0 < c < n - 1 and col_var[c - 1]
+                                        == col_var[c] == col_var[c + 1])
     assert all(seen.values()), seen
 
 

@@ -109,6 +109,20 @@ class TestPayments:
         with pytest.raises(InvariantError, match="other costs"):
             payments(instance, profile, dist, other)
 
+    def test_another_polytopes_tableau_is_refused(self):
+        """Negative control: same bids and costs, another polytope.  Reusing
+        that tableau would charge (1/2, 0, 1) against the cold (1, 0, 0)."""
+        instance = make_single_minded_ca(2, [{0}, {0}, {1}])
+        other_instance = make_single_minded_ca(2, [{0}, {1}, {1}])
+        bids = [F(3), F(2), F(1)]
+        other = FinalTableau()
+        allocate(other_instance, profile_for(other_instance, bids), other)
+        profile = profile_for(instance, bids)
+        _, dist = allocate(instance, profile)
+        assert payments(instance, profile, dist) == (F(1), ZERO, ZERO)
+        with pytest.raises(InvariantError, match="another polytope"):
+            payments(instance, profile, dist, other)
+
     @pytest.mark.parametrize("build", [
         lambda: (make_single_item(3), [F(5), F(3), F(2)]),
         lambda: (make_single_minded_ca(2, [{0, 1}, {0}, {1}]), [F(5), F(3), F(3)]),

@@ -11,12 +11,13 @@ from itertools import product
 import pytest
 
 from relaxround import (AdditiveValuation, Allocation, EnumerationTooLargeError,
-                        EvaluationError, SingleMindedValuation,
+                        EvaluationError, Polytope, SingleMindedValuation,
                         SinglePeakedValuation, TableValuation,
                         ValuationProfile, build_polytope, enumerate_feasible,
                         make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
                         social_welfare, value_of)
+from relaxround import relaxation
 from relaxround.model import scale_valuation
 
 
@@ -200,6 +201,26 @@ class TestPerInstanceMemo:
         copy = replace(inst)
         assert build_polytope(copy) is not build_polytope(inst)
         assert build_polytope(copy) == build_polytope(inst)
+
+    def test_single_minded_construction_keeps_the_audits_memo(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(Polytope(*args))
+            return built[-1]
+
+        monkeypatch.setattr(relaxation, "Polytope", counted)
+        inst = make_single_minded_ca(3, [{0, 1}, {1, 2}, {0}])
+        assert len(built) == 1
+        assert build_polytope(inst) is built[0]
+        feasible = inst.derived["feasible"]
+        assert enumerate_feasible(inst) == list(feasible)
+        assert inst.derived["feasible"] is feasible
+        assert len(built) == 1
+        cold = replace(inst)
+        assert not cold.derived
+        assert cold == inst and hash(cold) == hash(inst)
+        assert repr(cold) == repr(inst)
 
     def test_memo_takes_no_part_in_equality_hashing_or_repr(self):
         cold = make_no_money(2, "lottery")
