@@ -1,7 +1,8 @@
 """CLI outputs on fixture instances, byte for byte against committed files.
 
-``tests/golden/<family>.json`` holds one small instance per relaxation
-family, with tied and zero bids.  ``tests/golden/<family>/<mode>-<format>/``
+``tests/golden/<family>.json`` holds one small instance per family, with
+tied and zero bids (the without-money families play ``run`` and
+``verify-no-money``).  ``tests/golden/<family>/<mode>-<format>/``
 holds what the CLI printed (``stdout.txt``) and every file it wrote.  Any
 change to a distribution, payment, seeded draw, verification witness or
 output format shows up here as a diff.  ``single-minded-ca-first-price``
@@ -17,6 +18,8 @@ from relaxround.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FAMILIES = ("single-item", "case-b", "single-minded-ca", "gap-toy")
 MODES = ("run", "decompose", "verify-ratio", "verify-truthfulness")
+NO_MONEY_FAMILIES = ("no-money-lottery", "single-peaked")
+NO_MONEY_MODES = ("run", "verify-no-money")
 FORMATS = ("json", "csv")
 SEED = "11"
 GRID = "0,1,5/2"
@@ -51,6 +54,16 @@ def expected_outputs(family: str, mode: str, fmt: str) -> dict[str, str]:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cli_output_matches_golden_files(family, mode, fmt, tmp_path,
                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_outputs(family, mode, fmt, tmp_path, capsys) == \
+        expected_outputs(family, mode, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", NO_MONEY_MODES)
+@pytest.mark.parametrize("family", NO_MONEY_FAMILIES)
+def test_no_money_cli_output_matches_golden_files(family, mode, fmt, tmp_path,
+                                                  monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli_outputs(family, mode, fmt, tmp_path, capsys) == \
         expected_outputs(family, mode, fmt)
