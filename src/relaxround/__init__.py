@@ -8,32 +8,31 @@ rationals.
 """
 
 from .model import (AdditiveValuation, Allocation, EnumerationTooLargeError,
-                    EvaluationError, FamilySpec, Instance, InvariantError,
-                    SingleMindedValuation, SinglePeakedValuation,
-                    TableValuation, ValuationProfile, enumerate_feasible,
-                    fractional_value, indicator, social_welfare, value_of)
+                    EvaluationError, Family, FamilySpec, Instance,
+                    InvariantError, SingleMindedValuation,
+                    SinglePeakedValuation, ValuationProfile,
+                    enumerate_feasible, fractional_value, indicator,
+                    social_welfare, value_of)
 from .lp import (FinalTableau, FractionalPoint, LPInputError, Polytope,
                  UnboundedError, contains, enumerate_vertices, maximize_linear,
-                 solve_feasibility)
+                 phase_one)
 from .relaxation import (AlphaAudit, PiecewiseCurve, RelaxedObjective,
                          UnsupportedFamilyError, audit_alpha, build_polytope,
                          build_relaxation, residual_maximum,
                          residual_objective, solve_relaxation)
-from .rounding import (AllocationDistribution, ConvexDecomposition,
-                       DecompositionInfeasibleError, adjust, convex_decompose,
-                       exact_distribution, expected_value_per_bidder,
+from .rounding import (AllocationDistribution, DecompositionInfeasibleError,
+                       adjust, convex_decompose, expected_value_per_bidder,
                        expected_welfare, sample)
-from .mechanism import (MechanismOutcome, RangeDescriptor, allocate,
-                        distributional_range, expected_realized_payments,
+from .mechanism import (MechanismOutcome, allocate, expected_realized_payments,
                         payments, range_contains, realized_payments, run,
                         run_without_money)
-from .families import (FamilyConstructionError, find_max, make_case_b_family,
+from .families import (FAMILIES, FamilyConstructionError, make_case_b_family,
                        make_gap_toy, make_no_money, make_single_item,
                        make_single_minded_ca, profile_for, unit_gap_curve,
                        with_desires)
 from .verify import (CheckResult, VerificationBudgetError,
                      VerificationReport, Witness, adversarial_rounder,
-                     alpha_estimate, brute_force_opt, check_approximation,
+                     brute_force_opt, check_approximation,
                      check_median_no_improvement,
                      check_nonoblivious_condition, check_obliviousness,
                      check_truthfulness, check_without_money,

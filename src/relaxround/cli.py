@@ -26,7 +26,6 @@ from .verify import CheckResult, VerificationReport
 
 MODES = ("run", "verify-truthfulness", "verify-ratio", "verify-no-money",
          "decompose")
-NO_MONEY_FAMILIES = ("no-money-lottery", "single-peaked")
 #: Program faults, not bad input: a broken internal guarantee, and, once a
 #: document has loaded, an infeasible decomposition (its construction audits
 #: rule one out) or an unbounded LP (packing bounds rule one out).
@@ -95,7 +94,7 @@ def _emit_report(report: VerificationReport, config: ExperimentConfig) -> int:
 
 def _mode_run(config: ExperimentConfig, instance: Instance,
               profile: ValuationProfile) -> int:
-    if instance.family in NO_MONEY_FAMILIES:
+    if not instance.family.money:
         x, dist = mechanism.run_without_money(instance, profile)
         from .rounding import sample
         realized = sample(dist, config.seed)
@@ -155,12 +154,12 @@ def _mode_verify_ratio(config: ExperimentConfig, instance: Instance,
 
 def _mode_verify_no_money(config: ExperimentConfig, instance: Instance,
                           profile: ValuationProfile) -> int:
-    if instance.family not in NO_MONEY_FAMILIES:
+    if instance.family.money:
         raise ValueError("verify-no-money requires a without-money family")
     # The median sweep runs first so that its budget check comes before
     # any other work; the report keeps its order.
     median = (verify.check_median_no_improvement(instance, config.grid).checks
-              if instance.family == "single-peaked" else ())
+              if instance.family.shared else ())
     report = verify.check_without_money(instance, profile, ONE)
     return _emit_report(VerificationReport(report.checks + median), config)
 
@@ -179,7 +178,7 @@ def _mode_decompose(config: ExperimentConfig, instance: Instance,
     config.outdir.mkdir(parents=True, exist_ok=True)
     path = config.outdir / "decomposition.json"
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    print(f"decompose: {len(decomposition.terms)} terms, "
+    print(f"decompose: {decomposition.support_size} terms, "
           f"support bound {instance.num_vars + 1} -> {path}")
     return 0
 

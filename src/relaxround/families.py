@@ -1,11 +1,13 @@
 """Concrete instance families wiring the pipeline cases to demos.
 
+Each family is one ``Family`` record, registered in ``FAMILIES``; the rest
+of the package reads the record and the instance, never the family's name.
 Each constructor declares the family's guarantee factor, decomposition
-scale, rounding case and keep-probability formula, then audits the
-guarantees it relies on before handing the instance out: that the polytope
-contains every feasible allocation's indicator, the alpha contract on probe
-profiles, decomposability at every polytope vertex for the scaled families,
-and the exact thinning calibration for the curved family.
+scale, rounding case and curve, then audits the guarantees it relies on
+before handing the instance out: that the polytope contains every feasible
+allocation's indicator, the alpha contract on probe profiles,
+decomposability at every polytope vertex for the scaled families, and the
+exact thinning calibration for the thinned families.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from typing import Iterable, Sequence
 
 from .lp import FractionalPoint, contains, enumerate_vertices
 from .mechanism import _round_point
-from .model import (AdditiveValuation, FamilySpec, Instance, InvariantError,
+from .model import (AdditiveValuation, Family, FamilySpec, Instance,
                     SingleMindedValuation, SinglePeakedValuation,
                     ValuationProfile, ZERO, ONE, enumerate_feasible,
                     indicator)
 from .relaxation import (PiecewiseCurve, audit_alpha, build_polytope,
                          build_relaxation)
 from .rounding import (AllocationDistribution, DecompositionInfeasibleError,
-                       adjust, convex_decompose, exact_distribution,
                        expected_value_per_bidder)
 
 DEFAULT_SINGLE_MINDED_ALPHA = Fraction(1, 2)
@@ -36,6 +37,47 @@ DEFAULT_POSITIONS = 8
 CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
                           Fraction(3, 4), ONE)
 
+# Document caps.  Construction audits grow faster than linearly in n;
+# measured with Python 3.11 on a 2-vCPU VM: single-item 0.59 s at n=32
+# (1.09 s at n=40), case-b 0.68 s at n=5 (3.8 s at n=6, since its
+# calibration audit probes 5**n grid points).  The lottery has no audit;
+# its cap matches single-item, where `run_without_money` takes 0.01 s.
+# Single-minded auctions have one variable per bidder, and their
+# decomposability audit enumerates vertices in at most 8 variables.
+# gap-toy builds one polytope row per machine for each of its 5**n
+# calibration probes, and single-peaked one variable per position: gap-toy
+# with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments together
+# (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB at m=10000
+# (0.84 s and 101 MiB at m=200000).  The loads resolve each constructor
+# when called, so a wrapper installed on the module name sees them.
+SINGLE_ITEM = Family(
+    "single-item", AdditiveValuation, money=True, m=1, max_n=32,
+    load=lambda n, m, profile: make_single_item(n))
+CASE_B = Family(
+    "case-b", AdditiveValuation, money=True, m=1, max_n=5,
+    extra=(("beta", None),),
+    load=lambda n, m, profile, beta: make_case_b_family(n, beta))
+SINGLE_MINDED_CA = Family(
+    "single-minded-ca", SingleMindedValuation, money=True, max_n=8,
+    extra=(("alpha", DEFAULT_SINGLE_MINDED_ALPHA),),
+    load=lambda n, m, profile, alpha: make_single_minded_ca(
+        m, [v.bundle for v in profile.valuations], alpha))
+GAP_TOY = Family(
+    "gap-toy", AdditiveValuation, money=True, max_m=64, max_segments=32,
+    extra=(("segments", DEFAULT_CURVE_SEGMENTS),),
+    load=lambda n, m, profile, segments: make_gap_toy(n, m, segments))
+NO_MONEY_LOTTERY = Family(
+    "no-money-lottery", AdditiveValuation, money=False, m=1, max_n=32,
+    load=lambda n, m, profile: make_no_money(n, "lottery"))
+SINGLE_PEAKED = Family(
+    "single-peaked", SinglePeakedValuation, money=False, max_m=10_000,
+    load=lambda n, m, profile: make_no_money(n, "single_peaked",
+                                             positions=m))
+
+FAMILIES = {family.name: family for family in (
+    SINGLE_ITEM, CASE_B, SINGLE_MINDED_CA, GAP_TOY, NO_MONEY_LOTTERY,
+    SINGLE_PEAKED)}
+
 
 class FamilyConstructionError(ValueError):
     """A family audit failed at construction time."""
@@ -43,33 +85,6 @@ class FamilyConstructionError(ValueError):
 
 class InputError(ValueError):
     """Malformed constructor arguments."""
-
-
-def _ones_keep(instance: Instance,
-               coords: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(ONE for _ in range(instance.n))
-
-
-def _constant_keep(beta: Fraction):
-    def keep(instance: Instance,
-             coords: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return tuple(beta for _ in range(instance.n))
-    return keep
-
-
-def _curve_ratio_keep(instance: Instance,
-                      coords: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """keep_i = curve(x_i) / x_i, the exact case-(a) deflation to L."""
-    if instance.spec.curve is None:
-        raise InvariantError("the curve-ratio keep formula needs a curve")
-    unit = PiecewiseCurve(instance.spec.curve)
-    probs = [ONE] * instance.n
-    for x, (owner, _) in zip(coords, instance.variable_index):
-        if owner is None:
-            raise InvariantError("the curve-ratio keep formula needs an "
-                                 "owner for every variable")
-        probs[owner] = unit.value_at(x) / x if x > 0 else ONE
-    return tuple(probs)
 
 
 def unit_gap_curve(segments: int = DEFAULT_CURVE_SEGMENTS) -> PiecewiseCurve:
@@ -118,7 +133,7 @@ def _audit_alpha_on_probes(instance: Instance) -> None:
         audit = audit_alpha(objective, instance, profile)
         if not audit.passed:
             raise FamilyConstructionError(
-                f"alpha audit failed for family {instance.family!r}: "
+                f"alpha audit failed for family {instance.family.name!r}: "
                 f"counterexample {audit.counterexample}")
 
 
@@ -155,25 +170,17 @@ def _audit_calibration(instance: Instance) -> None:
     coefficient makes the identity hold for every additive profile.
     """
     poly = build_polytope(instance)
-    spec = instance.spec
     probes = [FractionalPoint(coords) for coords in
               product(CALIBRATION_PROBE_GRID, repeat=instance.num_vars)]
-    target = spec.calibration
+    target = instance.spec.calibration
     for probe in probes:
         if not contains(poly, probe):
             continue
-        dist = exact_distribution(
-            convex_decompose(probe, spec.decomposition_scale, instance))
-        keep = (spec.keep_prob(instance, probe.coords) if spec.keep_prob
-                else tuple(ONE for _ in range(instance.n)))
-        thinned = adjust(dist, spec.rounding_case, keep)
+        thinned = _round_point(instance, probe)
         for profile in _probe_profiles(instance):
             objective, _ = build_relaxation(instance, profile)
             expected = sum(expected_value_per_bidder(thinned, profile), ZERO)
-            if spec.rounding_case == "a":
-                want = objective.evaluate(probe.coords)
-            else:
-                want = target * objective.evaluate(probe.coords)
+            want = target * objective.evaluate(probe.coords)
             if expected != want:
                 raise FamilyConstructionError(
                     f"calibration audit failed at {probe.coords}: "
@@ -186,9 +193,8 @@ def make_single_item(n: int) -> Instance:
     if n < 1:
         raise InputError("need at least one bidder")
     variables = tuple((i, frozenset({0})) for i in range(n))
-    spec = FamilySpec(tag="single-item", alpha=ONE, decomposition_scale=ONE,
-                      rounding_case="c")
-    instance = Instance("single-item", n, 1, variables, spec)
+    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c")
+    instance = Instance(SINGLE_ITEM, n, 1, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     return instance
@@ -215,9 +221,9 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
         if not all(0 <= j < m for j in b):
             raise InputError("desired bundle references an unknown item")
     variables = tuple((i, b) for i, b in enumerate(bundles))
-    spec = FamilySpec(tag="single-minded-ca", alpha=alpha,
-                      decomposition_scale=alpha, rounding_case="c")
-    instance = Instance("single-minded-ca", len(bundles), m, variables, spec)
+    spec = FamilySpec(alpha=alpha, decomposition_scale=alpha,
+                      rounding_case="c")
+    instance = Instance(SINGLE_MINDED_CA, len(bundles), m, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     lotteries = _audit_decomposability(instance)
@@ -229,7 +235,7 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
 def with_desires(instance: Instance,
                  desires: Sequence[Iterable[int]]) -> Instance:
     """Same family parameters, different reported packages."""
-    if instance.family != "single-minded-ca":
+    if instance.family is not SINGLE_MINDED_CA:
         raise InputError("only single-minded instances rebind desires")
     return make_single_minded_ca(instance.m, desires, instance.spec.alpha)
 
@@ -250,11 +256,9 @@ def make_gap_toy(bidders: int, machines: int,
         raise InputError("desk-scale audits cap the toy at 4 bidders")
     curve = unit_gap_curve(segments)
     variables = tuple((i, frozenset({i % machines})) for i in range(bidders))
-    spec = FamilySpec(tag="gap-toy", alpha=curve.value_at(ONE),
-                      decomposition_scale=ONE, rounding_case="a",
-                      keep_prob_name="curve-ratio",
-                      keep_prob=_curve_ratio_keep, curve=curve.points)
-    instance = Instance("gap-toy", bidders, machines, variables, spec)
+    spec = FamilySpec(alpha=curve.value_at(ONE), decomposition_scale=ONE,
+                      rounding_case="a", curve=curve)
+    instance = Instance(GAP_TOY, bidders, machines, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     _audit_calibration(instance)
@@ -268,11 +272,9 @@ def make_case_b_family(n: int, beta: Fraction) -> Instance:
     if not (ZERO < beta <= ONE):
         raise InputError("beta must lie in (0, 1]")
     variables = tuple((i, frozenset({0})) for i in range(n))
-    spec = FamilySpec(tag="case-b", alpha=ONE, decomposition_scale=ONE,
-                      rounding_case="b", beta=beta,
-                      keep_prob_name=f"uniform-{beta}",
-                      keep_prob=_constant_keep(beta))
-    instance = Instance("case-b", n, 1, variables, spec)
+    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="b",
+                      beta=beta)
+    instance = Instance(CASE_B, n, 1, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     _audit_calibration(instance)
@@ -284,58 +286,38 @@ def make_no_money(n: int, kind: str,
     """Without-money families: uniform lottery or median of peaks."""
     if n < 1:
         raise InputError("need at least one bidder")
+    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c")
     if kind == "lottery":
         variables = tuple((i, frozenset({0})) for i in range(n))
-        spec = FamilySpec(tag="no-money-lottery", alpha=ONE,
-                          decomposition_scale=ONE, rounding_case="c")
-        return Instance("no-money-lottery", n, 1, variables, spec)
+        return Instance(NO_MONEY_LOTTERY, n, 1, variables, spec)
     if kind == "single_peaked":
         if positions < 1:
             raise InputError("need at least one position")
         variables = tuple((None, frozenset({p})) for p in range(positions))
-        spec = FamilySpec(tag="single-peaked", alpha=ONE,
-                          decomposition_scale=ONE, rounding_case="c")
-        return Instance("single-peaked", n, positions, variables, spec)
+        return Instance(SINGLE_PEAKED, n, positions, variables, spec)
     raise InputError(f"unknown without-money kind {kind!r}")
-
-
-def find_max(values: Sequence[Fraction]) -> tuple[int, Fraction]:
-    """Linear scan for the maximum; lowest index wins ties."""
-    if not values:
-        raise InputError("cannot take the maximum of an empty list")
-    best_idx = 0
-    best = values[0]
-    for i in range(1, len(values)):
-        if best < values[i]:
-            best = values[i]
-            best_idx = i
-    return best_idx, best
 
 
 def profile_for(instance: Instance,
                 values: Sequence[Fraction]) -> ValuationProfile:
-    """Family-appropriate profile from one scalar per bidder.
+    """Profile of the family's valuation kind from one scalar per bidder.
 
-    Scalars are bids for auction families and peak positions for the
-    single-peaked family.
+    Scalars are peak positions for single-peaked bidders, and otherwise
+    bids on the bidder's own bundle.
     """
     if len(values) != instance.n:
         raise InputError(f"expected {instance.n} scalars")
+    kind = instance.family.valuation
     vals = []
     for i, v in enumerate(values):
         v = Fraction(v)
-        if instance.family in ("single-item", "case-b", "no-money-lottery"):
-            vals.append(AdditiveValuation((v,)))
-        elif instance.family == "gap-toy":
-            _, bundle = instance.variable_index[i]
-            (machine,) = bundle
-            vals.append(AdditiveValuation(tuple(
-                v if j == machine else ZERO for j in range(instance.m))))
-        elif instance.family == "single-minded-ca":
-            _, bundle = instance.variable_index[i]
-            vals.append(SingleMindedValuation(bundle, v))
-        elif instance.family == "single-peaked":
+        if kind is SinglePeakedValuation:
             vals.append(SinglePeakedValuation(v))
+            continue
+        _, bundle = instance.variable_index[i]
+        if kind is SingleMindedValuation:
+            vals.append(SingleMindedValuation(bundle, v))
         else:
-            raise InputError(f"no scalar profile recipe for {instance.family!r}")
+            vals.append(AdditiveValuation(tuple(
+                v if j in bundle else ZERO for j in range(instance.m))))
     return ValuationProfile(tuple(vals))

@@ -15,37 +15,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .model import (AdditiveValuation, Instance, SingleMindedValuation,
-                    SinglePeakedValuation, TableValuation, Valuation,
-                    ValuationProfile)
+from .model import (AdditiveValuation, Family, Instance,
+                    SingleMindedValuation, SinglePeakedValuation, Valuation,
+                    ValuationProfile, validate_profile)
 from .mechanism import MechanismOutcome
-from .rounding import AllocationDistribution, ConvexDecomposition
+from .rounding import AllocationDistribution
 from .verify import VerificationReport
 from . import families
 
 PAYMENT_RULES = ("expected-vcg", "first-price")
-
-#: Largest bidder count per family whose constructor accepts any n.  Their
-#: construction audits grow faster than linearly in n; measured with
-#: Python 3.11 on a 2-vCPU VM: single-item 0.59 s at n=32 (1.09 s at
-#: n=40), case-b 0.68 s at n=5 (3.8 s at n=6, since its calibration audit
-#: probes 5**n grid points).  The lottery has no audit; its cap matches
-#: single-item, where `run_without_money` takes 0.01 s.  Single-minded
-#: auctions have one variable per bidder, and their decomposability audit
-#: enumerates vertices in at most 8 variables.
-MAX_BIDDERS = {"single-item": 32, "case-b": 5, "no-money-lottery": 32,
-               "single-minded-ca": 8}
-
-#: Largest m per family whose constructor accepts any m.  gap-toy builds one
-#: polytope row per machine for each of its 5**n calibration probes, and
-#: single-peaked one variable per position.  Measured the same way: gap-toy
-#: with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments
-#: together (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB
-#: at m=10000 (0.84 s and 101 MiB at m=200000).
-MAX_ITEMS = {"gap-toy": 64, "single-peaked": 10_000}
-
-#: Largest number of curve segments in a gap-toy document (see MAX_ITEMS).
-MAX_SEGMENTS = 32
 
 
 class FormatError(ValueError):
@@ -108,10 +86,6 @@ def valuation_to_obj(v: Valuation) -> dict:
     if isinstance(v, SingleMindedValuation):
         return {"kind": "single-minded", "bundle": sorted(v.bundle),
                 "value": format_fraction(v.value)}
-    if isinstance(v, TableValuation):
-        return {"kind": "table",
-                "entries": [[sorted(b), format_fraction(x)]
-                            for b, x in v.entries]}
     if isinstance(v, SinglePeakedValuation):
         return {"kind": "single-peaked", "peak": format_fraction(v.peak)}
     raise TypeError(f"unknown valuation type {type(v).__name__}")
@@ -133,12 +107,6 @@ def valuation_from_obj(obj: Any, fieldname: str) -> Valuation:
             value = parse_fraction(_require(obj, "value", f"{fieldname}.value"),
                                    f"{fieldname}.value")
             return SingleMindedValuation(bundle, value)
-        if kind == "table":
-            entries = _list(obj, "entries", fieldname)
-            return TableValuation(tuple(
-                (_bundle(bundle, f"{fieldname}.entries[{i}]"),
-                 parse_fraction(value, f"{fieldname}.entries[{i}]"))
-                for i, (bundle, value) in enumerate(entries)))
         if kind == "single-peaked":
             peak = parse_fraction(_require(obj, "peak", f"{fieldname}.peak"),
                                   f"{fieldname}.peak")
@@ -150,16 +118,33 @@ def valuation_from_obj(obj: Any, fieldname: str) -> Valuation:
     raise FormatError(f"{fieldname}.kind", f"unknown valuation kind {kind!r}")
 
 
+def _extra_field(obj: dict, key: str, default: Any, family: Family) -> Any:
+    """One of the family's extra fields: a curve segment count, or else a
+    rational; ``default`` stands in for an absent field (None: required)."""
+    if key not in obj:
+        if default is None:
+            raise FormatError(key, "missing required field")
+        return default
+    if key != "segments":
+        return parse_fraction(obj[key], key)
+    segments = obj[key]
+    if (isinstance(segments, bool) or not isinstance(segments, int)
+            or segments < 1):
+        raise FormatError(key, "must be a positive integer")
+    if segments > family.max_segments:
+        raise FormatError(key, f"{family.name} documents accept at most "
+                               f"{family.max_segments} curve segments, got "
+                               f"{segments}")
+    return segments
+
+
 def dump_instance_document(instance: Instance, profile: ValuationProfile,
                            payment_rule: str = "expected-vcg") -> dict:
-    doc: dict[str, Any] = {"family": instance.family, "n": instance.n,
+    doc: dict[str, Any] = {"family": instance.family.name, "n": instance.n,
                            "m": instance.m}
-    if instance.family == "single-minded-ca":
-        doc["alpha"] = format_fraction(instance.spec.alpha)
-    if instance.family == "case-b":
-        doc["beta"] = format_fraction(instance.spec.beta)
-    if instance.family == "gap-toy":
-        doc["segments"] = len(instance.spec.curve) - 1
+    for key, _ in instance.family.extra:
+        doc[key] = (len(instance.spec.curve.points) - 1 if key == "segments"
+                    else format_fraction(getattr(instance.spec, key)))
     doc["valuations"] = [valuation_to_obj(v) for v in profile.valuations]
     if payment_rule != "expected-vcg":
         doc["payment_rule"] = payment_rule
@@ -169,66 +154,38 @@ def dump_instance_document(instance: Instance, profile: ValuationProfile,
 def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
     if not isinstance(obj, dict):
         raise FormatError("document", "top level must be a JSON object")
-    family = _require(obj, "family")
+    name = _require(obj, "family")
     n = _require(obj, "n")
     m = _require(obj, "m")
     for key, count in (("n", n), ("m", m)):
         if isinstance(count, bool) or not isinstance(count, int):
             raise FormatError(key, "bidder and item counts must be integers")
-    for key, count, caps, noun in (("n", n, MAX_BIDDERS, "bidders"),
-                                   ("m", m, MAX_ITEMS, "items")):
-        cap = caps.get(family) if isinstance(family, str) else None
+    family = families.FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise FormatError("family", f"unknown family {name!r}")
+    for key, count, cap, noun in (("n", n, family.max_n, "bidders"),
+                                  ("m", m, family.max_m, "items")):
         if cap is not None and count > cap:
-            raise FormatError(key, f"{family} documents accept at most {cap} "
+            raise FormatError(key, f"{name} documents accept at most {cap} "
                                    f"{noun}, got {count}")
     raw_vals = _require(obj, "valuations")
     if not isinstance(raw_vals, list) or len(raw_vals) != n:
         raise FormatError("valuations", f"expected a list of {n} valuations")
     valuations = tuple(valuation_from_obj(v, f"valuations[{i}]")
                        for i, v in enumerate(raw_vals))
+    for i, v in enumerate(valuations):
+        if not isinstance(v, family.valuation):
+            raise FormatError(f"valuations[{i}].kind", f"{name} documents "
+                              f"need a {family.valuation.__name__}")
     profile = ValuationProfile(valuations)
+    if family.m is not None and m != family.m:
+        raise FormatError("m", f"{name} instances have m = {family.m}")
+    extras = {key: _extra_field(obj, key, default, family)
+              for key, default in family.extra}
     try:
-        if family == "single-item":
-            if m != 1:
-                raise FormatError("m", "single-item instances have m = 1")
-            instance = families.make_single_item(n)
-        elif family == "case-b":
-            beta = parse_fraction(_require(obj, "beta"), "beta")
-            if m != 1:
-                raise FormatError("m", "case-b instances have m = 1")
-            instance = families.make_case_b_family(n, beta)
-        elif family == "single-minded-ca":
-            bundles = []
-            for i, v in enumerate(valuations):
-                if not isinstance(v, SingleMindedValuation):
-                    raise FormatError(f"valuations[{i}].kind",
-                                      "single-minded valuation required")
-                bundles.append(v.bundle)
-            alpha = parse_fraction(obj.get("alpha", "1/2"), "alpha")
-            instance = families.make_single_minded_ca(m, bundles, alpha)
-        elif family == "gap-toy":
-            segments = obj.get("segments", families.DEFAULT_CURVE_SEGMENTS)
-            if (isinstance(segments, bool) or not isinstance(segments, int)
-                    or segments < 1):
-                raise FormatError("segments", "must be a positive integer")
-            if segments > MAX_SEGMENTS:
-                raise FormatError("segments", f"gap-toy documents accept at "
-                                              f"most {MAX_SEGMENTS} curve "
-                                              f"segments, got {segments}")
-            instance = families.make_gap_toy(n, m, segments)
-        elif family == "no-money-lottery":
-            if m != 1:
-                raise FormatError("m", "lottery instances have m = 1")
-            instance = families.make_no_money(n, "lottery")
-        elif family == "single-peaked":
-            instance = families.make_no_money(n, "single_peaked", positions=m)
-        else:
-            raise FormatError("family", f"unknown family {family!r}")
-    except FormatError:
-        raise
+        instance = family.load(n, m, profile, **extras)
     except ValueError as exc:
         raise FormatError("family", str(exc)) from exc
-    from .model import validate_profile
     try:
         validate_profile(instance, profile)
     except ValueError as exc:
@@ -261,10 +218,11 @@ def distribution_rows(dist: AllocationDistribution) -> list[dict]:
             for alloc, p in dist.entries]
 
 
-def decomposition_rows(decomposition: ConvexDecomposition) -> list[dict]:
+def decomposition_rows(decomposition: AllocationDistribution) -> list[dict]:
+    """Like ``distribution_rows``, with each probability as a "weight"."""
     return [{"bundles": list(alloc.bitmasks()),
              "weight": format_fraction(w)}
-            for w, alloc in decomposition.terms]
+            for alloc, w in decomposition.entries]
 
 
 def outcome_to_obj(outcome: MechanismOutcome) -> dict:

@@ -405,13 +405,6 @@ def phase_one(equalities: Sequence[Row],
     return tuple(_values(t)), ZERO
 
 
-def solve_feasibility(equalities: Sequence[Row],
-                      nonneg_vars: int) -> Optional[tuple[Fraction, ...]]:
-    """Nonnegative exact solution of an equality system, or None."""
-    solution, _ = phase_one(equalities, nonneg_vars)
-    return solution
-
-
 def _solve_square(rows: list[list[Fraction]],
                   rhs: list[Fraction]) -> Optional[list[Fraction]]:
     """Gauss-Jordan elimination on an n x n rational system; None if singular."""

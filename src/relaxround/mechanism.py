@@ -14,12 +14,11 @@ from .lp import FinalTableau, FractionalPoint, Polytope, contains
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator,
                     validate_profile, value_of)
-from .relaxation import (PiecewiseCurve, RelaxedObjective,
-                         UnsupportedFamilyError, build_polytope,
-                         build_relaxation, residual_maximum,
+from .relaxation import (RelaxedObjective, UnsupportedFamilyError,
+                         build_polytope, build_relaxation, residual_maximum,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, adjust, convex_decompose,
-                       exact_distribution, expected_value_per_bidder, sample)
+                       expected_value_per_bidder, sample)
 
 
 @dataclass(frozen=True)
@@ -34,29 +33,24 @@ class MechanismOutcome:
     seed: int
 
 
-@dataclass(frozen=True)
-class RangeDescriptor:
-    """Identity of the valuation-independent distributional range.
-
-    The generator is the rounding pipeline (family tag, scale, case, keep
-    formula) over the family polytope; it is built from the instance alone.
-    """
-
-    family: str
-    alpha: Fraction
-    decomposition_scale: Fraction
-    rounding_case: str
-    beta: Fraction
-    keep_prob_name: str
-    polytope: Polytope
-
-
 def keep_probabilities(instance: Instance,
                        x: FractionalPoint) -> tuple[Fraction, ...]:
-    """The family's per-bidder keep probabilities at a fractional point."""
-    if instance.spec.keep_prob is None:
-        return tuple(ONE for _ in range(instance.n))
-    return instance.spec.keep_prob(instance, x.coords)
+    """The family's per-bidder keep probabilities at a fractional point.
+
+    With a curve, keep_i = curve(x_i) / x_i, the exact case-(a) deflation
+    to L; otherwise every bidder is kept with probability beta (1 outside
+    case b).  They read the instance and the point only, never a profile.
+    """
+    curve = instance.spec.curve
+    if curve is None:
+        return tuple(instance.spec.beta for _ in range(instance.n))
+    probs = [ONE] * instance.n
+    for v, (owner, _) in zip(x.coords, instance.variable_index):
+        if owner is None:
+            raise InvariantError("the curve-ratio keep formula needs an "
+                                 "owner for every variable")
+        probs[owner] = curve.value_at(v) / v if v > 0 else ONE
+    return tuple(probs)
 
 
 def _round_point(instance: Instance,
@@ -69,8 +63,7 @@ def _round_point(instance: Instance,
     cached = instance.vertex_lotteries.get(x.coords)
     if cached is not None:
         return cached
-    dist = exact_distribution(
-        convex_decompose(x, instance.spec.decomposition_scale, instance))
+    dist = convex_decompose(x, instance.spec.decomposition_scale, instance)
     return adjust(dist, instance.spec.rounding_case,
                   keep_probabilities(instance, x))
 
@@ -197,24 +190,16 @@ def realized_payments(instance: Instance, profile: ValuationProfile,
     return tuple(result)
 
 
-def distributional_range(instance: Instance) -> RangeDescriptor:
-    """Descriptor of the image of the rounding pipeline over the polytope."""
-    spec = instance.spec
-    return RangeDescriptor(family=instance.family, alpha=spec.alpha,
-                           decomposition_scale=spec.decomposition_scale,
-                           rounding_case=spec.rounding_case, beta=spec.beta,
-                           keep_prob_name=spec.keep_prob_name,
-                           polytope=build_polytope(instance))
-
-
-def range_contains(descriptor: RangeDescriptor, instance: Instance,
+def range_contains(instance: Instance,
                    dist: AllocationDistribution) -> bool:
     """Exact membership test for the distributional range.
 
-    Reconstructs the unique candidate preimage from the distribution's
-    variable marginals (dividing out the scale and thinning, or inverting
-    the curve for case a), then accepts iff the preimage lies in the
-    polytope and the pipeline reproduces the distribution bit for bit.
+    The range is the image of the rounding pipeline over the family
+    polytope, so it depends on the instance alone.  Reconstructs the unique
+    candidate preimage from the distribution's variable marginals (dividing
+    out the calibration, or inverting the family's curve), then accepts iff
+    the preimage lies in the polytope and the pipeline reproduces the
+    distribution bit for bit.
     """
     feasible = set(enumerate_feasible(instance))
     if any(a not in feasible for a in dist.support()):
@@ -225,22 +210,17 @@ def range_contains(descriptor: RangeDescriptor, instance: Instance,
         chi = indicator(instance, alloc)
         for v in range(nv):
             marginals[v] += p * chi[v]
-    coords = []
-    if descriptor.rounding_case == "a":
-        if instance.spec.curve is None:
-            raise InvariantError("rounding case a needs the family's curve")
-        unit = PiecewiseCurve(instance.spec.curve)
-        for m_v in marginals:
-            if m_v > unit.points[-1][1]:
-                return False
-            coords.append(unit.inverse(m_v))
+    curve = instance.spec.curve
+    if curve is None:
+        coords = [m_v / instance.spec.calibration for m_v in marginals]
+    elif any(m_v > curve.points[-1][1] for m_v in marginals):
+        return False
     else:
-        factor = descriptor.decomposition_scale * descriptor.beta
-        coords = [m_v / factor for m_v in marginals]
+        coords = [curve.inverse(m_v) for m_v in marginals]
     if any(c > ONE for c in coords):
         return False
     preimage = FractionalPoint(tuple(coords))
-    if not contains(descriptor.polytope, preimage):
+    if not contains(build_polytope(instance), preimage):
         return False
     return _round_point(instance, preimage) == dist
 
@@ -255,17 +235,16 @@ def run_without_money(instance: Instance, profile: ValuationProfile
     of the reported peaks (lower median for even counts).
     """
     validate_profile(instance, profile)
-    if instance.family == "no-money-lottery":
+    if instance.family.money:
+        raise UnsupportedFamilyError(f"family {instance.family.name!r} is "
+                                     "not a without-money family")
+    if not instance.family.shared:
         share = Fraction(1, instance.n)
         x = FractionalPoint(tuple(share for _ in range(instance.n)))
-        return x, exact_distribution(convex_decompose(x, ONE, instance))
-    if instance.family == "single-peaked":
-        peaks = sorted(v.peak for v in profile.valuations)
-        median = peaks[(instance.n - 1) // 2]
-        position = int(median)
-        alloc = Allocation(tuple(frozenset({position})
-                                 for _ in range(instance.n)))
-        x = FractionalPoint(indicator(instance, alloc))
-        return x, AllocationDistribution.from_pairs([(alloc, ONE)])
-    raise UnsupportedFamilyError(
-        f"family {instance.family!r} is not a without-money family")
+        return x, convex_decompose(x, ONE, instance)
+    peaks = sorted(v.peak for v in profile.valuations)
+    median = peaks[(instance.n - 1) // 2]
+    position = int(median)
+    alloc = Allocation(tuple(frozenset({position}) for _ in range(instance.n)))
+    x = FractionalPoint(indicator(instance, alloc))
+    return x, AllocationDistribution.from_pairs([(alloc, ONE)])

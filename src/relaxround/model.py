@@ -13,19 +13,13 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
+    from .relaxation import PiecewiseCurve
     from .rounding import AllocationDistribution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_ENUMERATION_BOUND = 50_000
-
-#: Families whose allocations are disjoint item bundles per bidder.
-AUCTION_FAMILIES = ("single-item", "single-minded-ca", "gap-toy", "case-b",
-                    "no-money-lottery")
-#: Families where the outcome is one shared point on a public line.
-SHARED_OUTCOME_FAMILIES = ("single-peaked",)
-ALL_FAMILIES = AUCTION_FAMILIES + SHARED_OUTCOME_FAMILIES
 
 ROUNDING_CASES = ("a", "b", "c")
 
@@ -35,7 +29,7 @@ class InvariantError(RuntimeError):
 
 
 class EvaluationError(ValueError):
-    """A valuation lookup failed (e.g. unknown bundle in an explicit table)."""
+    """A valuation cannot value an allocation (e.g. two positions at once)."""
 
 
 class EnumerationTooLargeError(ValueError):
@@ -70,10 +64,34 @@ class Allocation:
         return tuple(i for i, b in enumerate(self.bundles) if b)
 
 
-# Per-bidder keep-probability formula: reads the instance structure and the
-# fractional point only, never a valuation profile (obliviousness).
-KeepProbFormula = Callable[["Instance", tuple[Fraction, ...]],
-                           tuple[Fraction, ...]]
+@dataclass(frozen=True)
+class Family:
+    """What sets one instance family apart; ``families`` registers each.
+
+    ``valuation`` is the valuation type its bidders report: additive on
+    their own bundle, single-minded, or single-peaked (one shared position
+    on a line, so its variables carry no owner).  ``money`` says whether
+    the mechanism charges payments.  The rest is the document codec:
+    ``extra`` lists the further fields a document may give, each with its
+    default (None: required); ``m`` is the item count a document must give
+    (None: any); the caps bound what a document may ask for; ``load``
+    builds the instance from n, m, the profile and the extra fields.
+    """
+
+    name: str
+    valuation: type
+    money: bool
+    load: Callable[..., "Instance"] = field(compare=False, repr=False)
+    extra: tuple[tuple[str, Any], ...] = ()
+    m: int | None = None
+    max_n: int | None = None
+    max_m: int | None = None
+    max_segments: int | None = None
+
+    @property
+    def shared(self) -> bool:
+        """Every bidder consumes the same outcome."""
+        return self.valuation is SinglePeakedValuation
 
 
 @dataclass(frozen=True)
@@ -85,19 +103,18 @@ class FamilySpec:
     ``decomposition_scale`` is the factor applied to the fractional optimum
     before it is decomposed into a lottery (it equals alpha for the scaled
     linear families and 1 for the curved one).  ``beta`` is the thinning
-    target of rounding case b.  The pipeline's approximation floor is
-    ``alpha * beta``; its payment calibration is
-    ``decomposition_scale * beta``.
+    target of rounding case b.  ``curve``, if given, is the unit curve of a
+    separable concave objective: the relaxation scales it by each bid, and
+    the case-(a) thinning keeps bidder i with probability curve(x_i)/x_i.
+    The pipeline's approximation floor is ``alpha * beta``; its payment
+    calibration is ``decomposition_scale * beta``.
     """
 
-    tag: str
     alpha: Fraction
     decomposition_scale: Fraction
     rounding_case: str
     beta: Fraction = ONE
-    keep_prob_name: str = "all-ones"
-    keep_prob: KeepProbFormula | None = field(compare=False, default=None)
-    curve: "tuple[tuple[Fraction, Fraction], ...] | None" = None
+    curve: "PiecewiseCurve | None" = None
 
     def __post_init__(self):
         if self.rounding_case not in ROUNDING_CASES:
@@ -117,7 +134,7 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """A market: bidder/item counts, family tag, and the variable space.
+    """A market: its family, bidder/item counts, and the variable space.
 
     ``variable_index`` is a bijection between relaxation variables and
     (bidder, bundle) pairs; the owner is None for shared-outcome families
@@ -129,7 +146,7 @@ class Instance:
     Both are caches, so they take no part in equality or hashing.
     """
 
-    family: str
+    family: Family
     n: int
     m: int
     variable_index: tuple[tuple[int | None, frozenset[int]], ...]
@@ -142,8 +159,6 @@ class Instance:
                                     compare=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one bidder and one item")
         seen = set()
@@ -158,7 +173,7 @@ class Instance:
             if key in seen:
                 raise ValueError(f"variable_index is not a bijection: {key}")
             seen.add(key)
-        shared = self.family in SHARED_OUTCOME_FAMILIES
+        shared = self.family.shared
         if shared and any(o is not None for o, _ in self.variable_index):
             raise ValueError("shared-outcome variables carry no owner")
         if not shared and any(o is None for o, _ in self.variable_index):
@@ -199,29 +214,6 @@ class SingleMindedValuation:
 
 
 @dataclass(frozen=True)
-class TableValuation:
-    """Explicit bundle-to-value table; missing bundles are lookup errors."""
-
-    entries: tuple[tuple[frozenset[int], Fraction], ...]
-
-    def __post_init__(self):
-        for bundle, value in self.entries:
-            if value < 0:
-                raise ValueError("table values must be nonnegative")
-            if not bundle and value != 0:
-                raise ValueError("the empty bundle must be worth exactly 0")
-
-    def lookup(self, bundle: frozenset[int]) -> Fraction:
-        if not bundle:
-            return ZERO
-        for b, v in self.entries:
-            if b == bundle:
-                return v
-        named = "{" + ",".join(str(j) for j in sorted(bundle)) + "}"
-        raise EvaluationError(f"bundle {named} not present in value table")
-
-
-@dataclass(frozen=True)
 class SinglePeakedValuation:
     """Value of position p is the negative distance to the private peak."""
 
@@ -232,7 +224,7 @@ class SinglePeakedValuation:
             raise ValueError("peak positions must be nonnegative")
 
 
-Valuation = Union[AdditiveValuation, SingleMindedValuation, TableValuation,
+Valuation = Union[AdditiveValuation, SingleMindedValuation,
                   SinglePeakedValuation]
 
 
@@ -257,8 +249,6 @@ def value_of(profile: ValuationProfile, bidder: int, alloc: Allocation) -> Fract
         return sum((v.item_values[j] for j in bundle), ZERO)
     if isinstance(v, SingleMindedValuation):
         return v.value if bundle >= v.bundle else ZERO
-    if isinstance(v, TableValuation):
-        return v.lookup(bundle)
     if isinstance(v, SinglePeakedValuation):
         if not bundle:
             return ZERO
@@ -320,7 +310,7 @@ def enumerate_feasible(instance: Instance,
 
 
 def _feasible(instance: Instance, bound: int) -> list[Allocation]:
-    if instance.family in SHARED_OUTCOME_FAMILIES:
+    if instance.family.shared:
         if instance.m + 1 > bound:
             raise EnumerationTooLargeError(bound, instance.m + 1)
         allocs = [Allocation.empty(instance.n)]
@@ -358,37 +348,18 @@ def validate_profile(instance: Instance, profile: ValuationProfile) -> None:
     if profile.n != instance.n:
         raise ValueError(f"profile has {profile.n} valuations, "
                          f"instance has {instance.n} bidders")
+    kind = instance.family.valuation
     for i, v in enumerate(profile.valuations):
-        if instance.family in ("single-item", "case-b", "no-money-lottery",
-                               "gap-toy"):
-            if not isinstance(v, AdditiveValuation):
-                raise ValueError(f"bidder {i}: family {instance.family!r} "
-                                 "uses additive valuations")
-            if len(v.item_values) != instance.m:
-                raise ValueError(f"bidder {i}: expected {instance.m} item values")
-        elif instance.family == "single-minded-ca":
-            if not isinstance(v, SingleMindedValuation):
-                raise ValueError(f"bidder {i}: single-minded valuation required")
-            _, desired = instance.variable_index[i]
-            if v.bundle != desired:
-                raise ValueError(f"bidder {i}: reported bundle does not match "
-                                 "the instance's desired bundle")
-        elif instance.family == "single-peaked":
-            if not isinstance(v, SinglePeakedValuation):
-                raise ValueError(f"bidder {i}: single-peaked valuation required")
-            if v.peak.denominator != 1 or not (0 <= v.peak < instance.m):
-                raise ValueError(f"bidder {i}: peak must be one of the "
-                                 f"{instance.m} positions")
-
-
-def scale_valuation(v: Valuation, c: Fraction) -> Valuation:
-    """Scale every value of one bidder by a nonnegative rational."""
-    if c < 0:
-        raise ValueError("scaling factor must be nonnegative")
-    if isinstance(v, AdditiveValuation):
-        return AdditiveValuation(tuple(c * x for x in v.item_values))
-    if isinstance(v, SingleMindedValuation):
-        return SingleMindedValuation(v.bundle, c * v.value)
-    if isinstance(v, TableValuation):
-        return TableValuation(tuple((b, c * x) for b, x in v.entries))
-    raise TypeError("single-peaked valuations are distances, not scalables")
+        if not isinstance(v, kind):
+            raise ValueError(f"bidder {i}: family {instance.family.name!r} "
+                             f"reads {kind.__name__}s")
+        if kind is AdditiveValuation and len(v.item_values) != instance.m:
+            raise ValueError(f"bidder {i}: expected {instance.m} item values")
+        if (kind is SingleMindedValuation
+                and v.bundle != instance.variable_index[i][1]):
+            raise ValueError(f"bidder {i}: reported bundle does not match "
+                             "the instance's desired bundle")
+        if kind is SinglePeakedValuation and (
+                v.peak.denominator != 1 or not (0 <= v.peak < instance.m)):
+            raise ValueError(f"bidder {i}: peak must be one of the "
+                             f"{instance.m} positions")

@@ -129,10 +129,9 @@ def build_polytope(instance: Instance) -> Polytope:
 
     It depends on the instance alone, so it is built once per instance.
     """
-    if instance.family not in ("single-item", "case-b", "single-minded-ca",
-                               "gap-toy"):
+    if not instance.family.money:
         raise UnsupportedFamilyError(
-            f"family {instance.family!r} has no relaxation recipe")
+            f"family {instance.family.name!r} has no relaxation recipe")
     if "polytope" in instance.derived:
         return instance.derived["polytope"]
     nv = instance.num_vars
@@ -160,7 +159,8 @@ def _bundle_value(profile: ValuationProfile, instance: Instance,
 
 def build_relaxation(instance: Instance,
                      profile: ValuationProfile) -> tuple[RelaxedObjective, Polytope]:
-    """Assemble (L, P) for the reported profile, per the family recipe.
+    """Assemble (L, P) for the reported profile: L is linear in the bids,
+    or the family's unit curve scaled by each bid.
 
     That P contains every feasible allocation's indicator depends on the
     instance alone; the family constructors prove it once per instance.
@@ -168,20 +168,16 @@ def build_relaxation(instance: Instance,
     validate_profile(instance, profile)
     poly = build_polytope(instance)
     owners = tuple(owner for owner, _ in instance.variable_index)
-    if instance.family in ("single-item", "case-b", "single-minded-ca"):
-        coeffs = tuple(_bundle_value(profile, instance, v)
-                       for v in range(instance.num_vars))
+    bids = tuple(_bundle_value(profile, instance, v)
+                 for v in range(instance.num_vars))
+    curve = instance.spec.curve
+    if curve is None:
         objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
-                                     linear_coeffs=coeffs)
-    else:  # gap-toy: per-variable concave curves scaled by the bid
-        if instance.spec.curve is None:
-            raise InvariantError(f"family {instance.family!r} declares no "
-                                 "curve for its concave objective")
-        unit = PiecewiseCurve(instance.spec.curve)
-        curves = tuple(unit.scaled(_bundle_value(profile, instance, v))
-                       for v in range(instance.num_vars))
+                                     linear_coeffs=bids)
+    else:
         objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
-                                     curves=curves)
+                                     curves=tuple(curve.scaled(bid)
+                                                  for bid in bids))
     return objective, poly
 
 

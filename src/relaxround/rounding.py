@@ -2,8 +2,8 @@
 
 The decomposition writes a scaled fractional point as an exact lottery over
 feasible allocations; it never reads a valuation profile, and neither does
-the thinning step.  The exact distribution is the primary object; sampling
-is a convenience layer on top of it.
+the thinning step.  The exact distribution is the one lottery type;
+sampling is a convenience layer on top of it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .lp import FractionalPoint, contains, phase_one
 from .model import (Allocation, Instance, ValuationProfile, ZERO, ONE,
                     enumerate_feasible, indicator, social_welfare, value_of)
-from .relaxation import UnsupportedFamilyError, build_polytope
+from .relaxation import build_polytope
 
 
 class DecompositionInfeasibleError(ValueError):
@@ -27,23 +27,6 @@ class DecompositionInfeasibleError(ValueError):
                          f"{residual} (the declared scale is too large for "
                          "this point)")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class ConvexDecomposition:
-    """A lottery sum(weight_j * allocation_j) with exact positive weights."""
-
-    terms: tuple[tuple[Fraction, Allocation], ...]
-
-    def __post_init__(self):
-        if any(w <= 0 for w, _ in self.terms):
-            raise ValueError("decomposition weights must be positive")
-        if sum((w for w, _ in self.terms), ZERO) != ONE:
-            raise ValueError("decomposition weights must sum to exactly 1")
-
-    @property
-    def support_size(self) -> int:
-        return len(self.terms)
 
 
 @dataclass(frozen=True)
@@ -86,26 +69,27 @@ class AllocationDistribution:
     def support(self) -> tuple[Allocation, ...]:
         return tuple(a for a, _ in self.entries)
 
+    @property
+    def support_size(self) -> int:
+        return len(self.entries)
+
 
 def convex_decompose(x: FractionalPoint, scale: Fraction,
-                     instance: Instance) -> ConvexDecomposition:
+                     instance: Instance) -> AllocationDistribution:
     """Exact lottery with sum(weight_j * chi(z_j)) = scale * x.
 
     The weights solve an equality system over the enumerated feasible set
-    via phase-one simplex; the empty allocation absorbs slack.  Output is
-    deterministic and its support obeys the basic-solution bound
-    num_vars + 1.
+    via phase-one simplex; the empty allocation absorbs slack.  That set
+    is sorted and duplicate-free, so the weights are the distribution's
+    entries as they stand.  Output is deterministic and its support obeys
+    the basic-solution bound num_vars + 1.
     """
     if not (ZERO < scale <= ONE):
         raise ValueError("scale must lie in (0, 1]")
     if x.dim != instance.num_vars:
         raise ValueError(f"point dimension {x.dim} does not match the "
                          f"instance's {instance.num_vars} variables")
-    try:
-        poly = build_polytope(instance)
-    except UnsupportedFamilyError:
-        poly = None
-    if poly is not None and not contains(poly, x):
+    if instance.family.money and not contains(build_polytope(instance), x):
         raise ValueError("point lies outside the family polytope")
     allocs = enumerate_feasible(instance)
     columns = [indicator(instance, a) for a in allocs]
@@ -117,15 +101,8 @@ def convex_decompose(x: FractionalPoint, scale: Fraction,
     weights, residual = phase_one(equalities, len(columns))
     if weights is None:
         raise DecompositionInfeasibleError(residual)
-    terms = tuple((w, a) for w, a in zip(weights, allocs) if w > 0)
-    return ConvexDecomposition(terms)
-
-
-def exact_distribution(decomposition: ConvexDecomposition
-                       ) -> AllocationDistribution:
-    """Merge duplicate allocations into a single exact distribution."""
-    return AllocationDistribution.from_pairs(
-        (a, w) for w, a in decomposition.terms)
+    return AllocationDistribution(tuple(
+        (a, w) for a, w in zip(allocs, weights) if w > 0))
 
 
 def adjust(dist: AllocationDistribution, case: str,

@@ -16,9 +16,11 @@ from typing import Callable, Optional, Sequence
 from .lp import FinalTableau, FractionalPoint
 from .model import (Allocation, Instance, InvariantError,
                     SingleMindedValuation, ValuationProfile, ZERO, ONE,
-                    enumerate_feasible, fractional_value, indicator,
-                    social_welfare, value_of)
-from .relaxation import build_polytope, build_relaxation
+                    enumerate_feasible, fractional_value, social_welfare,
+                    value_of)
+# No check here builds a relaxation itself; the binding stays because the
+# benchmark's tracer test expects it in every module that did.
+from .relaxation import _bundle_value, build_polytope, build_relaxation
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
 from .mechanism import (_round_point, allocate, payments, run_without_money)
@@ -125,15 +127,6 @@ def brute_force_opt(instance: Instance,
     return best_alloc, best
 
 
-def _scalar_of(instance: Instance, profile: ValuationProfile,
-               bidder: int) -> Fraction:
-    """The bid behind the bidder's variable (its bundle value)."""
-    _, bundle = instance.variable_index[bidder]
-    probe = Allocation(tuple(bundle if i == bidder else frozenset()
-                             for i in range(instance.n)))
-    return value_of(profile, bidder, probe)
-
-
 def grid_profiles(instance: Instance,
                   grid: Sequence[Fraction]) -> list[ValuationProfile]:
     """Every profile with one grid scalar per bidder."""
@@ -160,7 +153,8 @@ def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
     """The misreports to try, and a note naming any that were left out."""
     values = [Fraction(g) for g in misreport_grid]
     reports = [_Misreport(v) for v in values]
-    if instance.family != "single-minded-ca" or not include_bundle_misreports:
+    if (instance.family.valuation is not SingleMindedValuation
+            or not include_bundle_misreports):
         return reports, ""
     if instance.m > 3:
         return reports, f"bundle misreports omitted (m={instance.m} > 3)"
@@ -197,15 +191,11 @@ def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
               misreport: _Misreport,
               instance_cache: dict) -> tuple[Instance, ValuationProfile]:
     """Instance and profile as seen by the mechanism after one deviation."""
-    valuations = list(truth.valuations)
     if misreport.bundle is None:
-        if instance.family == "single-minded-ca":
-            _, bundle = instance.variable_index[bidder]
-            valuations[bidder] = SingleMindedValuation(bundle, misreport.value)
-            return instance, ValuationProfile(tuple(valuations))
-        scalars = [_scalar_of(instance, truth, i) for i in range(instance.n)]
+        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
         scalars[bidder] = misreport.value
         return instance, profile_for(instance, scalars)
+    valuations = list(truth.valuations)
     desires = tuple(misreport.bundle if i == bidder else b
                     for i, (_, b) in enumerate(instance.variable_index))
     if desires not in instance_cache:
@@ -259,7 +249,7 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
                         profile=profile_signature(truth), bidder=k,
                         misreport=mis.describe(), lhs=utility_truth[k],
                         rhs=utility_mis))
-    domain = (f"family={instance.family} n={instance.n} m={instance.m} "
+    domain = (f"family={instance.family.name} n={instance.n} m={instance.m} "
               f"values={[str(v) for v in value_grid]} "
               f"misreports={len(misreports)} per bidder")
     if omitted:
@@ -351,7 +341,7 @@ def adversarial_rounder(instance: Instance) -> Rounder:
     """
     def rounder(x: FractionalPoint,
                 profile: ValuationProfile) -> AllocationDistribution:
-        bids = [_scalar_of(instance, profile, i) for i in range(instance.n)]
+        bids = [_bundle_value(profile, instance, i) for i in range(instance.n)]
         loser = min(range(instance.n), key=lambda i: (bids[i], i))
         _, bundle = instance.variable_index[loser]
         alloc = Allocation(tuple(bundle if i == loser else frozenset()
@@ -376,7 +366,7 @@ def check_nonoblivious_condition(rounder: Rounder, instance: Instance,
     cases = 0
     for truth in grid_profiles(instance, value_grid):
         baseline = expected_welfare(rounder(x, truth), truth)
-        scalars = [_scalar_of(instance, truth, i) for i in range(instance.n)]
+        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
         for k in range(instance.n):
             for value in value_grid:
                 cases += 1
@@ -404,7 +394,7 @@ def check_without_money(instance: Instance, profile: ValuationProfile,
     feas_check = CheckResult(
         name="no-money-feasibility", passed=not bad_support,
         cases=len(dist.support()),
-        domain=f"family={instance.family} n={instance.n}",
+        domain=f"family={instance.family.name} n={instance.n}",
         witnesses=tuple(Witness(profile=profile_signature(profile),
                                 bidder=None,
                                 misreport=str(a.bitmasks()), lhs=ZERO,
@@ -434,7 +424,7 @@ def check_median_no_improvement(instance: Instance,
                                 budget: int = DEFAULT_BUDGET
                                 ) -> VerificationReport:
     """No misreported peak may move the median closer to a true peak."""
-    if instance.family != "single-peaked":
+    if not instance.family.shared:
         raise ValueError("median check applies to the single-peaked family")
     grid = [Fraction(g) for g in peak_grid]
     require_budget(len(grid) ** instance.n * instance.n * len(grid), budget)
@@ -459,16 +449,3 @@ def check_median_no_improvement(instance: Instance,
                         domain=f"peaks={[str(g) for g in grid]}^{instance.n}",
                         witnesses=tuple(witnesses))
     return VerificationReport((check,))
-
-
-def alpha_estimate(instance: Instance,
-                   profile: ValuationProfile) -> Fraction:
-    """Brute-force lower envelope of L(chi(s)) / f(s) over the feasible set."""
-    objective, _ = build_relaxation(instance, profile)
-    best = ONE
-    for alloc in enumerate_feasible(instance):
-        welfare = social_welfare(profile, alloc)
-        if welfare > 0:
-            best = min(best, objective.evaluate(indicator(instance, alloc))
-                       / welfare)
-    return best

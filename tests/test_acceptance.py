@@ -163,12 +163,12 @@ def test_criterion_5_decomposition_identities():
         for point in points:
             decomposition = convex_decompose(point, scale, instance)
             total = [ZERO] * instance.num_vars
-            for weight, alloc in decomposition.terms:
+            for alloc, weight in decomposition.entries:
                 chi = indicator(instance, alloc)
                 for v in range(instance.num_vars):
                     total[v] += weight * chi[v]
             assert tuple(total) == tuple(scale * c for c in point.coords), name
-            assert sum(w for w, _ in decomposition.terms) == 1, name
+            assert sum(w for _, w in decomposition.entries) == 1, name
             assert decomposition.support_size <= instance.num_vars + 1, name
             probes += 1
     verdict(5, f"decomposition identities, {probes} probe points, "

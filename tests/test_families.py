@@ -1,4 +1,4 @@
-"""Family constructors, their audits, and the max-finding scan."""
+"""Family constructors and their audits."""
 
 from fractions import Fraction as F
 
@@ -6,8 +6,8 @@ import pytest
 
 from relaxround import (FamilyConstructionError, adjust, allocate,
                         brute_force_opt, build_relaxation, check_approximation,
-                        convex_decompose, exact_distribution,
-                        expected_welfare, find_max, make_case_b_family,
+                        convex_decompose, expected_welfare,
+                        make_case_b_family,
                         make_gap_toy, make_no_money, make_single_item,
                         make_single_minded_ca, profile_for, run,
                         solve_relaxation, unit_gap_curve)
@@ -80,7 +80,7 @@ class TestSingleMinded:
         decomposition = convex_decompose(optimum, inst.spec.decomposition_scale,
                                          inst)
         # Half-scaling of the integral point: winners at 1/2, slack on empty.
-        total = sum(w for w, _ in decomposition.terms)
+        total = sum(w for _, w in decomposition.entries)
         assert total == 1
 
     def test_single_bidder_wanting_everything_acts_like_single_item(self):
@@ -117,7 +117,7 @@ class TestGapToy:
         profile = profile_for(inst, [F(4), F(4)])
         objective, _ = build_relaxation(inst, profile)
         probe = FractionalPoint((F(1, 2), F(1, 4)))
-        before = exact_distribution(convex_decompose(probe, ONE, inst))
+        before = convex_decompose(probe, ONE, inst)
         relaxed = objective.evaluate(probe.coords)
         assert expected_welfare(before, profile) > relaxed
         after = adjust(before, "a", keep_probabilities(inst, probe))
@@ -187,24 +187,3 @@ class TestNoMoney:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             make_no_money(2, "raffle")
-
-
-class TestFindMax:
-    @pytest.mark.parametrize("values,expected", [
-        ([F(5), F(3), F(9)], (2, F(9))),
-        ([F(4), F(4)], (0, F(4))),
-        ([F(7)], (0, F(7))),
-    ])
-    def test_linear_scan(self, values, expected):
-        assert find_max(values) == expected
-
-    def test_empty_list(self):
-        with pytest.raises(InputError):
-            find_max([])
-
-    def test_agrees_with_the_pipeline_winner(self):
-        inst = make_single_item(3)
-        for bids in ([F(2), F(6), F(4)], [F(3), F(3), F(1)]):
-            idx, _ = find_max(bids)
-            outcome = run(inst, profile_for(inst, bids), seed=0)
-            assert outcome.realized.winners() == (idx,)

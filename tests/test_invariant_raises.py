@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from relaxround import (Allocation, AllocationDistribution, FamilySpec,
-                        Instance, InvariantError, brute_force_opt,
-                        build_relaxation, distributional_range, make_gap_toy,
-                        make_no_money, make_single_item, profile_for,
-                        range_contains)
+from relaxround import (FamilySpec, FractionalPoint, Instance,
+                        InvariantError, brute_force_opt, build_relaxation,
+                        make_gap_toy, make_no_money, make_single_item,
+                        profile_for)
 from relaxround import families, relaxation, verify
+from relaxround.mechanism import keep_probabilities
 
 ONE = F(1)
 
@@ -31,13 +31,6 @@ def without_curves(objective):
     # Frozen dataclass: strip the curves behind the constructor's back.
     object.__setattr__(objective, "curves", None)
     return objective
-
-
-def curveless_gap_toy():
-    spec = FamilySpec(tag="gap-toy", alpha=ONE, decomposition_scale=ONE,
-                      rounding_case="c")
-    variables = tuple((i, frozenset({0})) for i in range(2))
-    return Instance("gap-toy", 2, 1, variables, spec)
 
 
 def test_brute_force_opt_with_an_empty_feasible_set(monkeypatch):
@@ -60,12 +53,6 @@ def test_bundle_value_of_an_ownerless_variable():
         relaxation._bundle_value(profile, instance, 0)
 
 
-def test_build_relaxation_for_a_curved_family_without_a_curve():
-    instance = curveless_gap_toy()
-    with pytest.raises(InvariantError, match="declares no curve"):
-        build_relaxation(instance, profile_for(instance, [F(3), F(2)]))
-
-
 def test_segment_columns_of_a_linear_objective():
     instance = make_single_item(2)
     objective, _ = build_relaxation(instance, profile_for(instance,
@@ -80,27 +67,13 @@ def test_residual_objective_of_a_curved_objective_without_curves():
         relaxation.residual_objective(objective, 0)
 
 
-def test_curve_ratio_keep_without_a_curve():
-    with pytest.raises(InvariantError, match="needs a curve"):
-        families._curve_ratio_keep(curveless_gap_toy(), (ONE, ONE))
-
-
 def test_curve_ratio_keep_with_an_ownerless_variable():
-    spec = FamilySpec(tag="single-peaked", alpha=ONE, decomposition_scale=ONE,
-                      rounding_case="c",
-                      curve=families.unit_gap_curve(2).points)
+    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c",
+                      curve=families.unit_gap_curve(2))
     variables = tuple((None, frozenset({p})) for p in range(2))
-    instance = Instance("single-peaked", 2, 2, variables, spec)
+    instance = Instance(families.SINGLE_PEAKED, 2, 2, variables, spec)
     with pytest.raises(InvariantError, match="owner"):
-        families._curve_ratio_keep(instance, (ONE, ONE))
-
-
-def test_range_contains_case_a_without_a_curve():
-    descriptor = distributional_range(make_gap_toy(2, 1))
-    instance = curveless_gap_toy()
-    dist = AllocationDistribution.from_pairs([(Allocation.empty(2), ONE)])
-    with pytest.raises(InvariantError, match="curve"):
-        range_contains(descriptor, instance, dist)
+        keep_probabilities(instance, FractionalPoint((ONE, ONE)))
 
 
 def test_no_guard_under_src_is_a_bare_assert():
@@ -111,3 +84,48 @@ def test_no_guard_under_src_is_a_bare_assert():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def family_name_uses(package):
+    """Lines outside families.py that compare a family against a family
+    name, or hold family names in a tuple, list, set or dict's keys."""
+    names = set(families.FAMILIES)
+
+    def named(node):
+        return isinstance(node, ast.Constant) and node.value in names
+
+    def reads_family(node):
+        return any(isinstance(n, ast.Name) and n.id == "family"
+                   or isinstance(n, ast.Attribute) and n.attr == "family"
+                   for n in ast.walk(node))
+
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                hit = (any(named(side) for side in sides)
+                       and any(reads_family(side) for side in sides))
+            elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                hit = any(named(element) for element in node.elts)
+            elif isinstance(node, ast.Dict):
+                hit = any(named(key) for key in node.keys)
+            else:
+                continue
+            if hit:
+                found.add(f"{path.relative_to(package)}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_families_py_names_a_family():
+    """Each family is one record; the rest of the package reads it."""
+    assert family_name_uses(Path(relaxation.__file__).parent) == []
+
+
+def test_a_family_name_comparison_is_found(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        'def f(instance):\n    return instance.family == "gap-toy"\n')
+    (tmp_path / "families.py").write_text('NAMES = ("gap-toy",)\n')
+    assert family_name_uses(tmp_path) == ["planted.py:2"]

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (DecompositionInfeasibleError, FormatError,
+from relaxround import (FAMILIES, DecompositionInfeasibleError, FormatError,
                         InvariantError, UnboundedError,
                         UnsupportedFamilyError, VerificationBudgetError,
                         dump_instance_document, format_fraction,
@@ -126,7 +126,8 @@ class TestBidderCap:
         err = capsys.readouterr().err
         assert "input error" in err and "'n'" in err
 
-    @pytest.mark.parametrize("family", sorted(rio.MAX_BIDDERS))
+    @pytest.mark.parametrize("family", sorted(
+        name for name, family in FAMILIES.items() if family.max_n))
     def test_one_over_the_cap_is_rejected_before_construction(
             self, family, monkeypatch):
         def never(*args, **kwargs):
@@ -135,14 +136,14 @@ class TestBidderCap:
         for name in ("make_single_item", "make_case_b_family",
                      "make_no_money", "make_single_minded_ca"):
             monkeypatch.setattr(rio.families, name, never)
-        n = rio.MAX_BIDDERS[family] + 1
+        n = FAMILIES[family].max_n + 1
         doc = {"family": family, "n": n, "m": 1, "beta": "1/2",
                "valuations": [{"kind": "additive", "values": ["1"]}] * n}
         with pytest.raises(FormatError, match="'n'.*at most"):
             load_instance_document(doc)
 
     def test_the_cap_itself_loads(self):
-        n = rio.MAX_BIDDERS["no-money-lottery"]
+        n = FAMILIES["no-money-lottery"].max_n
         doc = {"family": "no-money-lottery", "n": n, "m": 1,
                "valuations": [{"kind": "additive", "values": ["1"]}] * n}
         instance, _, _ = load_instance_document(doc)

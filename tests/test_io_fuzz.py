@@ -143,8 +143,8 @@ def test_documents_load_or_raise_format_error(doc):
     ("bundle", {"kind": "single-minded", "bundle": [1.7], "value": "3"}),
     ("bundle", {"kind": "single-minded", "bundle": "1", "value": "3"}),
     ("bundle", {"kind": "single-minded", "bundle": [True], "value": "3"}),
-    ("entries", {"kind": "table", "entries": "ab"}),
-    ("entries[0]", {"kind": "table", "entries": [[[0.5], "1"]]}),
+    ("kind", {"kind": "table", "entries": "ab"}),
+    ("kind", {"kind": "table", "entries": [[[0.5], "1"]]}),
 ])
 def test_loose_shapes_are_rejected(field, valuation):
     doc = {"family": "single-minded-ca", "n": 1, "m": 2,

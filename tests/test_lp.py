@@ -9,8 +9,7 @@ import pytest
 from relaxround import lp
 from relaxround import (FinalTableau, FractionalPoint, LPInputError,
                         Polytope, UnboundedError, contains,
-                        enumerate_vertices, maximize_linear,
-                        solve_feasibility)
+                        enumerate_vertices, maximize_linear, phase_one)
 
 ZERO = F(0)
 ONE = F(1)
@@ -171,23 +170,23 @@ class TestPolytopeValidation:
 class TestSolveFeasibility:
     def test_symmetric_system(self):
         rows = [((ONE, ONE), ONE), ((ONE, -ONE), ZERO)]
-        assert solve_feasibility(rows, 2) == (F(1, 2), F(1, 2))
+        assert phase_one(rows, 2)[0] == (F(1, 2), F(1, 2))
 
     def test_infeasible_system(self):
         rows = [((ONE, ONE), ONE), ((ONE, ZERO), F(2))]
-        assert solve_feasibility(rows, 2) is None
+        assert phase_one(rows, 2)[0] is None
 
     def test_single_equation(self):
-        assert solve_feasibility([((ONE,), ONE)], 1) == (ONE,)
+        assert phase_one([((ONE,), ONE)], 1)[0] == (ONE,)
 
     def test_negative_rhs_is_normalized(self):
         rows = [((-ONE, ZERO), F(-2)), ((ZERO, ONE), F(3))]
-        assert solve_feasibility(rows, 2) == (F(2), F(3))
+        assert phase_one(rows, 2)[0] == (F(2), F(3))
 
     def test_solution_is_basic(self):
         # 2 rows -> at most 2 nonzero entries in the returned solution
         rows = [((ONE, ONE, ONE, ONE), ONE), ((ONE, ZERO, ONE, ZERO), F(1, 2))]
-        solution = solve_feasibility(rows, 4)
+        solution, _ = phase_one(rows, 4)
         assert solution is not None
         assert sum(1 for v in solution if v != 0) <= 2
 

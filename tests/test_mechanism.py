@@ -5,8 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from relaxround import (Allocation, AllocationDistribution, FinalTableau,
-                        allocate,
-                        build_relaxation, distributional_range,
+                        FractionalPoint, allocate, build_relaxation,
                         expected_realized_payments, expected_value_per_bidder,
                         make_case_b_family, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, payments,
@@ -186,14 +185,13 @@ class TestRun:
 class TestDistributionalRange:
     def test_contains_images_of_simple_points(self):
         inst = make_single_item(2)
-        descriptor = distributional_range(inst)
         for dist in (
             AllocationDistribution.from_pairs([(win(2, 0), ONE)]),
             AllocationDistribution.from_pairs([(win(2, 1), ONE)]),
             AllocationDistribution.from_pairs([(win(2, 0), F(1, 2)),
                                                (win(2, 1), F(1, 2))]),
         ):
-            assert range_contains(descriptor, inst, dist)
+            assert range_contains(inst, dist)
 
     @pytest.mark.parametrize("build", [
         lambda: (make_single_item(2), [F(5), F(3)]),
@@ -203,32 +201,30 @@ class TestDistributionalRange:
     ])
     def test_allocate_output_is_always_in_range(self, build):
         instance, scalars = build()
-        descriptor = distributional_range(instance)
         _, dist = allocate(instance, profile_for(instance, scalars))
-        assert range_contains(descriptor, instance, dist)
+        assert range_contains(instance, dist)
 
     def test_item_violating_distribution_has_no_preimage(self):
         inst = make_single_minded_ca(2, [{0}, {0, 1}])
-        descriptor = distributional_range(inst)
         clash = AllocationDistribution.from_pairs([
             (Allocation((frozenset({0}), frozenset())), F(1, 2)),
             (Allocation((frozenset(), frozenset({0, 1}))), F(1, 2)),
         ])
-        assert not range_contains(descriptor, inst, clash)
+        assert not range_contains(inst, clash)
 
     def test_infeasible_support_is_rejected(self):
         inst = make_single_item(2)
-        descriptor = distributional_range(inst)
         overlap = AllocationDistribution.from_pairs([
             (Allocation((frozenset({0}), frozenset({0}))), ONE)])
-        assert not range_contains(descriptor, inst, overlap)
+        assert not range_contains(inst, overlap)
 
-    def test_descriptor_reads_instance_only(self):
-        inst = make_case_b_family(2, F(1, 2))
-        descriptor = distributional_range(inst)
-        assert descriptor.family == "case-b"
-        assert descriptor.beta == F(1, 2)
-        assert descriptor.keep_prob_name == "uniform-1/2"
+    def test_range_reads_the_instance_only(self):
+        """Thinning to beta = 1/2 keeps half the mass on the empty
+        allocation, so a half-half single-item lottery has no preimage."""
+        point = FractionalPoint((F(1, 2), F(1, 2)))
+        lottery = mechanism._round_point(make_single_item(2), point)
+        assert range_contains(make_single_item(2), lottery)
+        assert not range_contains(make_case_b_family(2, F(1, 2)), lottery)
 
 
 class TestRunWithoutMoney:

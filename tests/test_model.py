@@ -11,14 +11,12 @@ from itertools import product
 import pytest
 
 from relaxround import (AdditiveValuation, Allocation, EnumerationTooLargeError,
-                        EvaluationError, Polytope, SingleMindedValuation,
-                        SinglePeakedValuation, TableValuation,
-                        ValuationProfile, build_polytope, enumerate_feasible,
+                        Polytope, SingleMindedValuation,
+                        SinglePeakedValuation, ValuationProfile, build_polytope, enumerate_feasible,
                         make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
                         social_welfare, value_of)
 from relaxround import relaxation
-from relaxround.model import scale_valuation
 
 
 def bundles(*sets):
@@ -41,17 +39,11 @@ class TestValueOf:
     @pytest.mark.parametrize("valuation", [
         AdditiveValuation((F(2), F(3))),
         SingleMindedValuation(frozenset({0}), F(7)),
-        TableValuation(((frozenset({0}), F(4)),)),
         SinglePeakedValuation(F(3)),
     ])
     def test_empty_bundle_is_worth_zero(self, valuation):
         profile = ValuationProfile((valuation,))
         assert value_of(profile, 0, bundles(set())) == 0
-
-    def test_table_unknown_bundle_names_the_bundle(self):
-        profile = ValuationProfile((TableValuation(((frozenset({0}), F(4)),)),))
-        with pytest.raises(EvaluationError, match=r"\{1\}"):
-            value_of(profile, 0, bundles({1}))
 
     def test_single_peaked_is_negative_distance(self):
         profile = ValuationProfile((SinglePeakedValuation(F(3)),))
@@ -87,8 +79,9 @@ class TestSocialWelfare:
         """Scaling one bidder's values scales exactly that contribution."""
         inst = make_single_minded_ca(2, [{0}, {0, 1}])
         profile = profile_for(inst, [F(3), F(5)])
+        first = profile.valuations[0]
         scaled = ValuationProfile((
-            scale_valuation(profile.valuations[0], F(7, 2)),
+            SingleMindedValuation(first.bundle, F(7, 2) * first.value),
             profile.valuations[1]))
         for alloc in enumerate_feasible(inst):
             base0 = value_of(profile, 0, alloc)

@@ -7,10 +7,10 @@ import pytest
 
 from relaxround import (AllocationDistribution, Allocation,
                         DecompositionInfeasibleError, FractionalPoint, adjust,
-                        convex_decompose, exact_distribution,
-                        expected_value_per_bidder, expected_welfare, indicator,
-                        make_single_item, make_single_minded_ca, profile_for,
-                        sample, solve_feasibility)
+                        convex_decompose, expected_value_per_bidder,
+                        expected_welfare, indicator, make_single_item,
+                        make_single_minded_ca, phase_one, profile_for,
+                        sample)
 
 ZERO = F(0)
 ONE = F(1)
@@ -24,12 +24,12 @@ def win(n, i):
 def decomposition_identity(instance, x, scale):
     decomposition = convex_decompose(x, scale, instance)
     total = [ZERO] * instance.num_vars
-    for weight, alloc in decomposition.terms:
+    for alloc, weight in decomposition.entries:
         chi = indicator(instance, alloc)
         for v in range(instance.num_vars):
             total[v] += weight * chi[v]
     assert tuple(total) == tuple(scale * c for c in x.coords)
-    assert sum(w for w, _ in decomposition.terms) == 1
+    assert sum(w for _, w in decomposition.entries) == 1
     assert decomposition.support_size <= instance.num_vars + 1
     return decomposition
 
@@ -37,8 +37,8 @@ def decomposition_identity(instance, x, scale):
 class TestConvexDecompose:
     def test_symmetric_half_half(self):
         inst = make_single_item(2)
-        dist = exact_distribution(
-            convex_decompose(FractionalPoint((F(1, 2), F(1, 2))), ONE, inst))
+        dist = convex_decompose(FractionalPoint((F(1, 2), F(1, 2))), ONE,
+                                inst)
         assert dist.mass(win(2, 0)) == F(1, 2)
         assert dist.mass(win(2, 1)) == F(1, 2)
 
@@ -46,12 +46,12 @@ class TestConvexDecompose:
         """Oracle: solve the 3-allocation weight system directly."""
         inst = make_single_item(2)
         x = FractionalPoint((F(1, 4), F(1, 2)))
-        dist = exact_distribution(convex_decompose(x, ONE, inst))
+        dist = convex_decompose(x, ONE, inst)
         # Columns follow the enumeration order: empty, b0-wins, b1-wins.
         rows = [((ZERO, ONE, ZERO), F(1, 4)),
                 ((ZERO, ZERO, ONE), F(1, 2)),
                 ((ONE, ONE, ONE), ONE)]
-        oracle = solve_feasibility(rows, 3)
+        oracle, _ = phase_one(rows, 3)
         assert oracle == (F(1, 4), F(1, 4), F(1, 2))
         assert dist.mass(Allocation.empty(2)) == oracle[0]
         assert dist.mass(win(2, 0)) == oracle[1]
@@ -62,7 +62,7 @@ class TestConvexDecompose:
         alloc = win(3, 1)
         x = FractionalPoint(indicator(inst, alloc))
         decomposition = convex_decompose(x, ONE, inst)
-        assert decomposition.terms == ((ONE, alloc),)
+        assert decomposition.entries == ((alloc, ONE),)
 
     def test_identity_on_probe_grid(self):
         inst = make_single_minded_ca(2, [{0}, {0, 1}])
@@ -203,7 +203,7 @@ class TestExpectations:
         profile = profile_for(inst, [F(5), F(3)])
         objective, poly = build_relaxation(inst, profile)
         optimum = solve_relaxation(objective, poly)
-        dist = exact_distribution(convex_decompose(optimum, ONE, inst))
+        dist = convex_decompose(optimum, ONE, inst)
         assert expected_welfare(dist, profile) == objective.evaluate(optimum.coords) == 5
 
     def test_scaled_decomposition_calibrates_linear_objectives(self):
@@ -218,7 +218,7 @@ class TestExpectations:
             from relaxround import contains
             if not contains(poly, x):
                 continue
-            dist = exact_distribution(convex_decompose(x, scale, inst))
+            dist = convex_decompose(x, scale, inst)
             assert expected_welfare(dist, profile) == \
                 scale * objective.evaluate(coords)
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from relaxround import (FormatError, VerificationBudgetError,
+from relaxround import (FAMILIES, FormatError, VerificationBudgetError,
                         check_truthfulness, load_instance_document,
                         make_no_money)
 from relaxround import cli, io as rio, verify
@@ -53,9 +53,10 @@ def test_a_million_exits_two_fast(field, doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, doc", [
-    ("segments", gap_toy_doc(segments=rio.MAX_SEGMENTS + 1)),
-    ("m", gap_toy_doc(m=rio.MAX_ITEMS["gap-toy"] + 1)),
-    ("m", single_peaked_doc(m=rio.MAX_ITEMS["single-peaked"] + 1)),
+    ("segments",
+     gap_toy_doc(segments=FAMILIES["gap-toy"].max_segments + 1)),
+    ("m", gap_toy_doc(m=FAMILIES["gap-toy"].max_m + 1)),
+    ("m", single_peaked_doc(m=FAMILIES["single-peaked"].max_m + 1)),
 ])
 def test_one_over_the_cap_is_rejected_before_construction(field, doc,
                                                           monkeypatch):
@@ -69,8 +70,9 @@ def test_one_over_the_cap_is_rejected_before_construction(field, doc,
 
 
 @pytest.mark.parametrize("doc", [
-    gap_toy_doc(n=1, m=rio.MAX_ITEMS["gap-toy"], segments=rio.MAX_SEGMENTS),
-    single_peaked_doc(m=rio.MAX_ITEMS["single-peaked"]),
+    gap_toy_doc(n=1, m=FAMILIES["gap-toy"].max_m,
+                segments=FAMILIES["gap-toy"].max_segments),
+    single_peaked_doc(m=FAMILIES["single-peaked"].max_m),
 ])
 def test_the_caps_themselves_load(doc):
     instance, _, _ = load_instance_document(doc)

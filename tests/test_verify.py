@@ -7,7 +7,7 @@ import pytest
 
 from relaxround import (Allocation, AllocationDistribution,
                         VerificationBudgetError, adversarial_rounder,
-                        alpha_estimate, brute_force_opt, check_approximation,
+                        brute_force_opt, check_approximation,
                         check_median_no_improvement,
                         check_nonoblivious_condition, check_obliviousness,
                         check_truthfulness, check_without_money,
@@ -220,13 +220,3 @@ class TestOracleEquivalence:
             _, dist = allocate(inst, profile)
             best_alloc, _ = brute_force_opt(inst, profile)
             assert dist.support() == (best_alloc,)
-
-
-class TestAlphaEstimate:
-    def test_linear_families_sit_at_one(self):
-        inst = make_single_item(2)
-        assert alpha_estimate(inst, profile_for(inst, [F(5), F(3)])) == 1
-
-    def test_gap_toy_matches_declared_alpha(self):
-        inst = make_gap_toy(2, 1)
-        assert alpha_estimate(inst, profile_for(inst, [F(4), F(2)])) == inst.spec.alpha
