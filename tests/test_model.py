@@ -39,6 +39,7 @@ class TestValueOf:
     @pytest.mark.parametrize("valuation", [
         AdditiveValuation((F(2), F(3))),
         SingleMindedValuation(frozenset({0}), F(7)),
+        SingleMindedValuation(frozenset({0, 1}), F(4)),
         SinglePeakedValuation(F(3)),
     ])
     def test_empty_bundle_is_worth_zero(self, valuation):
