@@ -62,6 +62,11 @@ class Polytope:
             if self.packing and any(c < 0 for c in coeffs):
                 raise LPInputError("packing polytopes require nonnegative "
                                    "constraint coefficients")
+        # Each row's nonzero (index, coefficient) pairs, for ``contains``:
+        # family rows are mostly 0/1 with few ones.
+        object.__setattr__(self, "_sparse", tuple(
+            (tuple((j, c) for j, c in enumerate(coeffs) if c), bound)
+            for coeffs, bound in self.constraints))
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ def contains(poly: Polytope, x: FractionalPoint) -> bool:
     if x.dim != poly.num_vars:
         raise LPInputError(f"point has dimension {x.dim}, "
                            f"polytope has {poly.num_vars}")
-    for coeffs, bound in poly.constraints:
-        if sum((c * v for c, v in zip(coeffs, x.coords)), ZERO) > bound:
+    coords = x.coords
+    for pairs, bound in poly._sparse:  # type: ignore[attr-defined]
+        if sum((c * coords[j] for j, c in pairs), ZERO) > bound:
             return False
     return True
 
@@ -150,6 +156,14 @@ class FinalTableau:
     ends: list[int] = field(default_factory=list)
     start: int = 0
     carry: Optional[tuple[int, Optional[Fraction], int, int]] = None
+
+    def zero_at(self, columns: Sequence[int]) -> bool:
+        """Whether every listed LP column is 0 in the recorded solution."""
+        if self.rows is None:
+            raise LPInputError("no optimal tableau has been recorded")
+        basic = dict(zip(self.basis, self.rows))
+        return not any((self.at_cap[c] and self.cap[c])
+                       or (c in basic and basic[c][-1]) for c in columns)
 
     def maximum(self, objective: Sequence[Fraction]) -> Fraction:
         """Optimal value of the LP with per-column costs ``objective``.

@@ -105,7 +105,7 @@ def payments(instance: Instance, profile: ValuationProfile,
 
     p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
     residual maximum is re-optimized from the optimal tableau of max L, on
-    the same (segment-expanded) LP, so both terms live on the same scale.
+    the same LP, so both terms live on the same scale.
     That tableau is ``final`` as ``allocate`` recorded it for this instance
     and profile, or else a new solve; another LP's raises InvariantError.
     """

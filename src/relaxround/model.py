@@ -7,10 +7,11 @@ zero tolerance.  All types are immutable and all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .relaxation import PiecewiseCurve
@@ -224,8 +225,7 @@ class SinglePeakedValuation:
             raise ValueError("peak positions must be nonnegative")
 
 
-Valuation = Union[AdditiveValuation, SingleMindedValuation,
-                  SinglePeakedValuation]
+Valuation = AdditiveValuation | SingleMindedValuation | SinglePeakedValuation
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,10 @@ def residual_maximum(objective: RelaxedObjective, k: int,
     Zeroed columns add nothing and P is packing, so the maximum equals that
     of ``residual_objective(objective, k)`` over P.  Raises InvariantError
     if ``final`` was recorded for other costs than L's.
+
+    A bidder who wins nothing at the recorded optimum x* needs no
+    re-optimization: costs are nonnegative, so L^{-k} <= L on P, and
+    L^{-k}(x*) = L(x*) is already the recorded value.
     """
     _check_bidder(objective, k)
     if objective.is_linear:
@@ -253,6 +257,8 @@ def residual_maximum(objective: RelaxedObjective, k: int,
     if tuple(costs) != final.slopes:
         raise InvariantError("the recorded tableau was solved for other "
                              "costs than this relaxation's")
+    if final.zero_at([c for c, owner in enumerate(owners) if owner == k]):
+        return final.prices[-1]
     return final.maximum([ZERO if owner == k else c
                           for c, owner in zip(costs, owners)])
 

@@ -8,22 +8,22 @@ through the pipeline.  The brute-force welfare oracle lives here too.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lp import FinalTableau, FractionalPoint
 from .model import (Allocation, Instance, InvariantError,
                     SingleMindedValuation, ValuationProfile, ZERO, ONE,
                     enumerate_feasible, fractional_value, social_welfare,
                     value_of)
-# No check here builds a relaxation itself; the binding stays because the
-# benchmark's tracer test expects it in every module that did.
-from .relaxation import _bundle_value, build_polytope, build_relaxation
+from .relaxation import (_bundle_value, build_polytope, build_relaxation,
+                         residual_maximum)
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
-from .mechanism import (_round_point, allocate, payments, run_without_money)
+from .mechanism import _round_point, allocate, run_without_money
 from .families import profile_for, with_desires
 
 DEFAULT_BUDGET = 1_000_000
@@ -165,26 +165,68 @@ def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
     return [_Misreport(v, b) for b in bundles for v in values], ""
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """One pipeline run as the verifier keeps it: the lottery, the reported
+    expected values and their total, the optimal tableau of max L, and the
+    payments a ``payment_rule`` charged (None without one)."""
+
+    dist: AllocationDistribution
+    values: tuple[Fraction, ...]
+    total: Fraction
+    final: FinalTableau
+    charged: Optional[tuple[Fraction, ...]]
+
+
 class _PipelineCache:
-    """Memoizes (distribution, payments) per reported instance + profile;
-    a miss solves one LP, whose optimal tableau the payments re-price."""
+    """Memoizes one check's outcomes per reported instance + profile, and
+    each Clarke pivot calibration * max L^{-k} by the others' reports.
+
+    A miss solves one LP, whose optimal tableau prices the pivots.  The
+    pivot reads neither k's bundle nor k's value: P is packing and L^{-k}
+    zeroes every column k owns, so max L^{-k} over P is the maximum over
+    P with x_k = 0 (see ``residual_maximum``).  The instances of one check
+    share their family, item count and calibration.
+    """
 
     def __init__(self, payment_rule: Optional[PaymentRule]):
         self.payment_rule = payment_rule
-        self._store: dict[tuple, tuple] = {}
+        self._store: dict[tuple, _Outcome] = {}
+        self._pivots: dict[tuple, Fraction] = {}
 
-    def outcome(self, instance: Instance, profile: ValuationProfile):
-        bundles = tuple(b for _, b in instance.variable_index)
-        key = (bundles, profile)
-        if key not in self._store:
+    def outcome(self, instance: Instance,
+                profile: ValuationProfile) -> _Outcome:
+        key = (tuple(b for _, b in instance.variable_index), profile)
+        found = self._store.get(key)
+        if found is None:
             final = FinalTableau()
             _, dist = allocate(instance, profile, final)
-            if self.payment_rule is None:
-                pay = payments(instance, profile, dist, final)
-            else:
-                pay = self.payment_rule(instance, profile, dist)
-            self._store[key] = (dist, pay)
-        return self._store[key]
+            values = expected_value_per_bidder(dist, profile)
+            charged = (None if self.payment_rule is None
+                       else self.payment_rule(instance, profile, dist))
+            found = self._store[key] = _Outcome(
+                dist, values, sum(values, ZERO), final, charged)
+        return found
+
+    def _pivot_key(self, instance: Instance, profile: ValuationProfile,
+                   k: int) -> tuple:
+        others = tuple(var for var in instance.variable_index if var[0] != k)
+        return (k, others, profile.valuations[:k] + profile.valuations[k + 1:])
+
+    def payment(self, instance: Instance, profile: ValuationProfile,
+                k: int) -> Fraction:
+        """Bidder k's expected payment: the pivot less the others' values."""
+        found = self.outcome(instance, profile)
+        if found.charged is not None:
+            return found.charged[k]
+        key = self._pivot_key(instance, profile, k)
+        pivot = self._pivots.get(key)
+        if pivot is None:
+            objective, _ = build_relaxation(instance, profile)
+            pivot = self._pivots[key] = (
+                instance.spec.calibration
+                * residual_maximum(objective, k, found.final))
+        return pivot - (found.total - found.values[k])
 
 
 def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
@@ -231,19 +273,19 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     witnesses = []
     cases = 0
     for truth in profiles:
-        dist_truth, pay_truth = cache.outcome(instance, truth)
-        value_truth = expected_value_per_bidder(dist_truth, truth)
-        utility_truth = [value_truth[k] - pay_truth[k]
+        value_truth = cache.outcome(instance, truth).values
+        utility_truth = [value_truth[k] - cache.payment(instance, truth, k)
                          for k in range(instance.n)]
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1
                 rep_instance, rep_profile = _reported(instance, truth, k, mis,
                                                       instance_cache)
-                dist_mis, pay_mis = cache.outcome(rep_instance, rep_profile)
+                dist_mis = cache.outcome(rep_instance, rep_profile).dist
                 true_value = sum((p * value_of(truth, k, a)
                                   for a, p in dist_mis.entries), ZERO)
-                utility_mis = true_value - pay_mis[k]
+                utility_mis = true_value - cache.payment(rep_instance,
+                                                         rep_profile, k)
                 if utility_truth[k] < utility_mis:
                     witnesses.append(Witness(
                         profile=profile_signature(truth), bidder=k,

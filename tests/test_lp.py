@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relaxround import lp
 from relaxround import (FinalTableau, FractionalPoint, LPInputError,
@@ -154,6 +156,52 @@ class TestContains:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(LPInputError):
             contains(box(2), FractionalPoint((ONE,)))
+
+
+def dense_contains(poly, coords):
+    """The membership formula over every coefficient, zeros included."""
+    return all(sum((c * v for c, v in zip(coeffs, coords)), ZERO) <= bound
+               for coeffs, bound in poly.constraints)
+
+
+rationals = st.builds(F, st.integers(0, 6), st.integers(1, 4))
+
+
+@st.composite
+def polytope_and_point(draw):
+    n = draw(st.integers(1, 5))
+    packing = draw(st.booleans())
+    low = 0 if packing else -3
+    coeff = st.builds(F, st.integers(low, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.tuples(*[coeff] * n), rationals),
+                         max_size=5))
+    point = draw(st.tuples(*[rationals] * n))
+    return Polytope(n, tuple(rows), packing), point, draw(st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(polytope_and_point())
+def test_contains_matches_the_dense_formula(case):
+    """Random points, then the point scaled onto P's boundary along its
+    ray (accepted) and that point moved 1/q outward (rejected)."""
+    poly, coords, q = case
+    assert contains(poly, FractionalPoint(coords)) == dense_contains(poly,
+                                                                     coords)
+    reach = [(bound / a, coeffs) for coeffs, bound in poly.constraints
+             for a in [sum((c * v for c, v in zip(coeffs, coords)), ZERO)]
+             if a > 0]
+    if not reach:
+        return
+    t, coeffs = min(reach, key=lambda pair: pair[0])
+    on_facet = tuple(t * v for v in coords)
+    assert contains(poly, FractionalPoint(on_facet))
+    assert dense_contains(poly, on_facet)
+    j = next(j for j, c in enumerate(coeffs) if c > 0 and coords[j] > 0)
+    nudged = tuple(v + F(1, q) if i == j else v
+                   for i, v in enumerate(on_facet))
+    assert not contains(poly, FractionalPoint(nudged))
+    assert not dense_contains(poly, nudged)
 
 
 class TestPolytopeValidation:

@@ -110,21 +110,36 @@ class TestSolveRelaxation:
 
 class TestResidualMaximum:
     @pytest.mark.parametrize("build", [
-        lambda: (make_single_item(3), [F(5), F(5), F(2)]),
+        lambda: (make_single_item(3), [F(5), F(5), F(2)], [0]),
         lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
-                 [F(3), F(2), ZERO]),
-        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)]),
+                 [F(3), F(2), ZERO], [0]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2]),
+        lambda: (make_gap_toy(3, 2), [F(4), ZERO, F(1)], [0, 2]),
     ])
-    def test_matches_the_cold_residual_solve(self, build):
-        instance, scalars = build()
+    def test_matches_the_cold_residual_solve(self, build, monkeypatch):
+        """Only a bidder who wins part of x* is re-optimized warm."""
+        instance, scalars, winners = build()
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, scalars))
         final = FinalTableau()
-        solve_relaxation(objective, poly, final)
+        optimum = solve_relaxation(objective, poly, final)
+        assert [k for k in range(instance.n)
+                if any(x for x, owner in zip(optimum.coords,
+                                             objective.owners)
+                       if owner == k)] == winners
+        warm, calls = FinalTableau.maximum, []
+
+        def counting(self, costs):
+            calls.append(costs)
+            return warm(self, costs)
+
+        monkeypatch.setattr(FinalTableau, "maximum", counting)
         for k in range(instance.n):
             residual = residual_objective(objective, k)
             cold = residual.evaluate(solve_relaxation(residual, poly).coords)
+            calls.clear()
             assert residual_maximum(objective, k, final) == cold
+            assert len(calls) == (k in winners)
 
     def test_index_out_of_range(self):
         inst = make_single_item(2)
