@@ -1,0 +1,97 @@
+"""SHA-256 digests of the pipeline's outputs on many seeded profiles.
+
+The golden CLI fixtures pin one profile per family; these digests pin the
+outputs of ``run``, both verifiers and the realized payment variant on a
+few hundred profiles, so a refactor that claims bit-identical outputs is
+checked on more than one input each:
+
+- ``run-ca``: ``outcome_to_obj`` of ``run`` on the single-minded auction
+  with 4 items and 6 bidders, 200 bid vectors;
+- ``run-gap-toy``: the same on gap-toy with 3 bidders, 2 machines and 16
+  segments, 60 bid vectors;
+- ``sweep-truthfulness`` and ``sweep-ratios``: ``check_truthfulness``'s
+  report and every grid profile's ``check_approximation`` ratio, for the 49
+  ordered bundle pairs of 2 single-minded bidders over 3 items, on the
+  value grid {0, 1, 2};
+- ``gap-toy-realized-payments``: ``realized_payments`` and
+  ``expected_realized_payments`` on 10 gap-toy bid vectors.
+
+Inputs come from this file's own seeded generator.  After a change that is
+meant to alter outputs, rewrite the file with
+``PYTHONPATH=src python tests/test_output_digests.py`` and say why.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+from relaxround import (check_approximation, check_truthfulness,
+                        expected_realized_payments, make_gap_toy,
+                        make_single_minded_ca, profile_for, realized_payments,
+                        run)
+from relaxround.io import format_fraction, outcome_to_obj, report_to_obj
+from relaxround.verify import grid_profiles
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+RUN_CA_DESIRES = ((0,), (1, 2), (0, 3), (2, 3), (1,), (3,))
+SWEEP_BUNDLES = [tuple(j for j in range(3) if mask >> j & 1)
+                 for mask in range(1, 8)]
+SWEEP_GRID = (F(0), F(1), F(2))
+
+
+def seeded_runs(rng, instance, count):
+    """``count`` (profile, draw seed) pairs; bids p/q, p <= 20, q <= 6."""
+    return [(profile_for(instance, [F(rng.randint(0, 20), rng.randint(1, 6))
+                                    for _ in range(instance.n)]),
+             rng.getrandbits(32)) for _ in range(count)]
+
+
+def digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fractions(values):
+    return [format_fraction(v) for v in values]
+
+
+def outputs():
+    """Every pinned output, by name."""
+    rng = random.Random(20261018)
+    run_ca = make_single_minded_ca(4, RUN_CA_DESIRES)
+    gap_toy = make_gap_toy(3, 2, 16)
+    sweep = [make_single_minded_ca(3, (a, b))
+             for a in SWEEP_BUNDLES for b in SWEEP_BUNDLES]
+    return {
+        "run-ca": [outcome_to_obj(run(run_ca, profile, seed))
+                   for profile, seed in seeded_runs(rng, run_ca, 200)],
+        "run-gap-toy": [outcome_to_obj(run(gap_toy, profile, seed))
+                        for profile, seed in seeded_runs(rng, gap_toy, 60)],
+        "sweep-truthfulness": [report_to_obj(check_truthfulness(
+            instance, SWEEP_GRID, SWEEP_GRID)) for instance in sweep],
+        "sweep-ratios": [[[format_fraction(ratio), passed]
+                          for ratio, passed in (
+                              check_approximation(instance, profile)
+                              for profile in grid_profiles(instance,
+                                                           SWEEP_GRID))]
+                         for instance in sweep],
+        "gap-toy-realized-payments": [
+            [fractions(realized_payments(gap_toy, profile, seed)),
+             fractions(expected_realized_payments(gap_toy, profile))]
+            for profile, seed in seeded_runs(rng, gap_toy, 10)],
+    }
+
+
+def test_outputs_match_the_recorded_digests():
+    want = json.loads(DIGESTS.read_text())
+    got = {name: digest(obj) for name, obj in outputs().items()}
+    assert got == want
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {name: digest(obj) for name, obj in outputs().items()},
+        indent=2, sort_keys=True) + "\n")
