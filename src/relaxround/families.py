@@ -2,17 +2,16 @@
 
 Each family is one ``Family`` record, registered in ``FAMILIES``; the rest
 of the package reads the record and the instance, never the family's name.
-Each constructor declares the family's guarantee factor, decomposition
-scale, rounding case and curve, then audits the guarantees it relies on
-before handing the instance out: that the polytope contains every feasible
-allocation's indicator, the alpha contract on probe profiles,
-decomposability at every polytope vertex for the scaled families, and the
-exact thinning calibration for the thinned families.
+Each constructor declares the family's alpha, beta and curve (the
+decomposition scale and the thinning follow from them), then audits the
+guarantees it relies on before handing the instance out: that the polytope
+contains every feasible allocation's indicator, the alpha contract on probe
+profiles, decomposability at every polytope vertex for the scaled families,
+and the exact thinning calibration for the thinned families.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
@@ -193,7 +192,7 @@ def make_single_item(n: int) -> Instance:
     if n < 1:
         raise InputError("need at least one bidder")
     variables = tuple((i, frozenset({0})) for i in range(n))
-    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c")
+    spec = FamilySpec(alpha=ONE)
     instance = Instance(SINGLE_ITEM, n, 1, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
@@ -221,15 +220,13 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
         if not all(0 <= j < m for j in b):
             raise InputError("desired bundle references an unknown item")
     variables = tuple((i, b) for i, b in enumerate(bundles))
-    spec = FamilySpec(alpha=alpha, decomposition_scale=alpha,
-                      rounding_case="c")
+    spec = FamilySpec(alpha=alpha)
     instance = Instance(SINGLE_MINDED_CA, len(bundles), m, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
-    lotteries = _audit_decomposability(instance)
-    audited = replace(instance, vertex_lotteries=MappingProxyType(lotteries))
-    audited.derived.update(instance.derived)  # the audits' polytope and set
-    return audited
+    instance.derived["vertex_lotteries"] = MappingProxyType(
+        _audit_decomposability(instance))
+    return instance
 
 
 def with_desires(instance: Instance,
@@ -256,8 +253,7 @@ def make_gap_toy(bidders: int, machines: int,
         raise InputError("desk-scale audits cap the toy at 4 bidders")
     curve = unit_gap_curve(segments)
     variables = tuple((i, frozenset({i % machines})) for i in range(bidders))
-    spec = FamilySpec(alpha=curve.value_at(ONE), decomposition_scale=ONE,
-                      rounding_case="a", curve=curve)
+    spec = FamilySpec(alpha=curve.value_at(ONE), curve=curve)
     instance = Instance(GAP_TOY, bidders, machines, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
@@ -272,8 +268,7 @@ def make_case_b_family(n: int, beta: Fraction) -> Instance:
     if not (ZERO < beta <= ONE):
         raise InputError("beta must lie in (0, 1]")
     variables = tuple((i, frozenset({0})) for i in range(n))
-    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="b",
-                      beta=beta)
+    spec = FamilySpec(alpha=ONE, beta=beta)
     instance = Instance(CASE_B, n, 1, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
@@ -286,7 +281,7 @@ def make_no_money(n: int, kind: str,
     """Without-money families: uniform lottery or median of peaks."""
     if n < 1:
         raise InputError("need at least one bidder")
-    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c")
+    spec = FamilySpec(alpha=ONE)
     if kind == "lottery":
         variables = tuple((i, frozenset({0})) for i in range(n))
         return Instance(NO_MONEY_LOTTERY, n, 1, variables, spec)

@@ -182,6 +182,9 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
         raise FormatError("m", f"{name} instances have m = {family.m}")
     extras = {key: _extra_field(obj, key, default, family)
               for key, default in family.extra}
+    payment_rule = obj.get("payment_rule", "expected-vcg")
+    if payment_rule not in PAYMENT_RULES:
+        raise FormatError("payment_rule", f"must be one of {PAYMENT_RULES}")
     try:
         instance = family.load(n, m, profile, **extras)
     except ValueError as exc:
@@ -190,10 +193,6 @@ def load_instance_document(obj: Any) -> tuple[Instance, ValuationProfile, str]:
         validate_profile(instance, profile)
     except ValueError as exc:
         raise FormatError("valuations", str(exc)) from exc
-    payment_rule = obj.get("payment_rule", "expected-vcg")
-    if payment_rule not in PAYMENT_RULES:
-        raise FormatError("payment_rule",
-                          f"must be one of {PAYMENT_RULES}")
     return instance, profile, payment_rule
 
 

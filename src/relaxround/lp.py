@@ -137,7 +137,7 @@ class FinalTableau:
     names each row's basic LP column c, or slack i as len(slopes) + i;
     ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
     holds c_B B^-1 over the tableau columns, then the objective value.
-    ``polytope`` is the one solved on; ``_step`` explains the rest.
+    ``_step`` explains the rest.
 
     Pass one to ``maximize_linear`` to have it filled in.  A new cost per
     LP column leaves that basis and those caps primal feasible, so
@@ -152,7 +152,6 @@ class FinalTableau:
     slopes: tuple[Fraction, ...] = ()
     var: tuple[int, ...] = ()
     cap: tuple[Optional[Fraction], ...] = ()
-    polytope: Optional[Polytope] = None
     ends: list[int] = field(default_factory=list)
     start: int = 0
     carry: Optional[tuple[int, Optional[Fraction], int, int]] = None
@@ -192,7 +191,7 @@ class FinalTableau:
         # the lists leave the recorded state intact for the next cost row.
         resumed = FinalTableau(list(self.rows), list(self.basis),
                                list(self.at_cap), prices, tuple(objective),
-                               self.var, self.cap, self.polytope,
+                               self.var, self.cap,
                                _run_ends(objective, self.var))
         _bland(resumed)
         return resumed.prices[-1]
@@ -377,7 +376,6 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
                            f"expected {len(var)}")
     t = final if final is not None else FinalTableau()
     _slack_start(t, n, poly.constraints, objective, var, cap)
-    t.polytope = poly
     _bland(t)
     return FractionalPoint(tuple(_values(t))), t.prices[-1]
 

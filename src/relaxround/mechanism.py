@@ -64,8 +64,7 @@ def _round_point(instance: Instance,
     if cached is not None:
         return cached
     dist = convex_decompose(x, instance.spec.decomposition_scale, instance)
-    return adjust(dist, instance.spec.rounding_case,
-                  keep_probabilities(instance, x))
+    return adjust(dist, keep_probabilities(instance, x))
 
 
 def _solve(instance: Instance, profile: ValuationProfile
@@ -99,23 +98,14 @@ def allocate(instance: Instance, profile: ValuationProfile,
 
 
 def payments(instance: Instance, profile: ValuationProfile,
-             dist: AllocationDistribution,
-             final: FinalTableau | None = None) -> tuple[Fraction, ...]:
+             dist: AllocationDistribution) -> tuple[Fraction, ...]:
     """Expected externality payments on the calibrated scale.
 
     p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
     residual maximum is re-optimized from the optimal tableau of max L, on
     the same LP, so both terms live on the same scale.
-    That tableau is ``final`` as ``allocate`` recorded it for this instance
-    and profile, or else a new solve; another LP's raises InvariantError.
     """
-    if final is None:
-        objective, _, final = _solve(instance, profile)
-    else:
-        objective, poly = build_relaxation(instance, profile)
-        if final.polytope != poly:
-            raise InvariantError("the recorded tableau was solved on another "
-                                 "polytope than this instance's")
+    objective, _, final = _solve(instance, profile)
     return _charge(instance, profile, dist, objective, final)
 
 

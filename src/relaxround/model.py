@@ -22,8 +22,6 @@ ONE = Fraction(1)
 
 DEFAULT_ENUMERATION_BOUND = 50_000
 
-ROUNDING_CASES = ("a", "b", "c")
-
 
 class InvariantError(RuntimeError):
     """An internal guarantee failed: the program is at fault, not its input."""
@@ -97,35 +95,36 @@ class Family:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Mechanism parameters of an instance family.
+    """Mechanism parameters of an instance family: alpha, beta and a curve.
 
     ``alpha`` is the welfare guarantee factor: the relaxed objective at any
     feasible allocation's indicator is at least alpha times its welfare.
-    ``decomposition_scale`` is the factor applied to the fractional optimum
-    before it is decomposed into a lottery (it equals alpha for the scaled
-    linear families and 1 for the curved one).  ``beta`` is the thinning
-    target of rounding case b.  ``curve``, if given, is the unit curve of a
-    separable concave objective: the relaxation scales it by each bid, and
-    the case-(a) thinning keeps bidder i with probability curve(x_i)/x_i.
-    The pipeline's approximation floor is ``alpha * beta``; its payment
-    calibration is ``decomposition_scale * beta``.
+    ``curve``, if given, is the unit curve of a separable concave objective;
+    the relaxation scales it by each bid.  The rest follows: a linear
+    objective decomposes alpha times its optimum (the scaled decomposition
+    of Lavi-Swamy) and keeps every bidder with probability ``beta`` (case
+    b; case c at beta = 1); a curved one decomposes its optimum and keeps
+    bidder i with probability curve(x_i)/x_i (case a), so beta must be 1.
+    The approximation floor is ``alpha * beta``.
     """
 
     alpha: Fraction
-    decomposition_scale: Fraction
-    rounding_case: str
     beta: Fraction = ONE
     curve: "PiecewiseCurve | None" = None
 
     def __post_init__(self):
-        if self.rounding_case not in ROUNDING_CASES:
-            raise ValueError(f"unknown rounding case {self.rounding_case!r}")
-        if not (ZERO < self.alpha * self.beta <= ONE):
-            raise ValueError("alpha*beta must lie in (0, 1]")
-        if not (ZERO < self.decomposition_scale <= ONE):
-            raise ValueError("decomposition scale must lie in (0, 1]")
-        if self.rounding_case != "b" and self.beta != ONE:
-            raise ValueError("beta is only meaningful for rounding case b")
+        if not (ZERO < self.alpha <= ONE):
+            raise ValueError("alpha must lie in (0, 1]")
+        if not (ZERO < self.beta <= ONE):
+            raise ValueError("beta must lie in (0, 1]")
+        if self.curve is not None and self.beta != ONE:
+            raise ValueError("a curve does the thinning, so beta must be 1")
+
+    @property
+    def decomposition_scale(self) -> Fraction:
+        """Factor on the optimum before decomposing: 1 with a curve, else
+        alpha."""
+        return ONE if self.curve is not None else self.alpha
 
     @property
     def calibration(self) -> Fraction:
@@ -139,12 +138,10 @@ class Instance:
 
     ``variable_index`` is a bijection between relaxation variables and
     (bidder, bundle) pairs; the owner is None for shared-outcome families
-    where every bidder consumes the same point.  ``vertex_lotteries`` maps
-    each polytope vertex's coordinates to its finished lottery, for the
-    families whose constructor rounds every vertex anyway (empty for the
-    rest).  ``derived`` keeps facts of the instance alone (its polytope and
-    feasible set), each computed on first use and never changed after.
-    Both are caches, so they take no part in equality or hashing.
+    where every bidder consumes the same point.  ``derived`` keeps facts
+    of the instance alone (its polytope, feasible set and vertex
+    lotteries), each computed once and never changed after; it is a cache,
+    so it takes no part in equality or hashing.
     """
 
     family: Family
@@ -152,10 +149,6 @@ class Instance:
     m: int
     variable_index: tuple[tuple[int | None, frozenset[int]], ...]
     spec: FamilySpec
-    vertex_lotteries: Mapping[tuple[Fraction, ...],
-                              AllocationDistribution] = field(
-        default_factory=lambda: MappingProxyType({}), compare=False,
-        repr=False)
     derived: dict[str, Any] = field(default_factory=dict, init=False,
                                     compare=False, repr=False)
 
@@ -183,6 +176,13 @@ class Instance:
     @property
     def num_vars(self) -> int:
         return len(self.variable_index)
+
+    @property
+    def vertex_lotteries(self) -> Mapping[tuple[Fraction, ...],
+                                          AllocationDistribution]:
+        """Each polytope vertex's finished lottery, by its coordinates, for
+        the families whose constructor rounds every vertex; else empty."""
+        return self.derived.get("vertex_lotteries", MappingProxyType({}))
 
 
 # ---------------------------------------------------------------------------

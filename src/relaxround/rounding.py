@@ -105,23 +105,19 @@ def convex_decompose(x: FractionalPoint, scale: Fraction,
         (a, w) for a, w in zip(allocs, weights) if w > 0))
 
 
-def adjust(dist: AllocationDistribution, case: str,
+def adjust(dist: AllocationDistribution,
            keep_prob: Sequence[Fraction]) -> AllocationDistribution:
     """Second rounding r': independent per-bidder Bernoulli thinning.
 
     Each bidder's bundle is replaced by the empty bundle with probability
     1 - keep_prob[i]; the output distribution is computed exactly by
-    expanding every keep/drop pattern.  Case c is the identity.  The keep
-    probabilities must be a function of the fractional point only, never of
-    valuations.
+    expanding every keep/drop pattern.  With every probability 1 (case c)
+    it returns ``dist`` itself.  The keep probabilities must be a function
+    of the fractional point only, never of valuations.
     """
-    if case not in ("a", "b", "c"):
-        raise ValueError(f"unknown rounding case {case!r}")
     if any(not (ZERO <= q <= ONE) for q in keep_prob):
         raise ValueError("keep probabilities must lie in [0, 1]")
-    if case == "c":
-        if any(q != ONE for q in keep_prob):
-            raise ValueError("case c requires keep probabilities of 1")
+    if all(q == ONE for q in keep_prob):
         return dist
     pairs: list[tuple[Allocation, Fraction]] = []
     for alloc, p in dist.entries:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FamilyConstructionError, adjust, allocate,
+from relaxround import (FamilyConstructionError, FamilySpec, adjust, allocate,
                         brute_force_opt, build_relaxation, check_approximation,
                         convex_decompose, expected_welfare,
                         make_case_b_family,
@@ -43,6 +43,37 @@ class TestContainmentAudit:
             build()
 
 
+class TestFamilySpec:
+    """The spec holds alpha, beta and the curve; the rest is derived."""
+
+    @pytest.mark.parametrize("build, scale, calibration", [
+        (lambda: make_single_item(2), ONE, ONE),
+        (lambda: make_case_b_family(2, F(1, 2)), ONE, F(1, 2)),
+        (lambda: make_single_minded_ca(2, [{0}, {0, 1}]), F(1, 2), F(1, 2)),
+        (lambda: make_single_minded_ca(2, [{0}, {1}], alpha=ONE), ONE, ONE),
+        (lambda: make_gap_toy(2, 1), ONE, ONE),
+        (lambda: make_no_money(2, "lottery"), ONE, ONE),
+        (lambda: make_no_money(2, "single_peaked"), ONE, ONE),
+    ])
+    def test_every_shipped_family_keeps_its_scale_and_calibration(
+            self, build, scale, calibration):
+        spec = build().spec
+        assert spec.decomposition_scale == scale
+        assert spec.calibration == calibration
+
+    @pytest.mark.parametrize("alpha, beta, curve, match", [
+        (F(2), F(1, 4), None, "alpha"),
+        (ZERO, ONE, None, "alpha"),
+        (ONE, ZERO, None, "beta"),
+        (ONE, F(3, 2), None, "beta"),
+        (F(1, 2), F(1, 2), unit_gap_curve(2), "beta must be 1"),
+    ])
+    def test_a_contradictory_spec_is_refused_when_built(self, alpha, beta,
+                                                        curve, match):
+        with pytest.raises(ValueError, match=match):
+            FamilySpec(alpha=alpha, beta=beta, curve=curve)
+
+
 class TestSingleItem:
     @pytest.mark.parametrize("bids,winner,price", [
         ([F(5), F(3)], 0, F(3)),
@@ -60,7 +91,7 @@ class TestSingleItem:
 
     def test_declared_spec(self):
         spec = make_single_item(2).spec
-        assert (spec.alpha, spec.beta, spec.rounding_case) == (ONE, ONE, "c")
+        assert (spec.alpha, spec.beta, spec.curve) == (ONE, ONE, None)
 
 
 class TestSingleMinded:
@@ -120,7 +151,7 @@ class TestGapToy:
         before = convex_decompose(probe, ONE, inst)
         relaxed = objective.evaluate(probe.coords)
         assert expected_welfare(before, profile) > relaxed
-        after = adjust(before, "a", keep_probabilities(inst, probe))
+        after = adjust(before, keep_probabilities(inst, probe))
         assert expected_welfare(after, profile) == relaxed
 
     def test_zero_bids_are_zero_everywhere(self):

@@ -68,8 +68,7 @@ def test_residual_objective_of_a_curved_objective_without_curves():
 
 
 def test_curve_ratio_keep_with_an_ownerless_variable():
-    spec = FamilySpec(alpha=ONE, decomposition_scale=ONE, rounding_case="c",
-                      curve=families.unit_gap_curve(2))
+    spec = FamilySpec(alpha=ONE, curve=families.unit_gap_curve(2))
     variables = tuple((None, frozenset({p})) for p in range(2))
     instance = Instance(families.SINGLE_PEAKED, 2, 2, variables, spec)
     with pytest.raises(InvariantError, match="owner"):

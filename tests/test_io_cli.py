@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +97,25 @@ class TestInstanceDocuments:
                "payment_rule": "third-price"}
         with pytest.raises(FormatError, match="payment_rule"):
             load_instance_document(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "gap-toy", "n": 4, "m": 2,
+         "valuations": [{"kind": "additive", "values": ["1", "0"]}] * 4},
+        {"family": "single-minded-ca", "n": 8, "m": 4,
+         "valuations": [{"kind": "single-minded", "bundle": [i % 4],
+                         "value": "1"} for i in range(8)]},
+    ])
+    def test_unknown_payment_rule_is_rejected_before_construction(
+            self, doc, monkeypatch):
+        # These documents take seconds to construct.
+        def never(*args, **kwargs):
+            raise AssertionError("the family was constructed")
+
+        family = FAMILIES[doc["family"]]
+        monkeypatch.setitem(FAMILIES, family.name,
+                            replace(family, load=never))
+        with pytest.raises(FormatError, match="payment_rule"):
+            load_instance_document({**doc, "payment_rule": "second-price"})
 
     @pytest.mark.parametrize("field, doc", [
         ("n", {"family": "single-item", "n": True, "m": 1,

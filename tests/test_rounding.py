@@ -120,16 +120,11 @@ class TestAdjust:
     def test_case_c_is_identity(self):
         dist = AllocationDistribution.from_pairs([(win(2, 0), F(1, 3)),
                                                   (win(2, 1), F(2, 3))])
-        assert adjust(dist, "c", (ONE, ONE)) == dist
-
-    def test_case_c_rejects_thinning(self):
-        dist = AllocationDistribution.from_pairs([(win(2, 0), ONE)])
-        with pytest.raises(ValueError):
-            adjust(dist, "c", (F(1, 2), ONE))
+        assert adjust(dist, (ONE, ONE)) is dist
 
     def test_case_b_bernoulli_thinning(self):
         dist = AllocationDistribution.from_pairs([(win(2, 0), ONE)])
-        thinned = adjust(dist, "b", (F(1, 2), F(1, 2)))
+        thinned = adjust(dist, (F(1, 2), F(1, 2)))
         assert thinned.mass(win(2, 0)) == F(1, 2)
         assert thinned.mass(Allocation.empty(2)) == F(1, 2)
 
@@ -139,7 +134,7 @@ class TestAdjust:
         dist = AllocationDistribution.from_pairs([(both, F(2, 3)),
                                                   (win(2, 0), F(1, 3))])
         keep = (F(1, 2), F(1, 4))
-        adjusted = adjust(dist, "a", keep)
+        adjusted = adjust(dist, keep)
         oracle: dict[Allocation, F] = {}
         for alloc, p in dist.entries:
             for pattern in product([True, False], repeat=2):
@@ -168,7 +163,7 @@ class TestAdjust:
     def test_probability_out_of_range_rejected(self):
         dist = AllocationDistribution.from_pairs([(win(2, 0), ONE)])
         with pytest.raises(ValueError):
-            adjust(dist, "b", (F(3, 2), ONE))
+            adjust(dist, (F(3, 2), ONE))
 
     def test_uniform_thinning_scales_welfare_by_beta(self):
         inst = make_single_item(2)
@@ -176,7 +171,7 @@ class TestAdjust:
         dist = AllocationDistribution.from_pairs([(win(2, 0), F(1, 2)),
                                                   (win(2, 1), F(1, 2))])
         for beta in (F(1, 3), F(2, 5), ONE):
-            thinned = adjust(dist, "b", (beta, beta))
+            thinned = adjust(dist, (beta, beta))
             assert expected_welfare(thinned, profile) == beta * expected_welfare(dist, profile)
 
 

@@ -1,7 +1,8 @@
 """The per-instance table of vertex lotteries that `_round_point` reads.
 
 A single-minded constructor rounds every polytope vertex in its
-decomposability audit and keeps the results.  A linear relaxation's simplex
+decomposability audit and keeps the results in the instance's ``derived``
+facts; ``Instance.vertex_lotteries`` reads them.  A linear relaxation's simplex
 optimum is a vertex, so `run` reads its lottery from the table and never
 decomposes.  These tests check the table against the pipeline with the table
 removed, that the lookup is live, and that it changes no output.
@@ -14,7 +15,8 @@ from types import MappingProxyType
 
 import pytest
 
-from relaxround import (FractionalPoint, build_polytope, build_relaxation,
+from relaxround import (FractionalPoint, Instance, build_polytope,
+                        build_relaxation,
                         enumerate_vertices,
                         make_case_b_family, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca,
@@ -37,7 +39,10 @@ DIFFERENTIAL = ([(4, RUN_CA_DESIRES), (2, ({0}, {0, 1})),
 
 
 def untabled(instance):
-    return replace(instance, vertex_lotteries={})
+    """The same instance with no derived facts, so an empty table."""
+    bare = replace(instance)
+    assert len(bare.vertex_lotteries) == 0
+    return bare
 
 
 def seeded_bids(rng, n):
@@ -68,6 +73,11 @@ class TestTable:
 
     def test_run_ca_has_nineteen_vertices(self, run_ca):
         assert len(run_ca.vertex_lotteries) == 19
+
+    def test_the_constructor_takes_no_table(self, run_ca):
+        with pytest.raises(TypeError, match="vertex_lotteries"):
+            Instance(run_ca.family, run_ca.n, run_ca.m, run_ca.variable_index,
+                     run_ca.spec, vertex_lotteries={})
 
     def test_table_is_read_only(self, run_ca):
         coords = next(iter(run_ca.vertex_lotteries))
@@ -120,7 +130,8 @@ class TestLookup:
         other = next(c for c in table if table[c] != table[optimum.coords])
         table[optimum.coords], table[other] = (table[other],
                                                table[optimum.coords])
-        swapped = replace(run_ca, vertex_lotteries=MappingProxyType(table))
+        swapped = replace(run_ca)
+        swapped.derived["vertex_lotteries"] = MappingProxyType(table)
         honest = run(run_ca, profile, 0).distribution
         assert run(swapped, profile, 0).distribution == table[optimum.coords]
         assert run(swapped, profile, 0).distribution != honest
