@@ -265,8 +265,6 @@ def make_case_b_family(n: int, beta: Fraction) -> Instance:
     """Single-item base thinned uniformly to beta of the relaxed value."""
     if n < 1:
         raise InputError("need at least one bidder")
-    if not (ZERO < beta <= ONE):
-        raise InputError("beta must lie in (0, 1]")
     variables = tuple((i, frozenset({0})) for i in range(n))
     spec = FamilySpec(alpha=ONE, beta=beta)
     instance = Instance(CASE_B, n, 1, variables, spec)

@@ -91,7 +91,7 @@ def allocate(instance: Instance, profile: ValuationProfile,
              final: FinalTableau | None = None
              ) -> tuple[FractionalPoint, AllocationDistribution]:
     """Relax, maximize, decompose, thin; deterministic end to end.  ``final``,
-    if given, receives the optimal tableau, for ``payments``."""
+    if given, receives the optimal tableau, for ``residual_maximum``."""
     objective, poly = build_relaxation(instance, profile)
     optimum = solve_relaxation(objective, poly, final)
     return optimum, _round_point(instance, optimum)

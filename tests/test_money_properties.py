@@ -37,7 +37,7 @@ EXAMPLES = settings(max_examples=100, deadline=2000, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-BUILDERS = {
+CONSTRUCTORS = {
     "single-item": make_single_item,
     "case-b": make_case_b_family,
     "single-minded-ca": lambda m, masks: make_single_minded_ca(
@@ -48,12 +48,12 @@ BUILDERS = {
 
 @cache
 def shape(family, *args):
-    return BUILDERS[family](*args)
+    return CONSTRUCTORS[family](*args)
 
 
 @st.composite
 def shapes(draw):
-    family = draw(st.sampled_from(sorted(BUILDERS)))
+    family = draw(st.sampled_from(sorted(CONSTRUCTORS)))
     n = draw(st.integers(1, 3))
     if family == "single-item":
         return family, n
@@ -162,5 +162,5 @@ def test_half_the_decomposition_scale_breaks_the_calibration(key, bids,
     monkeypatch.setattr(FamilySpec, "decomposition_scale",
                         property(lambda spec: spec.alpha / 2))
     # A new instance, so its audits and vertex table use the halved scale.
-    instance = BUILDERS[key[0]](*key[1:])
+    instance = CONSTRUCTORS[key[0]](*key[1:])
     assert not calibrated(instance, profile_for(instance, bids))
