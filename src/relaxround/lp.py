@@ -137,7 +137,8 @@ class FinalTableau:
     names each row's basic LP column c, or slack i as len(slopes) + i;
     ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
     holds c_B B^-1 over the tableau columns, then the objective value.
-    ``_step`` explains the rest.
+    ``poly`` is the polytope ``maximize_linear`` solved over.  ``_step``
+    explains the rest.
 
     Pass one to ``maximize_linear`` to have it filled in.  A new cost per
     LP column leaves that basis and those caps primal feasible, so
@@ -155,6 +156,7 @@ class FinalTableau:
     ends: list[int] = field(default_factory=list)
     start: int = 0
     carry: Optional[tuple[int, Optional[Fraction], int, int]] = None
+    poly: Optional[Polytope] = None
 
     def zero_at(self, columns: Sequence[int]) -> bool:
         """Whether every listed LP column is 0 in the recorded solution."""
@@ -357,7 +359,8 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     ``objective[c]``; the returned point then has one coordinate per LP
     column.  Ties are resolved by Bland's rule (lowest-index entering
     variable), which also guarantees termination.  ``final``, if given,
-    receives the optimal state for re-optimizing other costs.
+    receives the optimal state and the polytope, for re-optimizing other
+    costs.
     """
     n = poly.num_vars
     if columns is None:
@@ -376,6 +379,7 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
                            f"expected {len(var)}")
     t = final if final is not None else FinalTableau()
     _slack_start(t, n, poly.constraints, objective, var, cap)
+    t.poly = poly
     _bland(t)
     return FractionalPoint(tuple(_values(t))), t.prices[-1]
 

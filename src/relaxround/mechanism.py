@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .lp import FinalTableau, FractionalPoint, Polytope, contains
+from typing import Sequence
+from .lp import FinalTableau, FractionalPoint, contains
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator,
                     validate_profile, value_of)
-from .relaxation import (RelaxedObjective, UnsupportedFamilyError,
-                         build_polytope, build_relaxation, residual_maximum,
+from .relaxation import (UnsupportedFamilyError, build_polytope,
+                         build_relaxation, residual_maximum,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, adjust, convex_decompose,
                        expected_value_per_bidder, sample)
@@ -67,23 +68,14 @@ def _round_point(instance: Instance,
     return adjust(dist, keep_probabilities(instance, x))
 
 
-def _solve(instance: Instance, profile: ValuationProfile
-           ) -> tuple[RelaxedObjective, FractionalPoint, FinalTableau]:
-    """Build (L, P) and maximize L once, keeping the optimal tableau."""
-    objective, poly = build_relaxation(instance, profile)
-    final = FinalTableau()
-    optimum = solve_relaxation(objective, poly, final)
-    return objective, optimum, final
-
-
 def _charge(instance: Instance, profile: ValuationProfile,
-            dist: AllocationDistribution, objective: RelaxedObjective,
+            dist: AllocationDistribution,
             final: FinalTableau) -> tuple[Fraction, ...]:
     """Externality payments, each residual maximum taken from ``final``."""
     expectations = expected_value_per_bidder(dist, profile)
     total = sum(expectations, ZERO)
     gamma = instance.spec.calibration
-    return tuple(gamma * residual_maximum(objective, k, final)
+    return tuple(gamma * residual_maximum(instance, final, k)
                  - (total - expectations[k]) for k in range(instance.n))
 
 
@@ -103,38 +95,53 @@ def payments(instance: Instance, profile: ValuationProfile,
 
     p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
     residual maximum is re-optimized from the optimal tableau of max L, on
-    the same LP, so both terms live on the same scale.
+    the same LP, so both terms live on the same scale.  Nothing is rounded.
     """
-    objective, _, final = _solve(instance, profile)
-    return _charge(instance, profile, dist, objective, final)
+    objective, poly = build_relaxation(instance, profile)
+    final = FinalTableau()
+    solve_relaxation(objective, poly, final)
+    return _charge(instance, profile, dist, final)
 
 
 def run(instance: Instance, profile: ValuationProfile,
         seed: int) -> MechanismOutcome:
     """Full mechanism: allocate, price, and sample one allocation.
 
-    One relaxation is built and solved; the payments re-optimize from it.
+    One relaxation is built and solved; the payments re-optimize from its
+    tableau, and the relaxed value L(x*) is the value that tableau records.
     """
-    objective, optimum, final = _solve(instance, profile)
-    dist = _round_point(instance, optimum)
-    pay = _charge(instance, profile, dist, objective, final)
+    final = FinalTableau()
+    _, dist = allocate(instance, profile, final)
+    pay = _charge(instance, profile, dist, final)
     realized = sample(dist, seed)
     if realized not in dist.support():
         raise InvariantError(f"sampled allocation {realized.bitmasks()} "
                              "is outside the distribution's support")
     return MechanismOutcome(distribution=dist, realized=realized,
                             expected_payments=pay,
-                            relaxed_value=objective.evaluate(optimum.coords),
+                            relaxed_value=final.prices[-1],
                             calibration=instance.spec.calibration, seed=seed)
 
 
-def _excluded_distribution(instance: Instance, objective: RelaxedObjective,
-                           poly: Polytope, k: int) -> AllocationDistribution:
-    """Pipeline run on the residual objective with bidder k silenced."""
-    # Cold solve: this rounds the residual vertex, not just its value, and a
-    # warm start may stop at another optimal vertex.
-    best = solve_relaxation(residual_objective(objective, k), poly)
-    return _round_point(instance, best)
+def _pipeline_lotteries(instance: Instance, profile: ValuationProfile
+                        ) -> list[AllocationDistribution]:
+    """The main pipeline's lottery, then the k-excluded pipeline's for each
+    bidder k: the same pipeline run on L with bidder k silenced."""
+    objective, poly = build_relaxation(instance, profile)
+    # Cold solves: each rounds its residual vertex, not just its value, and
+    # a warm start may stop at another optimal vertex.
+    return [_round_point(instance, solve_relaxation(relaxed, poly))
+            for relaxed in (objective, *(residual_objective(objective, k)
+                                         for k in range(instance.n)))]
+
+
+def _externalities(values: Sequence[Sequence[Fraction]]
+                   ) -> tuple[Fraction, ...]:
+    """Per-bidder values under the main pipeline, then under each k-excluded
+    one, to bidder k's charge: the others' values without k less with k."""
+    main, *excluded = values
+    return tuple(sum(without, ZERO) - without[k] - (sum(main, ZERO) - main[k])
+                 for k, without in enumerate(excluded))
 
 
 def expected_realized_payments(instance: Instance,
@@ -146,38 +153,22 @@ def expected_realized_payments(instance: Instance,
     their welfare under the main pipeline; in expectation this equals the
     expected payment rule.
     """
-    objective, poly = build_relaxation(instance, profile)
-    dist = _round_point(instance, solve_relaxation(objective, poly))
-    main = expected_value_per_bidder(dist, profile)
-    result = []
-    for k in range(instance.n):
-        excluded = _excluded_distribution(instance, objective, poly, k)
-        without_k = expected_value_per_bidder(excluded, profile)
-        first = sum((without_k[i] for i in range(instance.n) if i != k), ZERO)
-        second = sum((main[i] for i in range(instance.n) if i != k), ZERO)
-        result.append(first - second)
-    return tuple(result)
+    return _externalities([expected_value_per_bidder(dist, profile)
+                           for dist in _pipeline_lotteries(instance, profile)])
 
 
 def realized_payments(instance: Instance, profile: ValuationProfile,
                       seed: int) -> tuple[Fraction, ...]:
     """One seeded draw of the realized payment variant per bidder.
 
-    The k-excluded pipeline uses the derived seed seed * 1_000_003 + k + 1.
+    The main pipeline draws with ``seed``, the k-excluded pipeline with the
+    derived seed seed * 1_000_003 + k + 1.
     """
-    objective, poly = build_relaxation(instance, profile)
-    main = sample(_round_point(instance, solve_relaxation(objective, poly)),
-                  seed)
-    result = []
-    for k in range(instance.n):
-        excluded = _excluded_distribution(instance, objective, poly, k)
-        drawn = sample(excluded, seed * 1_000_003 + k + 1)
-        first = sum((value_of(profile, i, drawn)
-                     for i in range(instance.n) if i != k), ZERO)
-        second = sum((value_of(profile, i, main)
-                      for i in range(instance.n) if i != k), ZERO)
-        result.append(first - second)
-    return tuple(result)
+    seeds = [seed] + [seed * 1_000_003 + k + 1 for k in range(instance.n)]
+    draws = [sample(dist, s) for dist, s in
+             zip(_pipeline_lotteries(instance, profile), seeds)]
+    return _externalities([[value_of(profile, i, alloc)
+                            for i in range(instance.n)] for alloc in draws])
 
 
 def range_contains(instance: Instance,

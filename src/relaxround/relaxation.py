@@ -226,47 +226,40 @@ def solve_relaxation(objective: RelaxedObjective, poly: Polytope,
     return point
 
 
-def _check_bidder(objective: RelaxedObjective, k: int) -> None:
-    known = [o for o in objective.owners if o is not None]
-    if k < 0 or (known and k > max(known)):
-        raise IndexError(f"bidder index {k} out of range")
+def residual_maximum(instance: Instance, final: FinalTableau,
+                     k: int) -> Fraction:
+    """max L^{-k} over P, re-optimized from the recorded solve of max L.
 
-
-def residual_maximum(objective: RelaxedObjective, k: int,
-                     final: FinalTableau) -> Fraction:
-    """max L^{-k} over P, re-optimized from the solve of L.
-
-    ``final`` holds the optimal tableau of ``solve_relaxation(objective,
-    poly)``.  Bidder k's cost entries are set to zero on the same columns
-    (its segment slopes, for a curved L), so that basis stays feasible.
+    ``final`` holds the optimal tableau of ``solve_relaxation`` over the
+    instance's polytope; its ``slopes`` are L's costs, one per LP column,
+    and ``var`` maps each column to a polytope variable.  Bidder k's costs
+    are set to zero on the same columns, so that basis stays feasible.
     Zeroed columns add nothing and P is packing, so the maximum equals that
-    of ``residual_objective(objective, k)`` over P.  Raises InvariantError
-    if ``final`` was recorded for other costs than L's.
+    of ``residual_objective`` over P.  Raises InvariantError if ``final``
+    was recorded over another polytope than the instance's.
 
     A bidder who wins nothing at the recorded optimum x* needs no
     re-optimization: costs are nonnegative, so L^{-k} <= L on P, and
     L^{-k}(x*) = L(x*) is already the recorded value.
     """
-    _check_bidder(objective, k)
-    if objective.is_linear:
-        owners = objective.owners
-        costs: Sequence[Fraction] = objective.linear_coeffs
-    else:
-        col_var, costs, _ = _segment_columns(objective)
-        owners = tuple(objective.owners[v] for v in col_var)
-    if tuple(costs) != final.slopes:
-        raise InvariantError("the recorded tableau was solved for other "
-                             "costs than this relaxation's")
+    if not 0 <= k < instance.n:
+        raise IndexError(f"bidder index {k} out of range")
+    if final.poly != build_polytope(instance):
+        raise InvariantError("the recorded tableau was solved over another "
+                             "polytope than this instance's")
+    owners = [instance.variable_index[v][0] for v in final.var]
     if final.zero_at([c for c, owner in enumerate(owners) if owner == k]):
         return final.prices[-1]
     return final.maximum([ZERO if owner == k else c
-                          for c, owner in zip(costs, owners)])
+                          for c, owner in zip(final.slopes, owners)])
 
 
 def residual_objective(objective: RelaxedObjective,
                        k: int) -> RelaxedObjective:
     """L with bidder k removed: zero out every variable k owns."""
-    _check_bidder(objective, k)
+    known = [o for o in objective.owners if o is not None]
+    if k < 0 or (known and k > max(known)):
+        raise IndexError(f"bidder index {k} out of range")
     if objective.is_linear:
         coeffs = tuple(ZERO if owner == k else c
                        for c, owner in zip(objective.linear_coeffs,

@@ -1,5 +1,6 @@
 """Family constructors and their audits."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from relaxround import (FamilyConstructionError, FamilySpec, adjust, allocate,
                         make_gap_toy, make_no_money, make_single_item,
                         make_single_minded_ca, profile_for, run,
                         solve_relaxation, unit_gap_curve)
-from relaxround import families
+from relaxround import families, mechanism
 from relaxround.families import InputError
 from relaxround.lp import FractionalPoint, Polytope
 from relaxround.mechanism import keep_probabilities
@@ -40,6 +41,46 @@ class TestContainmentAudit:
 
         monkeypatch.setattr(families, "build_polytope", item_zero_closed)
         with pytest.raises(FamilyConstructionError, match="indicator"):
+            build()
+
+
+class TestAlphaAudit:
+    @pytest.mark.parametrize("build", [
+        lambda: make_single_item(2),
+        lambda: make_case_b_family(2, F(1, 2)),
+        lambda: make_single_minded_ca(2, [{0}, {0, 1}]),
+        lambda: make_gap_toy(2, 1),
+    ])
+    def test_a_relaxation_that_halves_one_bid_fails_construction(
+            self, build, monkeypatch):
+        exact = families.build_relaxation
+
+        def first_bid_halved(instance, profile):
+            objective, poly = exact(instance, profile)
+            if objective.is_linear:
+                coeffs = list(objective.linear_coeffs)
+                coeffs[0] /= 2
+                return replace(objective, linear_coeffs=tuple(coeffs)), poly
+            curves = list(objective.curves)
+            curves[0] = curves[0].scaled(F(1, 2))
+            return replace(objective, curves=tuple(curves)), poly
+
+        monkeypatch.setattr(families, "build_relaxation", first_bid_halved)
+        with pytest.raises(FamilyConstructionError, match="alpha audit"):
+            build()
+
+
+class TestCalibrationAudit:
+    @pytest.mark.parametrize("build", [
+        lambda: make_gap_toy(3, 2),
+        lambda: make_case_b_family(3, F(1, 2)),
+    ])
+    def test_a_wrong_keep_formula_fails_construction(self, build,
+                                                     monkeypatch):
+        # Keeping every bidder skips the thinning both families rely on.
+        monkeypatch.setattr(mechanism, "keep_probabilities",
+                            lambda instance, x: (ONE,) * instance.n)
+        with pytest.raises(FamilyConstructionError, match="calibration"):
             build()
 
 

@@ -75,16 +75,6 @@ def test_curve_ratio_keep_with_an_ownerless_variable():
         keep_probabilities(instance, FractionalPoint((ONE, ONE)))
 
 
-def test_no_guard_under_src_is_a_bare_assert():
-    """``python -O`` strips assert statements, so guards must raise."""
-    package = Path(relaxation.__file__).parent
-    found = [f"{path.relative_to(package)}:{node.lineno}"
-             for path in sorted(package.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
-
-
 def family_name_uses(package):
     """Lines outside families.py that compare a family against a family
     name, or hold family names in a tuple, list, set or dict's keys."""
@@ -128,3 +118,22 @@ def test_a_family_name_comparison_is_found(tmp_path):
         'def f(instance):\n    return instance.family == "gap-toy"\n')
     (tmp_path / "families.py").write_text('NAMES = ("gap-toy",)\n')
     assert family_name_uses(tmp_path) == ["planted.py:2"]
+
+
+def assert_statements(package):
+    """Every ``assert`` statement in the package's modules, as file:line."""
+    return [f"{path.relative_to(package)}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_guard_under_src_is_a_bare_assert():
+    """``python -O`` strips assert statements, so guards must raise."""
+    assert assert_statements(Path(relaxation.__file__).parent) == []
+
+
+def test_a_planted_assert_is_found(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        'def f(x):\n    if x:\n        assert x > 0, "positive"\n')
+    assert assert_statements(tmp_path) == ["planted.py:3"]

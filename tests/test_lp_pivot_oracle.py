@@ -24,12 +24,12 @@ from typing import Optional, Sequence
 
 import pytest
 
-from relaxround import (FractionalPoint, LPInputError, Polytope,
-                        RelaxedObjective, UnboundedError, build_relaxation,
-                        make_gap_toy, profile_for, residual_maximum,
-                        solve_relaxation)
+from relaxround import (FamilySpec, FractionalPoint, Instance, LPInputError,
+                        Polytope, RelaxedObjective, UnboundedError,
+                        build_relaxation, make_gap_toy, profile_for,
+                        residual_maximum, solve_relaxation)
 from relaxround import lp
-from relaxround.families import unit_gap_curve
+from relaxround.families import GAP_TOY, unit_gap_curve
 from relaxround.relaxation import _segment_columns
 
 ZERO = F(0)
@@ -518,8 +518,17 @@ def gap_toy_lp(bids, machines, segments):
     return objective, Polytope(n, tuple(rows))
 
 
+def gap_toy_instance(n, machines, segments):
+    """gap-toy's instance, also without the construction audits."""
+    unit = unit_gap_curve(segments)
+    variables = tuple((i, frozenset({i % machines})) for i in range(n))
+    return Instance(GAP_TOY, n, machines, variables,
+                    FamilySpec(alpha=unit.value_at(ONE), curve=unit))
+
+
 def test_gap_toy_lp_is_the_family_relaxation():
     instance = make_gap_toy(3, 2)
+    assert gap_toy_instance(3, 2, 16) == instance
     for bids in GAP_TOY_BIDS:
         assert gap_toy_lp(bids, 2, 16) == build_relaxation(
             instance, profile_for(instance, bids))
@@ -558,7 +567,8 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
         want[col_var[c]] += d
     assert folded.coords == tuple(want)
     assert objective.evaluate(folded.coords) == value
-    assert [residual_maximum(objective, k, final) for k in range(n)] == maxima
+    instance = gap_toy_instance(n, machines, segments)
+    assert [residual_maximum(instance, final, k) for k in range(n)] == maxima
 
 
 # --- Dense versus sparse pivot --------------------------------------------
@@ -619,7 +629,7 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
         def scenario():
             final = lp.FinalTableau()
             point = solve_relaxation(objective, poly, final)
-            residuals = [residual_maximum(objective, k, final)
+            residuals = [residual_maximum(instance, final, k)
                          for k in range(instance.n)]
             return point, residuals
 

@@ -82,19 +82,23 @@ class TestPayments:
         _, dist = allocate(inst, profile)
         assert payments(inst, profile, dist) == (F(4), ZERO)
 
-    @pytest.mark.parametrize("build", [
-        lambda: (make_single_minded_ca(2, [{0, 1}, {0}, {1}]), [F(5), F(3), F(3)]),
-        lambda: (make_gap_toy(3, 2), [F(4), F(3), F(7, 2)]),
-    ])
-    def test_another_profiles_tableau_is_refused(self, build):
-        """Negative control: the tableau of other bids must not be reused."""
-        instance, scalars = build()
+    def test_another_instances_tableau_is_refused(self):
+        """Negative control: same bids, other packages.  The tableau of
+        [{0},{1},{1}] read as [{0},{0},{1}] would price (2, 4, 5) against
+        cold maxima of (3, 4, 3)."""
+        bids = [F(3), F(2), F(1)]
+        recorded = make_single_minded_ca(2, [{0}, {1}, {1}])
         other = FinalTableau()
-        allocate(instance, profile_for(instance, scalars[::-1]), other)
-        objective, _ = build_relaxation(instance,
-                                        profile_for(instance, scalars))
-        with pytest.raises(InvariantError, match="other costs"):
-            residual_maximum(objective, 0, other)
+        allocate(recorded, profile_for(recorded, bids), other)
+        instance = make_single_minded_ca(2, [{0}, {0}, {1}])
+        objective, poly = build_relaxation(instance,
+                                           profile_for(instance, bids))
+        for k, cold in enumerate([F(3), F(4), F(3)]):
+            residual = residual_objective(objective, k)
+            assert residual.evaluate(
+                solve_relaxation(residual, poly).coords) == cold
+            with pytest.raises(InvariantError, match="another polytope"):
+                residual_maximum(instance, other, k)
 
     def test_payments_when_two_bidders_want_one_item(self):
         instance = make_single_minded_ca(2, [{0}, {0}, {1}])

@@ -138,7 +138,7 @@ class TestResidualMaximum:
             residual = residual_objective(objective, k)
             cold = residual.evaluate(solve_relaxation(residual, poly).coords)
             calls.clear()
-            assert residual_maximum(objective, k, final) == cold
+            assert residual_maximum(instance, final, k) == cold
             assert len(calls) == (k in winners)
 
     def test_index_out_of_range(self):
@@ -147,7 +147,7 @@ class TestResidualMaximum:
         final = FinalTableau()
         solve_relaxation(objective, poly, final)
         with pytest.raises(IndexError):
-            residual_maximum(objective, 2, final)
+            residual_maximum(inst, final, 2)
 
 
 class TestResidualObjective:

@@ -1,19 +1,27 @@
 """Convex decomposition, distribution arithmetic, thinning, sampling."""
 
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relaxround import (AllocationDistribution, Allocation,
                         DecompositionInfeasibleError, FractionalPoint, adjust,
-                        convex_decompose, expected_value_per_bidder,
+                        build_polytope, convex_decompose,
+                        enumerate_vertices, expected_value_per_bidder,
                         expected_welfare, indicator, make_single_item,
                         make_single_minded_ca, phase_one, profile_for,
                         sample)
 
 ZERO = F(0)
 ONE = F(1)
+
+EXAMPLES = settings(max_examples=100, deadline=2000, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def win(n, i):
@@ -32,6 +40,31 @@ def decomposition_identity(instance, x, scale):
     assert sum(w for _, w in decomposition.entries) == 1
     assert decomposition.support_size <= instance.num_vars + 1
     return decomposition
+
+
+@cache
+def single_minded_vertices(m, masks):
+    """A single-minded instance whose packages are item bitmasks, and the
+    vertices of its polytope."""
+    inst = make_single_minded_ca(m, [{j for j in range(m) if mask >> j & 1}
+                                     for mask in masks])
+    return inst, enumerate_vertices(build_polytope(inst))
+
+
+@st.composite
+def polytope_points(draw):
+    """A small single-minded instance and a random convex combination of
+    its polytope's vertices."""
+    m = draw(st.integers(1, 3))
+    masks = tuple(draw(st.integers(1, 2 ** m - 1))
+                  for _ in range(draw(st.integers(1, 3))))
+    inst, vertices = single_minded_vertices(m, masks)
+    weights = [draw(st.integers(0, 6)) for _ in vertices]
+    weights[0] += 1
+    total = sum(weights)
+    return inst, FractionalPoint(tuple(
+        sum((F(w, total) * v.coords[i] for w, v in zip(weights, vertices)),
+            ZERO) for i in range(inst.num_vars)))
 
 
 class TestConvexDecompose:
@@ -71,6 +104,14 @@ class TestConvexDecompose:
             if coords[0] + coords[1] > 1:
                 continue  # item 0 is shared
             decomposition_identity(inst, FractionalPoint(coords), scale)
+
+    @EXAMPLES
+    @given(polytope_points())
+    def test_marginals_of_random_convex_combinations_of_vertices(self, case):
+        """E[chi(X)] = scale * x on random points of small single-minded
+        polytopes."""
+        inst, x = case
+        decomposition_identity(inst, x, inst.spec.decomposition_scale)
 
     def test_infeasible_scale_reports_residual(self):
         # Odd cycle of pairwise-overlapping bundles: the all-half point is in
