@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,22 +32,6 @@ INTERNAL_ERRORS = (InvariantError, DecompositionInfeasibleError,
                    UnboundedError)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    instance_path: Path
-    mode: str
-    grid: tuple[Fraction, ...]
-    seed: int
-    outdir: Path
-    formats: str
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode.startswith("verify-") and not self.grid:
-            raise ValueError(f"mode {self.mode!r} requires a nonempty --grid")
-
-
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
@@ -64,12 +47,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="relaxround",
         description="Run or verify relax-and-round mechanisms on an "
                     "instance file.")
-    parser.add_argument("--instance", required=True, help="instance JSON file")
+    parser.add_argument("--instance", required=True, type=Path,
+                        help="instance JSON file")
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--grid", default="",
                         help="comma-separated rationals, e.g. '0,1,2,3'")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--out", default="out", type=Path,
+                        help="output directory")
     parser.add_argument("--format", default="both",
                         choices=("json", "csv", "both"))
     return parser
@@ -77,29 +62,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _summary_line(check: CheckResult) -> str:
     verdict = "PASS" if check.passed else "FAIL"
-    domain = f" [{check.domain}]" if check.domain else ""
-    return f"{check.name}: {verdict} ({check.cases} cases){domain}"
+    return f"{check.name}: {verdict} ({check.cases} cases) [{check.domain}]"
 
 
-def _emit_report(report: VerificationReport, config: ExperimentConfig) -> int:
-    rio.write_report_files(report, config.outdir, config.formats)
+def _emit_report(report: VerificationReport, args: argparse.Namespace) -> int:
+    rio.write_report_files(report, args.out, args.format)
     for check in report.checks:
         print(_summary_line(check))
     if not report.passed:
-        witness = rio.write_witness_file(report, config.outdir)
+        witness = rio.write_witness_file(report, args.out)
         print(f"witness written to {witness}")
         return 1
     return 0
 
 
-def _mode_run(config: ExperimentConfig, instance: Instance,
+def _mode_run(args: argparse.Namespace, instance: Instance,
               profile: ValuationProfile) -> int:
     if not instance.family.money:
         x, dist = mechanism.run_without_money(instance, profile)
         from .rounding import sample
-        realized = sample(dist, config.seed)
+        realized = sample(dist, args.seed)
         obj = {
-            "seed": config.seed,
+            "seed": args.seed,
             "fractional_point": [rio.format_fraction(c) for c in x.coords],
             "distribution": rio.distribution_rows(dist),
             "expected_payments": [rio.format_fraction(Fraction(0))
@@ -108,32 +92,32 @@ def _mode_run(config: ExperimentConfig, instance: Instance,
             "winners": list(realized.winners()),
         }
     else:
-        outcome = mechanism.run(instance, profile, config.seed)
+        outcome = mechanism.run(instance, profile, args.seed)
         obj = rio.outcome_to_obj(outcome)
-    config.outdir.mkdir(parents=True, exist_ok=True)
-    path = config.outdir / "outcome.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "outcome.json"
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
     print(f"run: winners={obj['winners']} "
           f"payments={obj['expected_payments']} -> {path}")
     return 0
 
 
-def _mode_verify_truthfulness(config: ExperimentConfig, instance: Instance,
+def _mode_verify_truthfulness(args: argparse.Namespace, instance: Instance,
                               payment_rule_name: str) -> int:
     rule = (verify.first_price_payments
             if payment_rule_name == "first-price" else None)
-    report = verify.check_truthfulness(instance, config.grid, config.grid,
+    report = verify.check_truthfulness(instance, args.grid, args.grid,
                                        payment_rule=rule)
-    return _emit_report(report, config)
+    return _emit_report(report, args)
 
 
-def _mode_verify_ratio(config: ExperimentConfig, instance: Instance,
+def _mode_verify_ratio(args: argparse.Namespace, instance: Instance,
                        profile: ValuationProfile) -> int:
-    verify.require_budget(len(config.grid) ** instance.n + 1)
+    verify.require_budget(len(args.grid) ** instance.n + 1)
     witnesses = []
     cases = 0
     worst = None
-    sweep = verify.grid_profiles(instance, config.grid) + [profile]
+    sweep = verify.grid_profiles(instance, args.grid) + [profile]
     for candidate in sweep:
         cases += 1
         ratio, ok = verify.check_approximation(instance, candidate)
@@ -145,26 +129,26 @@ def _mode_verify_ratio(config: ExperimentConfig, instance: Instance,
                 rhs=instance.spec.alpha * instance.spec.beta))
     check = CheckResult(
         name="approximation-ratio", passed=not witnesses, cases=cases,
-        domain=(f"grid={[str(g) for g in config.grid]} floor="
+        domain=(f"grid={[str(g) for g in args.grid]} floor="
                 f"{instance.spec.alpha * instance.spec.beta} "
                 f"worst={worst}"),
         witnesses=tuple(witnesses))
-    return _emit_report(VerificationReport((check,)), config)
+    return _emit_report(VerificationReport((check,)), args)
 
 
-def _mode_verify_no_money(config: ExperimentConfig, instance: Instance,
+def _mode_verify_no_money(args: argparse.Namespace, instance: Instance,
                           profile: ValuationProfile) -> int:
     if instance.family.money:
         raise ValueError("verify-no-money requires a without-money family")
     # The median sweep runs first so that its budget check comes before
     # any other work; the report keeps its order.
-    median = (verify.check_median_no_improvement(instance, config.grid).checks
+    median = (verify.check_median_no_improvement(instance, args.grid).checks
               if instance.family.shared else ())
     report = verify.check_without_money(instance, profile, ONE)
-    return _emit_report(VerificationReport(report.checks + median), config)
+    return _emit_report(VerificationReport(report.checks + median), args)
 
 
-def _mode_decompose(config: ExperimentConfig, instance: Instance,
+def _mode_decompose(args: argparse.Namespace, instance: Instance,
                     profile: ValuationProfile) -> int:
     objective, poly = build_relaxation(instance, profile)
     optimum = solve_relaxation(objective, poly)
@@ -175,8 +159,8 @@ def _mode_decompose(config: ExperimentConfig, instance: Instance,
         "scale": rio.format_fraction(instance.spec.decomposition_scale),
         "terms": rio.decomposition_rows(decomposition),
     }
-    config.outdir.mkdir(parents=True, exist_ok=True)
-    path = config.outdir / "decomposition.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "decomposition.json"
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
     print(f"decompose: {decomposition.support_size} terms, "
           f"support bound {instance.num_vars + 1} -> {path}")
@@ -184,15 +168,12 @@ def _mode_decompose(config: ExperimentConfig, instance: Instance,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(instance_path=Path(args.instance),
-                                  mode=args.mode,
-                                  grid=_parse_grid(args.grid),
-                                  seed=args.seed, outdir=Path(args.out),
-                                  formats=args.format)
-        text = config.instance_path.read_text(encoding="utf-8")
+        args.grid = _parse_grid(args.grid)
+        if args.mode.startswith("verify-") and not args.grid:
+            raise ValueError(f"mode {args.mode!r} requires a nonempty --grid")
+        text = args.instance.read_text(encoding="utf-8")
         document = json.loads(text)
         instance, profile, payment_rule = rio.load_instance_document(document)
     except FileNotFoundError as exc:
@@ -209,15 +190,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     try:
-        if config.mode == "run":
-            return _mode_run(config, instance, profile)
-        if config.mode == "verify-truthfulness":
-            return _mode_verify_truthfulness(config, instance, payment_rule)
-        if config.mode == "verify-ratio":
-            return _mode_verify_ratio(config, instance, profile)
-        if config.mode == "verify-no-money":
-            return _mode_verify_no_money(config, instance, profile)
-        return _mode_decompose(config, instance, profile)
+        if args.mode == "run":
+            return _mode_run(args, instance, profile)
+        if args.mode == "verify-truthfulness":
+            return _mode_verify_truthfulness(args, instance, payment_rule)
+        if args.mode == "verify-ratio":
+            return _mode_verify_ratio(args, instance, profile)
+        if args.mode == "verify-no-money":
+            return _mode_verify_no_money(args, instance, profile)
+        return _mode_decompose(args, instance, profile)
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

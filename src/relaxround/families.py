@@ -47,8 +47,11 @@ CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
 # calibration probes, and single-peaked one variable per position: gap-toy
 # with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments together
 # (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB at m=10000
-# (0.84 s and 101 MiB at m=200000).  The loads resolve each constructor
-# when called, so a wrapper installed on the module name sees them.
+# (0.84 s and 101 MiB at m=200000).  A single-peaked feasible set holds an
+# n-bundle allocation per position, so the family also caps n:
+# verify-no-money at 32 bidders and 10000 positions: 0.8-0.9 s, 244 MiB
+# (1.7 s and 465 MiB at 64).  The loads resolve each constructor when
+# called, so a wrapper installed on the module name sees them.
 SINGLE_ITEM = Family(
     "single-item", AdditiveValuation, money=True, m=1, max_n=32,
     load=lambda n, m, profile: make_single_item(n))
@@ -69,7 +72,8 @@ NO_MONEY_LOTTERY = Family(
     "no-money-lottery", AdditiveValuation, money=False, m=1, max_n=32,
     load=lambda n, m, profile: make_no_money(n, "lottery"))
 SINGLE_PEAKED = Family(
-    "single-peaked", SinglePeakedValuation, money=False, max_m=10_000,
+    "single-peaked", SinglePeakedValuation, money=False, max_n=32,
+    max_m=10_000,
     load=lambda n, m, profile: make_no_money(n, "single_peaked",
                                              positions=m))
 
@@ -86,7 +90,7 @@ class InputError(ValueError):
     """Malformed constructor arguments."""
 
 
-def unit_gap_curve(segments: int = DEFAULT_CURVE_SEGMENTS) -> PiecewiseCurve:
+def unit_gap_curve(segments: int) -> PiecewiseCurve:
     """Secant piecewise-linear form of t(2-t)/2 on [0, 1].
 
     Concave, increasing, below the diagonal, so curve(x)/x is always a

@@ -277,9 +277,8 @@ def report_csv_rows(report: VerificationReport) -> list[tuple]:
 
 
 def write_report_files(report: VerificationReport, outdir: str | Path,
-                       formats: str = "both",
-                       stem: str = "report") -> list[Path]:
-    """Write report.json / report.csv; returns the paths written."""
+                       formats: str, stem: str = "report") -> list[Path]:
+    """Write {stem}.json / {stem}.csv; returns the paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -305,9 +304,4 @@ def write_witness_file(report: VerificationReport,
         return None
     failing = VerificationReport(tuple(c for c in report.checks
                                        if not c.passed))
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "witness.json"
-    path.write_text(json.dumps(report_to_obj(failing), indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_report_files(failing, outdir, "json", "witness")[0]

@@ -26,6 +26,10 @@ from typing import Optional, Sequence
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: ``enumerate_vertices`` refuses polytopes beyond these sizes.
+MAX_VERTEX_VARS = 8
+MAX_VERTEX_SYSTEMS = 200_000
+
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
@@ -39,16 +43,14 @@ class UnboundedError(ValueError):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Constraints A x <= b with x >= 0 implicit.
+    """Packing constraints A x <= b with x >= 0 implicit.
 
-    All bounds must be nonnegative so the origin is always feasible.  A
-    packing polytope additionally requires every coefficient to be
-    nonnegative, which makes the feasible set downward closed.
+    Every bound and every coefficient must be nonnegative, so the origin is
+    feasible and the feasible set is downward closed.
     """
 
     num_vars: int
     constraints: tuple[Row, ...]
-    packing: bool = True
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -59,7 +61,7 @@ class Polytope:
                                    f"num_vars={self.num_vars}")
             if bound < 0:
                 raise LPInputError("constraint bounds must be nonnegative")
-            if self.packing and any(c < 0 for c in coeffs):
+            if any(c < 0 for c in coeffs):
                 raise LPInputError("packing polytopes require nonnegative "
                                    "constraint coefficients")
         # Each row's nonzero (index, coefficient) pairs, for ``contains``:
@@ -435,26 +437,25 @@ def _solve_square(rows: list[list[Fraction]],
     return [a[i][-1] for i in range(n)]
 
 
-def enumerate_vertices(poly: Polytope, max_vars: int = 8,
-                       max_systems: int = 200_000) -> list[FractionalPoint]:
+def enumerate_vertices(poly: Polytope) -> list[FractionalPoint]:
     """Brute-force vertex enumeration for desk-scale polytopes.
 
     Intersects every choice of ``num_vars`` constraint/nonnegativity planes
     and keeps the feasible solutions.  A system holding an all-zero or a
     repeated plane is singular, so those planes are dropped first (and
-    ``max_systems`` counts the choices that remain).  Intended as an oracle
-    and for construction-time audits, not as a solver.
+    ``MAX_VERTEX_SYSTEMS`` counts the choices that remain).  Intended as an
+    oracle and for construction-time audits, not as a solver.
     """
     n = poly.num_vars
-    if n > max_vars:
-        raise LPInputError(f"vertex enumeration is limited to {max_vars} "
-                           "variables")
+    if n > MAX_VERTEX_VARS:
+        raise LPInputError("vertex enumeration is limited to "
+                           f"{MAX_VERTEX_VARS} variables")
     units = [(tuple(ONE if i == j else ZERO for i in range(n)), ZERO)
              for j in range(n)]
     planes = list(dict.fromkeys(plane for plane in
                                 [*poly.constraints, *units] if any(plane[0])))
     from math import comb
-    if comb(len(planes), n) > max_systems:
+    if comb(len(planes), n) > MAX_VERTEX_SYSTEMS:
         raise LPInputError("too many candidate plane intersections")
     seen: set[tuple[Fraction, ...]] = set()
     vertices: list[FractionalPoint] = []

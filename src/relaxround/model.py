@@ -20,7 +20,8 @@ if TYPE_CHECKING:
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_ENUMERATION_BOUND = 50_000
+#: ``enumerate_feasible`` refuses feasible sets beyond this many allocations.
+ENUMERATION_BOUND = 50_000
 
 
 class InvariantError(RuntimeError):
@@ -32,7 +33,7 @@ class EvaluationError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """The feasible set exceeds the configured enumeration bound."""
+    """The feasible set exceeds the enumeration bound."""
 
     def __init__(self, bound: int, estimate: int):
         super().__init__(
@@ -269,7 +270,8 @@ def fractional_value(profile: ValuationProfile, bidder: int,
     """Linear extension of ``bidder``'s value to a fractional point."""
     total = ZERO
     for x, (owner, bundle) in zip(coords, instance.variable_index):
-        if owner is None or owner == bidder:
+        # A zero coordinate adds exactly 0, so it needs no probe.
+        if x and (owner is None or owner == bidder):
             probe = Allocation(tuple(
                 bundle if i == bidder else frozenset()
                 for i in range(instance.n)))
@@ -289,27 +291,24 @@ def indicator(instance: Instance, alloc: Allocation) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
-def enumerate_feasible(instance: Instance,
-                       bound: int = DEFAULT_ENUMERATION_BOUND) -> list[Allocation]:
+def enumerate_feasible(instance: Instance) -> list[Allocation]:
     """All feasible allocations, duplicate-free, in deterministic order.
 
     Auction families: every subset of variables with no shared bidder and
     pairwise-disjoint bundles (each winner receives exactly the bundle of
     its variable; the empty allocation is always included).  Shared-outcome
     families: the empty allocation plus one allocation per position.  The
-    set is enumerated once per instance; every call checks ``bound``
-    against it and returns a fresh list.
+    set is enumerated once per instance, refused there if it exceeds
+    ``ENUMERATION_BOUND``, and every call returns a fresh list.
     """
     found = instance.derived.get("feasible")
     if found is None:
-        found = instance.derived["feasible"] = tuple(
-            _feasible(instance, bound))
-    elif len(found) > bound:
-        raise EnumerationTooLargeError(bound, len(found))
+        found = instance.derived["feasible"] = tuple(_feasible(instance))
     return list(found)
 
 
-def _feasible(instance: Instance, bound: int) -> list[Allocation]:
+def _feasible(instance: Instance) -> list[Allocation]:
+    bound = ENUMERATION_BOUND
     if instance.family.shared:
         if instance.m + 1 > bound:
             raise EnumerationTooLargeError(bound, instance.m + 1)

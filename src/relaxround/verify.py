@@ -80,8 +80,8 @@ class CheckResult:
     name: str
     passed: bool
     cases: int
-    domain: str = ""
-    witnesses: tuple[Witness, ...] = ()
+    domain: str
+    witnesses: tuple[Witness, ...]
 
 
 @dataclass(frozen=True)
@@ -336,20 +336,20 @@ def default_probe_point(instance: Instance) -> FractionalPoint:
 
 def check_obliviousness(instance: Instance,
                         profiles: Sequence[ValuationProfile],
-                        point: Optional[FractionalPoint] = None,
                         rounder: Optional[Rounder] = None
                         ) -> VerificationReport:
     """Fixed-point rounding must be bit-identical under every profile.
 
     Every profile is handed to ``rounder`` (by default the shipped
     pipeline, ``oblivious_rounder(instance)``) together with the same
-    fractional point, and each distribution is compared with the first
-    profile's.  Distributions obtained from different fractional points
-    may of course differ; only the fixed-x comparison is asserted.
+    fractional point, ``default_probe_point(instance)``, and each
+    distribution is compared with the first profile's.  Distributions
+    obtained from different fractional points may of course differ; only
+    the fixed-x comparison is asserted.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two profiles to compare")
-    x = point if point is not None else default_probe_point(instance)
+    x = default_probe_point(instance)
     if rounder is None:
         rounder = oblivious_rounder(instance)
     reference = rounder(x, profiles[0])
@@ -393,17 +393,16 @@ def adversarial_rounder(instance: Instance) -> Rounder:
 
 
 def check_nonoblivious_condition(rounder: Rounder, instance: Instance,
-                                 value_grid: Sequence[Fraction],
-                                 point: Optional[FractionalPoint] = None
+                                 value_grid: Sequence[Fraction]
                                  ) -> VerificationReport:
     """Misreports must never raise the expected true welfare of a rounder.
 
-    Exhausts grid profiles and grid misreports at a fixed fractional point;
-    a single-value grid passes vacuously.
+    Exhausts grid profiles and grid misreports at the fixed fractional point
+    ``default_probe_point(instance)``; a single-value grid passes vacuously.
     """
     if not value_grid:
         raise ValueError("value grid must be nonempty")
-    x = point if point is not None else default_probe_point(instance)
+    x = default_probe_point(instance)
     witnesses = []
     cases = 0
     for truth in grid_profiles(instance, value_grid):

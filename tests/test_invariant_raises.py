@@ -120,6 +120,131 @@ def test_a_family_name_comparison_is_found(tmp_path):
     assert family_name_uses(tmp_path) == ["planted.py:2"]
 
 
+def public_defaults(package):
+    """Every defaulted parameter of a public function or method, and every
+    defaulted field of a public class, as module.name.parameter."""
+    found = []
+
+    def parameters(fn, prefix):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        found.extend(f"{prefix}.{a.arg}" for a in defaulted)
+
+    def is_default(value):
+        # field(...) sets a default only through default or
+        # default_factory, and init=False makes it no argument at all.
+        if not (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"):
+            return value is not None
+        keywords = {k.arg: k.value for k in value.keywords}
+        init = keywords.get("init")
+        return (("default" in keywords or "default_factory" in keywords)
+                and not (isinstance(init, ast.Constant)
+                         and init.value is False))
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, functions):
+                parameters(node, f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                prefix = f"{module}.{node.name}"
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)
+                            and is_default(item.value)):
+                        found.append(f"{prefix}.{item.target.id}")
+                    elif isinstance(item, functions) and (
+                            not item.name.startswith("_")
+                            or item.name == "__init__"):
+                        parameters(item, f"{prefix}.{item.name}")
+    return sorted(found)
+
+
+_BLANK_TABLEAU = "FinalTableau() is the blank record maximize_linear fills in"
+_BUDGET = "the README documents the budget as raisable by the caller"
+
+#: Each public default and why it stays: its second caller or the document
+#: field it serves.  A default that only one value reaches outside the
+#: tests becomes a constant or goes.
+PUBLIC_DEFAULTS = {
+    "cli.main.argv": "None reads sys.argv; the tests pass argument lists",
+    "families.make_gap_toy.segments": "the gap-toy document's segments",
+    "families.make_no_money.positions":
+        "the single-peaked document's m; the lottery passes none",
+    "families.make_single_minded_ca.alpha":
+        "the single-minded document's alpha; with_desires passes its own",
+    "io.dump_instance_document.payment_rule": "the document's payment_rule",
+    "io.parse_fraction.fieldname":
+        "a bare rational names 'value'; document fields name themselves",
+    "io.write_instance.payment_rule": "the document's payment_rule",
+    "io.write_report_files.stem":
+        "report files; write_witness_file writes the witness stem",
+    **{f"lp.FinalTableau.{name}": _BLANK_TABLEAU for name in (
+        "rows", "basis", "at_cap", "prices", "slopes", "var", "cap", "ends",
+        "start", "carry", "poly")},
+    "lp.maximize_linear.final":
+        "solve_relaxation passes its own final through, None included",
+    "lp.maximize_linear.columns":
+        "curved objectives pass segment columns; linear ones pass none",
+    "mechanism.allocate.final":
+        "the verifier keeps the tableau; check_approximation does not",
+    "model.Family.extra": "the families whose documents carry extra fields",
+    "model.Family.m": "the families with a fixed item count",
+    "model.Family.max_n": "the families with a bidder cap",
+    "model.Family.max_m": "the families with an item cap",
+    "model.Family.max_segments": "gap-toy's segments cap",
+    "model.FamilySpec.beta": "the case-b document's beta; others keep 1",
+    "model.FamilySpec.curve": "gap-toy's curve; linear families have none",
+    "relaxation.AlphaAudit.counterexample": "None on a passing audit",
+    "relaxation.RelaxedObjective.curves":
+        "curved objectives; linear ones give linear_coeffs instead",
+    "relaxation.RelaxedObjective.linear_coeffs":
+        "linear objectives; curved ones give curves instead",
+    "relaxation.solve_relaxation.final":
+        "allocate keeps the tableau; decompose and the realized-payment "
+        "lotteries do not",
+    "verify.check_median_no_improvement.budget": _BUDGET,
+    "verify.check_obliviousness.rounder":
+        "the negative controls pass adversarial_rounder",
+    "verify.check_truthfulness.budget": _BUDGET,
+    "verify.check_truthfulness.include_bundle_misreports":
+        "bench/tests/test_ops.py turns bundle misreports off",
+    "verify.check_truthfulness.payment_rule":
+        "the CLI passes first_price_payments for first-price documents",
+    "verify.require_budget.budget": _BUDGET,
+}
+
+
+def test_every_public_default_has_a_listed_reason():
+    """No unlisted default and no stale entry: a new knob needs a second
+    caller, and a removed one leaves the list."""
+    found = set(public_defaults(Path(relaxation.__file__).parent))
+    listed = set(PUBLIC_DEFAULTS)
+    assert (sorted(found - listed), sorted(listed - found)) == ([], [])
+
+
+def test_a_planted_knob_is_found(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "def f(x, knob=1):\n    return x\n\n"
+        "def _private(x, knob=1):\n    return x\n\n"
+        "@dataclass\nclass Record:\n    kept: int\n    knob: int = 0\n"
+        "    memo: dict = field(default_factory=dict, init=False)\n"
+        "    made: list = field(default_factory=list)\n"
+        "    load: int = field(compare=False)\n\n"
+        "    def method(self, *, flag=None):\n        return flag\n")
+    assert public_defaults(tmp_path) == [
+        "planted.Record.knob", "planted.Record.made",
+        "planted.Record.method.flag", "planted.f.knob"]
+
+
 def assert_statements(package):
     """Every ``assert`` statement in the package's modules, as file:line."""
     return [f"{path.relative_to(package)}:{node.lineno}"

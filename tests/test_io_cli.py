@@ -269,9 +269,12 @@ class TestCli:
         assert "values" in capsys.readouterr().err
 
     def test_verify_mode_requires_grid(self, tmp_path, capsys):
-        path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
-        assert main(["--instance", str(path),
-                     "--mode", "verify-truthfulness"]) == 2
+        """Refused before the instance file is read: this one is missing."""
+        for mode in ("verify-truthfulness", "verify-ratio", "verify-no-money"):
+            assert main(["--instance", str(tmp_path / "nope.json"),
+                         "--mode", mode]) == 2
+            assert capsys.readouterr().err == (
+                f"input error: mode {mode!r} requires a nonempty --grid\n")
 
 
 class TestInternalErrors:

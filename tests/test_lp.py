@@ -170,13 +170,11 @@ rationals = st.builds(F, st.integers(0, 6), st.integers(1, 4))
 @st.composite
 def polytope_and_point(draw):
     n = draw(st.integers(1, 5))
-    packing = draw(st.booleans())
-    low = 0 if packing else -3
-    coeff = st.builds(F, st.integers(low, 3), st.integers(1, 3))
+    coeff = st.builds(F, st.integers(0, 3), st.integers(1, 3))
     rows = draw(st.lists(st.tuples(st.tuples(*[coeff] * n), rationals),
                          max_size=5))
     point = draw(st.tuples(*[rationals] * n))
-    return Polytope(n, tuple(rows), packing), point, draw(st.integers(1, 9))
+    return Polytope(n, tuple(rows)), point, draw(st.integers(1, 9))
 
 
 @settings(max_examples=300, deadline=2000, derandomize=True, database=None,
@@ -212,7 +210,7 @@ class TestPolytopeValidation:
     def test_packing_requires_nonnegative_coefficients(self):
         with pytest.raises(LPInputError):
             Polytope(2, (((ONE, F(-1)), ONE),))
-        Polytope(2, (((ONE, F(-1)), ONE),), packing=False)
+        Polytope(2, (((ONE, ZERO), ONE),))
 
 
 class TestSolveFeasibility:
@@ -245,9 +243,13 @@ class TestEnumerateVertices:
         verts = {v.coords for v in enumerate_vertices(poly)}
         assert verts == {(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)}
 
-    def test_guard_on_large_dimension(self):
-        with pytest.raises(LPInputError):
+    def test_guard_on_large_dimension(self, monkeypatch):
+        with pytest.raises(LPInputError, match="limited to 8 variables"):
             enumerate_vertices(box(9))
+        monkeypatch.setattr(lp, "MAX_VERTEX_VARS", 2)
+        assert len(enumerate_vertices(box(2))) == 4
+        with pytest.raises(LPInputError, match="limited to 2 variables"):
+            enumerate_vertices(box(3))
 
     def test_zero_and_repeated_planes_leave_the_vertices_alone(self):
         """Seeded packing polytopes, then the same with spare rows added."""
@@ -269,15 +271,17 @@ class TestEnumerateVertices:
             assert enumerate_vertices(spare) == enumerate_vertices(plain)
             assert enumerate_vertices(spare) == every_plane_vertices(spare)
 
-    def test_system_cap_counts_distinct_nonzero_planes(self):
+    def test_system_cap_counts_distinct_nonzero_planes(self, monkeypatch):
         # 3 copies of x0 + x1 <= 1 and a zero row: 6 planes with the two
         # nonnegativity planes, C(6, 2) = 15 systems, but only 3 distinct
         # nonzero planes, C(3, 2) = 3.
         row = ((ONE, ONE), ONE)
         poly = Polytope(2, (row, row, ((ZERO, ZERO), ONE), row))
-        assert len(enumerate_vertices(poly, max_systems=3)) == 3
-        with pytest.raises(LPInputError):
-            enumerate_vertices(poly, max_systems=2)
+        monkeypatch.setattr(lp, "MAX_VERTEX_SYSTEMS", 3)
+        assert len(enumerate_vertices(poly)) == 3
+        monkeypatch.setattr(lp, "MAX_VERTEX_SYSTEMS", 2)
+        with pytest.raises(LPInputError, match="too many"):
+            enumerate_vertices(poly)
 
 
 def every_plane_vertices(poly):

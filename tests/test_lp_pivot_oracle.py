@@ -101,7 +101,7 @@ def explicit_lp(poly, col_var, col_cap):
             continue
         unit = tuple(ONE if j == c else ZERO for j in range(ncols))
         rows.append((unit, col_cap[c]))
-    return Polytope(ncols, tuple(rows), packing=True)
+    return Polytope(ncols, tuple(rows))
 
 
 def _minus(target: list[Fraction], f: Fraction, prow: list[Fraction],

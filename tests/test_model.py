@@ -16,7 +16,7 @@ from relaxround import (AdditiveValuation, Allocation, EnumerationTooLargeError,
                         make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
                         social_welfare, value_of)
-from relaxround import relaxation
+from relaxround import model, relaxation
 
 
 def bundles(*sets):
@@ -149,34 +149,42 @@ class TestEnumerateFeasible:
         assert len(allocs) == 6
         assert allocs[0] == Allocation.empty(3)
 
-    def test_size_bound_raises_with_estimate(self):
-        inst = make_single_minded_ca(2, [{0}, {1}])
+    def test_size_bound_raises_with_estimate(self, monkeypatch):
+        inst = replace(make_single_minded_ca(2, [{0}, {1}]))  # cold memo
+        monkeypatch.setattr(model, "ENUMERATION_BOUND", 2)
         with pytest.raises(EnumerationTooLargeError) as err:
-            enumerate_feasible(inst, bound=2)
-        assert err.value.bound == 2
+            enumerate_feasible(inst)
+        assert (err.value.bound, err.value.estimate) == (2, 4)
 
 
 class TestPerInstanceMemo:
     """The polytope and the feasible set are computed once per instance."""
 
-    def test_a_warm_memo_still_checks_a_smaller_bound(self):
-        inst = make_single_minded_ca(2, [{0}, {1}])
+    def test_a_warm_memo_returns_without_rechecking(self, monkeypatch):
+        inst = make_single_minded_ca(2, [{0}, {1}])  # the audits warm it
+        monkeypatch.setattr(model, "ENUMERATION_BOUND", 3)
         assert len(enumerate_feasible(inst)) == 4
         with pytest.raises(EnumerationTooLargeError) as err:
-            enumerate_feasible(inst, bound=3)
+            enumerate_feasible(replace(inst))
         assert err.value.bound == 3
-        assert len(enumerate_feasible(inst, bound=4)) == 4
 
-    def test_shared_outcome_memo_checks_the_bound_too(self):
+    def test_shared_outcomes_are_checked_on_first_enumeration(
+            self, monkeypatch):
         inst = make_no_money(2, "single_peaked", positions=5)
+        monkeypatch.setattr(model, "ENUMERATION_BOUND", 5)
+        with pytest.raises(EnumerationTooLargeError) as err:
+            enumerate_feasible(inst)
+        assert (err.value.bound, err.value.estimate) == (5, 6)
+        assert "feasible" not in inst.derived
+        monkeypatch.setattr(model, "ENUMERATION_BOUND", 6)
         assert len(enumerate_feasible(inst)) == 6
-        with pytest.raises(EnumerationTooLargeError):
-            enumerate_feasible(inst, bound=5)
 
-    def test_a_failed_enumeration_is_not_kept(self):
+    def test_a_failed_enumeration_is_not_kept(self, monkeypatch):
         inst = make_no_money(2, "lottery")
+        monkeypatch.setattr(model, "ENUMERATION_BOUND", 2)
         with pytest.raises(EnumerationTooLargeError):
-            enumerate_feasible(inst, bound=2)
+            enumerate_feasible(inst)
+        monkeypatch.undo()
         assert len(enumerate_feasible(inst)) == 3
 
     def test_callers_receive_a_fresh_list(self):

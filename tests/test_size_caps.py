@@ -41,6 +41,7 @@ def single_peaked_doc(n=2, m=8):
     ("segments", {**gap_toy_doc(), "segments": 10**6}),
     ("m", {**gap_toy_doc(), "m": 10**6}),
     ("m", {**single_peaked_doc(), "m": 10**6}),
+    ("n", {**single_peaked_doc(), "n": 10**6}),
     ("n", {**single_minded_doc(), "n": 10**6}),
 ])
 def test_a_million_exits_two_fast(field, doc, tmp_path, capsys):
@@ -57,6 +58,7 @@ def test_a_million_exits_two_fast(field, doc, tmp_path, capsys):
      gap_toy_doc(segments=FAMILIES["gap-toy"].max_segments + 1)),
     ("m", gap_toy_doc(m=FAMILIES["gap-toy"].max_m + 1)),
     ("m", single_peaked_doc(m=FAMILIES["single-peaked"].max_m + 1)),
+    ("n", single_peaked_doc(n=FAMILIES["single-peaked"].max_n + 1)),
 ])
 def test_one_over_the_cap_is_rejected_before_construction(field, doc,
                                                           monkeypatch):
@@ -72,11 +74,27 @@ def test_one_over_the_cap_is_rejected_before_construction(field, doc,
 @pytest.mark.parametrize("doc", [
     gap_toy_doc(n=1, m=FAMILIES["gap-toy"].max_m,
                 segments=FAMILIES["gap-toy"].max_segments),
-    single_peaked_doc(m=FAMILIES["single-peaked"].max_m),
+    single_peaked_doc(n=FAMILIES["single-peaked"].max_n,
+                      m=FAMILIES["single-peaked"].max_m),
 ])
 def test_the_caps_themselves_load(doc):
     instance, _, _ = load_instance_document(doc)
-    assert instance.m == doc["m"]
+    assert (instance.n, instance.m) == (doc["n"], doc["m"])
+
+
+@pytest.mark.parametrize("mode, code", [
+    ("run", 0), ("verify-no-money", 0), ("verify-truthfulness", 2),
+    ("verify-ratio", 2), ("decompose", 2)])
+def test_every_mode_at_the_single_peaked_caps_is_fast(mode, code, tmp_path):
+    """The feasible set holds one n-bundle allocation per position, so both
+    caps bound verify-no-money (0.8-0.9 s and 244 MiB measured); the money
+    modes refuse the family."""
+    family = FAMILIES["single-peaked"]
+    path = _write(tmp_path, single_peaked_doc(n=family.max_n, m=family.max_m))
+    start = time.perf_counter()
+    assert main(["--instance", str(path), "--mode", mode, "--grid", "0",
+                 "--out", str(tmp_path / "out")]) == code
+    assert time.perf_counter() - start < 2
 
 
 def test_nine_single_minded_bidders_fail_on_n(tmp_path, capsys):
@@ -117,7 +135,8 @@ def test_32_bidder_sweeps_exit_two_fast(mode, single_item_32, tmp_path,
 
 
 def test_large_n_single_peaked_exits_two_fast(tmp_path, capsys):
-    path = _write(tmp_path, single_peaked_doc(n=40))
+    path = _write(tmp_path, single_peaked_doc(
+        n=FAMILIES["single-peaked"].max_n))
     start = time.perf_counter()
     assert main(["--instance", str(path), "--mode", "verify-no-money",
                  "--grid", "0,1,2", "--out", str(tmp_path / "out")]) == 2

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (Allocation, AllocationDistribution,
+from relaxround import (Allocation, AllocationDistribution, CheckResult,
                         VerificationBudgetError, adversarial_rounder,
                         brute_force_opt, check_approximation,
                         check_median_no_improvement,
@@ -100,6 +100,15 @@ class TestCheckApproximation:
     def test_zero_profile_passes_by_convention(self):
         inst = make_single_item(2)
         assert check_approximation(inst, profile_for(inst, [ZERO, ZERO])) == (ONE, True)
+
+
+def test_a_check_names_its_domain_and_witnesses():
+    with pytest.raises(TypeError):
+        CheckResult(name="planted", passed=True, cases=1)
+    with pytest.raises(TypeError):
+        CheckResult(name="planted", passed=True, cases=1, domain="grid")
+    CheckResult(name="planted", passed=True, cases=1, domain="grid",
+                witnesses=())
 
 
 class TestCheckObliviousness:
