@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import io as rio
 from . import mechanism, verify
-from .lp import UnboundedError
-from .model import Instance, InvariantError, ValuationProfile, ONE
+from .lp import FractionalPoint, UnboundedError
+from .model import Instance, InvariantError, ValuationProfile
 from .relaxation import build_relaxation, solve_relaxation
 from .rounding import DecompositionInfeasibleError, convex_decompose
 from .verify import CheckResult, VerificationReport
@@ -144,14 +144,14 @@ def _mode_verify_no_money(args: argparse.Namespace, instance: Instance,
     # any other work; the report keeps its order.
     median = (verify.check_median_no_improvement(instance, args.grid).checks
               if instance.family.shared else ())
-    report = verify.check_without_money(instance, profile, ONE)
+    report = verify.check_without_money(instance, profile)
     return _emit_report(VerificationReport(report.checks + median), args)
 
 
 def _mode_decompose(args: argparse.Namespace, instance: Instance,
                     profile: ValuationProfile) -> int:
     objective, poly = build_relaxation(instance, profile)
-    optimum = solve_relaxation(objective, poly)
+    optimum = FractionalPoint(solve_relaxation(objective, poly).coords)
     decomposition = convex_decompose(
         optimum, instance.spec.decomposition_scale, instance)
     obj = {

@@ -139,31 +139,47 @@ class FinalTableau:
     names each row's basic LP column c, or slack i as len(slopes) + i;
     ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
     holds c_B B^-1 over the tableau columns, then the objective value.
-    ``poly`` is the polytope ``maximize_linear`` solved over.  ``_step``
-    explains the rest.
+    ``poly`` is the polytope ``maximize_linear`` solved over (None for
+    ``phase_one``'s equalities).  ``_step`` explains the rest.
 
-    Pass one to ``maximize_linear`` to have it filled in.  A new cost per
-    LP column leaves that basis and those caps primal feasible, so
-    ``maximum`` prices the change in and resumes Bland's rule there instead
-    of at the slack basis; Bland's rule terminates from any feasible basis.
+    ``maximize_linear`` returns one.  A new cost per LP column leaves that
+    basis and those caps primal feasible, so ``maximum`` prices the change
+    in and resumes Bland's rule there instead of at the slack basis;
+    Bland's rule terminates from any feasible basis.
     """
 
-    rows: list[list[Fraction]] | None = None
-    basis: list[int] = field(default_factory=list)
-    at_cap: list[bool] = field(default_factory=list)
-    prices: list[Fraction] = field(default_factory=list)
-    slopes: tuple[Fraction, ...] = ()
-    var: tuple[int, ...] = ()
-    cap: tuple[Optional[Fraction], ...] = ()
-    ends: list[int] = field(default_factory=list)
-    start: int = 0
-    carry: Optional[tuple[int, Optional[Fraction], int, int]] = None
-    poly: Optional[Polytope] = None
+    rows: list[list[Fraction]]
+    basis: list[int]
+    at_cap: list[bool]
+    prices: list[Fraction]
+    slopes: tuple[Fraction, ...]
+    var: tuple[int, ...]
+    cap: tuple[Optional[Fraction], ...]
+    poly: Optional[Polytope]
+    ends: list[int] = field(init=False)
+    start: int = field(init=False)
+    carry: Optional[tuple[int, Optional[Fraction], int, int]] = field(
+        init=False)
+
+    def __post_init__(self):
+        self.ends = _run_ends(self.slopes, self.var)
+        self.start, self.carry = 0, None
+
+    @property
+    def value(self) -> Fraction:
+        """The objective value of the basic solution."""
+        return self.prices[-1]
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Each polytope variable's value: its LP columns summed."""
+        coords = [ZERO] * (len(self.prices) - len(self.rows) - 1)
+        for c, y in enumerate(_values(self)):
+            coords[self.var[c]] += y
+        return tuple(coords)
 
     def zero_at(self, columns: Sequence[int]) -> bool:
         """Whether every listed LP column is 0 in the recorded solution."""
-        if self.rows is None:
-            raise LPInputError("no optimal tableau has been recorded")
         basic = dict(zip(self.basis, self.rows))
         return not any((self.at_cap[c] and self.cap[c])
                        or (c in basic and basic[c][-1]) for c in columns)
@@ -174,8 +190,6 @@ class FinalTableau:
         The value is unique, so it equals the value of a cold solve even
         where the optimal vertex would differ.
         """
-        if self.rows is None:
-            raise LPInputError("no optimal tableau has been recorded")
         n = len(self.slopes)
         if len(objective) != n:
             raise LPInputError(f"objective has length {len(objective)}, "
@@ -195,10 +209,9 @@ class FinalTableau:
         # the lists leave the recorded state intact for the next cost row.
         resumed = FinalTableau(list(self.rows), list(self.basis),
                                list(self.at_cap), prices, tuple(objective),
-                               self.var, self.cap,
-                               _run_ends(objective, self.var))
+                               self.var, self.cap, self.poly)
         _bland(resumed)
-        return resumed.prices[-1]
+        return resumed.value
 
 
 def _flip(t: FinalTableau, c: int, to_cap: bool) -> None:
@@ -321,11 +334,12 @@ def _bland(t: FinalTableau) -> None:
         pass
 
 
-def _slack_start(t: FinalTableau, width: int, rows: Sequence[Row],
+def _slack_start(width: int, rows: Sequence[Row],
                  slopes: Sequence[Fraction], var: Sequence[int],
-                 cap: Sequence[Optional[Fraction]]) -> None:
-    """Set t to the slack basis of rows over ``width`` variables, every LP
-    column at zero."""
+                 cap: Sequence[Optional[Fraction]],
+                 poly: Optional[Polytope]) -> FinalTableau:
+    """The slack basis of rows over ``width`` variables, every LP column at
+    zero."""
     k = len(rows)
     tableau = []
     for i, (coeffs, bound) in enumerate(rows):
@@ -333,10 +347,9 @@ def _slack_start(t: FinalTableau, width: int, rows: Sequence[Row],
         row[width + i] = ONE
         tableau.append(row)
     n = len(slopes)
-    t.rows, t.basis, t.at_cap = tableau, list(range(n, n + k)), [False] * n
-    t.prices = [ZERO] * (width + k + 1)
-    t.slopes, t.var, t.cap = tuple(slopes), tuple(var), tuple(cap)
-    t.ends, t.start, t.carry = _run_ends(slopes, var), 0, None
+    return FinalTableau(tableau, list(range(n, n + k)), [False] * n,
+                        [ZERO] * (width + k + 1), tuple(slopes), tuple(var),
+                        tuple(cap), poly)
 
 
 def _values(t: FinalTableau) -> list[Fraction]:
@@ -349,20 +362,18 @@ def _values(t: FinalTableau) -> list[Fraction]:
 
 
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
-                    final: FinalTableau | None = None,
                     columns: tuple[Sequence[int],
                                    Sequence[Optional[Fraction]]] | None = None
-                    ) -> tuple[FractionalPoint, Fraction]:
-    """Maximize c.y over the polytope; returns an exact optimal vertex.
+                    ) -> FinalTableau:
+    """Maximize c.y over the polytope; returns the optimal tableau.
 
     Without ``columns`` there is one LP column per polytope variable.  With
     ``columns = (var, cap)``, LP column c adds y_c to variable ``var[c]``,
     is bounded by 0 <= y_c <= ``cap[c]`` (None: unbounded) and costs
-    ``objective[c]``; the returned point then has one coordinate per LP
-    column.  Ties are resolved by Bland's rule (lowest-index entering
-    variable), which also guarantees termination.  ``final``, if given,
-    receives the optimal state and the polytope, for re-optimizing other
-    costs.
+    ``objective[c]``.  The tableau's ``coords`` is an exact optimal point
+    of the polytope and ``value`` its objective value; it also re-optimizes
+    other costs (``maximum``).  Ties are resolved by Bland's rule
+    (lowest-index entering variable), which also guarantees termination.
     """
     n = poly.num_vars
     if columns is None:
@@ -379,11 +390,9 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     if len(objective) != len(var):
         raise LPInputError(f"objective has length {len(objective)}, "
                            f"expected {len(var)}")
-    t = final if final is not None else FinalTableau()
-    _slack_start(t, n, poly.constraints, objective, var, cap)
-    t.poly = poly
+    t = _slack_start(n, poly.constraints, objective, var, cap, poly)
     _bland(t)
-    return FractionalPoint(tuple(_values(t))), t.prices[-1]
+    return t
 
 
 def phase_one(equalities: Sequence[Row],
@@ -412,9 +421,8 @@ def phase_one(equalities: Sequence[Row],
     # and leaves the same reduced costs at every basis.
     sums = [sum((coeffs[j] for coeffs, _ in rows), ZERO)
             for j in range(nonneg_vars)]
-    t = FinalTableau()
-    _slack_start(t, nonneg_vars, rows, sums, range(nonneg_vars),
-                 (None,) * nonneg_vars)
+    t = _slack_start(nonneg_vars, rows, sums, range(nonneg_vars),
+                     (None,) * nonneg_vars, None)
     _bland(t)
     residual = sum((row[-1] for row, b in zip(t.rows, t.basis)
                     if b >= nonneg_vars), ZERO)

@@ -79,14 +79,13 @@ def _charge(instance: Instance, profile: ValuationProfile,
                  - (total - expectations[k]) for k in range(instance.n))
 
 
-def allocate(instance: Instance, profile: ValuationProfile,
-             final: FinalTableau | None = None
-             ) -> tuple[FractionalPoint, AllocationDistribution]:
-    """Relax, maximize, decompose, thin; deterministic end to end.  ``final``,
-    if given, receives the optimal tableau, for ``residual_maximum``."""
+def allocate(instance: Instance, profile: ValuationProfile
+             ) -> tuple[FinalTableau, AllocationDistribution]:
+    """Relax, maximize, decompose, thin; deterministic end to end.  Returns
+    the optimal tableau, for ``residual_maximum``, and the lottery."""
     objective, poly = build_relaxation(instance, profile)
-    optimum = solve_relaxation(objective, poly, final)
-    return optimum, _round_point(instance, optimum)
+    final = solve_relaxation(objective, poly)
+    return final, _round_point(instance, FractionalPoint(final.coords))
 
 
 def payments(instance: Instance, profile: ValuationProfile,
@@ -98,9 +97,7 @@ def payments(instance: Instance, profile: ValuationProfile,
     the same LP, so both terms live on the same scale.  Nothing is rounded.
     """
     objective, poly = build_relaxation(instance, profile)
-    final = FinalTableau()
-    solve_relaxation(objective, poly, final)
-    return _charge(instance, profile, dist, final)
+    return _charge(instance, profile, dist, solve_relaxation(objective, poly))
 
 
 def run(instance: Instance, profile: ValuationProfile,
@@ -110,8 +107,7 @@ def run(instance: Instance, profile: ValuationProfile,
     One relaxation is built and solved; the payments re-optimize from its
     tableau, and the relaxed value L(x*) is the value that tableau records.
     """
-    final = FinalTableau()
-    _, dist = allocate(instance, profile, final)
+    final, dist = allocate(instance, profile)
     pay = _charge(instance, profile, dist, final)
     realized = sample(dist, seed)
     if realized not in dist.support():
@@ -119,7 +115,7 @@ def run(instance: Instance, profile: ValuationProfile,
                              "is outside the distribution's support")
     return MechanismOutcome(distribution=dist, realized=realized,
                             expected_payments=pay,
-                            relaxed_value=final.prices[-1],
+                            relaxed_value=final.value,
                             calibration=instance.spec.calibration, seed=seed)
 
 
@@ -130,7 +126,8 @@ def _pipeline_lotteries(instance: Instance, profile: ValuationProfile
     objective, poly = build_relaxation(instance, profile)
     # Cold solves: each rounds its residual vertex, not just its value, and
     # a warm start may stop at another optimal vertex.
-    return [_round_point(instance, solve_relaxation(relaxed, poly))
+    return [_round_point(instance, FractionalPoint(
+                solve_relaxation(relaxed, poly).coords))
             for relaxed in (objective, *(residual_objective(objective, k)
                                          for k in range(instance.n)))]
 
@@ -206,6 +203,12 @@ def range_contains(instance: Instance,
     return _round_point(instance, preimage) == dist
 
 
+def lower_median(peaks: Sequence[Fraction]) -> Fraction:
+    """The single-peaked rule: the lower median of the reported peaks."""
+    ordered = sorted(peaks)
+    return ordered[(len(ordered) - 1) // 2]
+
+
 def run_without_money(instance: Instance, profile: ValuationProfile
                       ) -> tuple[FractionalPoint, AllocationDistribution]:
     """Payment-free pipeline for the lottery and single-peaked families.
@@ -223,9 +226,7 @@ def run_without_money(instance: Instance, profile: ValuationProfile
         share = Fraction(1, instance.n)
         x = FractionalPoint(tuple(share for _ in range(instance.n)))
         return x, convex_decompose(x, ONE, instance)
-    peaks = sorted(v.peak for v in profile.valuations)
-    median = peaks[(instance.n - 1) // 2]
-    position = int(median)
+    position = int(lower_median([v.peak for v in profile.valuations]))
     alloc = Allocation(tuple(frozenset({position}) for _ in range(instance.n)))
     x = FractionalPoint(indicator(instance, alloc))
     return x, AllocationDistribution.from_pairs([(alloc, ONE)])

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp import (FinalTableau, FractionalPoint, LPInputError, Polytope,
-                 maximize_linear)
+from .lp import FinalTableau, LPInputError, Polytope, maximize_linear
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator, social_welfare,
                     value_of, validate_profile)
@@ -197,33 +196,28 @@ def _segment_columns(objective: RelaxedObjective
     return col_var, col_obj, col_cap
 
 
-def solve_relaxation(objective: RelaxedObjective, poly: Polytope,
-                     final: FinalTableau | None = None) -> FractionalPoint:
+def solve_relaxation(objective: RelaxedObjective,
+                     poly: Polytope) -> FinalTableau:
     """Exact maximizer of L over P, deterministic via Bland's rule.
 
-    ``final``, if given, receives the optimal state of the LP solved (with
-    one capped column per curve segment for a curved L), for
-    ``residual_maximum``.
+    Returns the optimal tableau of the LP solved (with one capped column
+    per curve segment for a curved L): its ``coords`` is the maximizer,
+    its ``value`` is L there, and ``residual_maximum`` re-optimizes it.
     """
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
     if objective.is_linear:
-        point, _ = maximize_linear(objective.linear_coeffs, poly, final)
-        return point
+        return maximize_linear(objective.linear_coeffs, poly)
     # One LP column per linear piece, capped at its length; concavity
     # (nonincreasing slopes) makes the split exact at any LP optimum.
     col_var, col_obj, col_cap = _segment_columns(objective)
-    delta, value = maximize_linear(col_obj, poly, final, (col_var, col_cap))
-    coords = [ZERO] * poly.num_vars
-    for c, d in enumerate(delta.coords):
-        coords[col_var[c]] += d
-    point = FractionalPoint(tuple(coords))
+    final = maximize_linear(col_obj, poly, (col_var, col_cap))
     # Any optimal fill is ordered up to slope ties, so folding is lossless.
-    folded = objective.evaluate(point.coords)
-    if folded != value:
+    folded = objective.evaluate(final.coords)
+    if folded != final.value:
         raise InvariantError(f"folding the segment fill changed the value "
-                             f"from {value} to {folded}")
-    return point
+                             f"from {final.value} to {folded}")
+    return final
 
 
 def residual_maximum(instance: Instance, final: FinalTableau,
@@ -249,7 +243,7 @@ def residual_maximum(instance: Instance, final: FinalTableau,
                              "polytope than this instance's")
     owners = [instance.variable_index[v][0] for v in final.var]
     if final.zero_at([c for c, owner in enumerate(owners) if owner == k]):
-        return final.prices[-1]
+        return final.value
     return final.maximum([ZERO if owner == k else c
                           for c, owner in zip(final.slopes, owners)])
 

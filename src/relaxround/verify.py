@@ -15,19 +15,21 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .lp import FinalTableau, FractionalPoint
-from .model import (Allocation, Instance, InvariantError,
-                    SingleMindedValuation, ValuationProfile, ZERO, ONE,
-                    enumerate_feasible, fractional_value, social_welfare,
+from .model import (AdditiveValuation, Allocation, Instance, InvariantError,
+                    SingleMindedValuation, Valuation, ValuationProfile, ZERO,
+                    ONE, enumerate_feasible, fractional_value, social_welfare,
                     value_of)
 # build_relaxation is bound, not called: bench/tests/test_tracer.py wants it.
 from .relaxation import (_bundle_value, build_polytope,  # noqa: F401
                          build_relaxation, residual_maximum)
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
+from . import mechanism
 from .mechanism import _round_point, allocate, run_without_money
 from .families import profile_for, with_desires
 
-DEFAULT_BUDGET = 1_000_000
+#: The most pipeline runs one verification sweep may take.
+VERIFICATION_BUDGET = 1_000_000
 
 PaymentRule = Callable[[Instance, ValuationProfile, AllocationDistribution],
                        tuple[Fraction, ...]]
@@ -38,8 +40,7 @@ Rounder = Callable[[FractionalPoint, ValuationProfile],
 class VerificationBudgetError(ValueError):
     """The grid requires more pipeline runs than the configured budget.
 
-    Raised instead of silently sampling; the caller must shrink the grid or
-    raise the budget explicitly.
+    Raised instead of silently sampling; the caller must shrink the grid.
     """
 
     def __init__(self, required: int, budget: int):
@@ -53,11 +54,11 @@ class VerificationBudgetError(ValueError):
         self.budget = budget
 
 
-def require_budget(required: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Refuse a sweep beyond the budget; callers count it before building
-    a single profile."""
-    if required > budget:
-        raise VerificationBudgetError(required, budget)
+def require_budget(required: int) -> None:
+    """Refuse a sweep beyond ``VERIFICATION_BUDGET``; callers count it
+    before building a single profile."""
+    if required > VERIFICATION_BUDGET:
+        raise VerificationBudgetError(required, VERIFICATION_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,17 @@ class VerificationReport:
         return sum(c.cases for c in self.checks)
 
 
+def _format_valuation(v: Valuation) -> str:
+    if isinstance(v, SingleMindedValuation):
+        items = ",".join(str(j) for j in sorted(v.bundle))
+        return "{" + items + "}@" + str(v.value)
+    if isinstance(v, AdditiveValuation):
+        return "(" + ",".join(str(x) for x in v.item_values) + ")"
+    return f"peak={v.peak}"
+
+
 def profile_signature(profile: ValuationProfile) -> str:
-    parts = []
-    for v in profile.valuations:
-        if isinstance(v, SingleMindedValuation):
-            items = ",".join(str(j) for j in sorted(v.bundle))
-            parts.append("{" + items + "}@" + str(v.value))
-        elif hasattr(v, "item_values"):
-            parts.append("(" + ",".join(str(x) for x in v.item_values) + ")")
-        elif hasattr(v, "peak"):
-            parts.append(f"peak={v.peak}")
-        else:
-            parts.append(repr(v))
-    return ";".join(parts)
+    return ";".join(_format_valuation(v) for v in profile.valuations)
 
 
 def brute_force_opt(instance: Instance,
@@ -144,8 +143,8 @@ class _Misreport:
     def describe(self) -> str:
         if self.bundle is None:
             return str(self.value)
-        items = ",".join(str(j) for j in sorted(self.bundle))
-        return "{" + items + "}@" + str(self.value)
+        return _format_valuation(SingleMindedValuation(self.bundle,
+                                                       self.value))
 
 
 def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
@@ -200,8 +199,7 @@ class _PipelineCache:
         key = (tuple(b for _, b in instance.variable_index), profile)
         found = self._store.get(key)
         if found is None:
-            final = FinalTableau()
-            _, dist = allocate(instance, profile, final)
+            final, dist = allocate(instance, profile)
             values = expected_value_per_bidder(dist, profile)
             charged = (None if self.payment_rule is None
                        else self.payment_rule(instance, profile, dist))
@@ -250,7 +248,6 @@ def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
 def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
                        misreport_grid: Sequence[Fraction],
                        payment_rule: Optional[PaymentRule] = None,
-                       budget: int = DEFAULT_BUDGET,
                        include_bundle_misreports: bool = True
                        ) -> VerificationReport:
     """Exhaustive truthfulness-in-expectation check over grid profiles.
@@ -266,7 +263,7 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     misreports, omitted = _misreports(instance, misreport_grid,
                                       include_bundle_misreports)
     require_budget(len(value_grid) ** instance.n
-                   * (1 + instance.n * len(misreports)), budget)
+                   * (1 + instance.n * len(misreports)))
     profiles = grid_profiles(instance, value_grid)
     cache = _PipelineCache(payment_rule)
     instance_cache = {tuple(b for _, b in instance.variable_index): instance}
@@ -426,9 +423,11 @@ def check_nonoblivious_condition(rounder: Rounder, instance: Instance,
     return VerificationReport((check,))
 
 
-def check_without_money(instance: Instance, profile: ValuationProfile,
-                        beta: Fraction) -> VerificationReport:
-    """Feasibility and the exact thinned-value identity, componentwise."""
+def check_without_money(instance: Instance,
+                        profile: ValuationProfile) -> VerificationReport:
+    """Feasibility and the exact thinned-value identity, componentwise:
+    each bidder's expected value is the instance's calibration times its
+    value at the fractional point."""
     x, dist = run_without_money(instance, profile)
     feasible = set(enumerate_feasible(instance))
     bad_support = [a for a in dist.support() if a not in feasible]
@@ -441,6 +440,7 @@ def check_without_money(instance: Instance, profile: ValuationProfile,
                                 misreport=str(a.bitmasks()), lhs=ZERO,
                                 rhs=ONE) for a in bad_support))
     expectations = expected_value_per_bidder(dist, profile)
+    beta = instance.spec.calibration
     witnesses = []
     for i in range(instance.n):
         want = beta * fractional_value(profile, i, instance, x.coords)
@@ -454,32 +454,29 @@ def check_without_money(instance: Instance, profile: ValuationProfile,
     return VerificationReport((feas_check, value_check))
 
 
-def median_of(peaks: Sequence[Fraction]) -> Fraction:
-    """Lower median, matching the shipped single-peaked rule."""
-    ordered = sorted(peaks)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def check_median_no_improvement(instance: Instance,
-                                peak_grid: Sequence[Fraction],
-                                budget: int = DEFAULT_BUDGET
+                                peak_grid: Sequence[Fraction]
                                 ) -> VerificationReport:
-    """No misreported peak may move the median closer to a true peak."""
+    """No misreported peak may move the median closer to a true peak.
+
+    The median is the shipped rule, ``mechanism.lower_median``, applied to
+    the raw grid peaks.
+    """
     if not instance.family.shared:
         raise ValueError("median check applies to the single-peaked family")
     grid = [Fraction(g) for g in peak_grid]
-    require_budget(len(grid) ** instance.n * instance.n * len(grid), budget)
+    require_budget(len(grid) ** instance.n * instance.n * len(grid))
     witnesses = []
     cases = 0
     for peaks in product(grid, repeat=instance.n):
-        truth_median = median_of(peaks)
+        truth_median = mechanism.lower_median(peaks)
         for k in range(instance.n):
             truth_distance = abs(truth_median - peaks[k])
             for deviation in grid:
                 cases += 1
                 misreported = list(peaks)
                 misreported[k] = deviation
-                distance = abs(median_of(misreported) - peaks[k])
+                distance = abs(mechanism.lower_median(misreported) - peaks[k])
                 if distance < truth_distance:
                     witnesses.append(Witness(
                         profile=";".join(str(p) for p in peaks), bidder=k,

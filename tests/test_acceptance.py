@@ -10,8 +10,8 @@ import time
 from fractions import Fraction as F
 from itertools import product
 
-from relaxround import (Allocation, adversarial_rounder, allocate,
-                        brute_force_opt, build_relaxation,
+from relaxround import (Allocation, FractionalPoint, adversarial_rounder,
+                        allocate, brute_force_opt, build_relaxation,
                         check_approximation, check_median_no_improvement,
                         check_nonoblivious_condition, check_obliviousness,
                         check_truthfulness, check_without_money,
@@ -26,7 +26,6 @@ from relaxround.io import write_witness_file
 from relaxround.relaxation import build_polytope
 
 ZERO = F(0)
-ONE = F(1)
 
 GRID_7 = [F(v) for v in range(7)]
 GRID_4 = [F(v) for v in range(4)]
@@ -159,7 +158,8 @@ def test_criterion_5_decomposition_identities():
         for bids in product(grid, repeat=instance.n):
             objective, _ = build_relaxation(instance,
                                             profile_for(instance, list(bids)))
-            points.append(solve_relaxation(objective, poly))
+            points.append(FractionalPoint(
+                solve_relaxation(objective, poly).coords))
         for point in points:
             decomposition = convex_decompose(point, scale, instance)
             total = [ZERO] * instance.num_vars
@@ -211,14 +211,14 @@ def test_criterion_7_without_money_properties():
                     profile_for(instance, [F(rng.randint(0, 9))
                                            for _ in range(n)])]
         for profile in profiles:
-            report = check_without_money(instance, profile, ONE)
+            report = check_without_money(instance, profile)
             assert report.passed
             lottery_cases += report.cases
     median_instance = make_no_money(3, "single_peaked", positions=7)
     median = check_median_no_improvement(median_instance, GRID_7)
     assert median.passed
     sample_profile = profile_for(median_instance, [F(1), F(5), F(3)])
-    assert check_without_money(median_instance, sample_profile, ONE).passed
+    assert check_without_money(median_instance, sample_profile).passed
     verdict(7, f"without-money properties, lottery {lottery_cases} cases, "
                f"median {median.cases} cases", True)
 

@@ -147,7 +147,7 @@ class TestSingleMinded:
         inst = make_single_minded_ca(2, [{0}, {1}])
         profile = profile_for(inst, [F(3), F(4)])
         objective, poly = build_relaxation(inst, profile)
-        optimum = solve_relaxation(objective, poly)
+        optimum = FractionalPoint(solve_relaxation(objective, poly).coords)
         assert all(c.denominator == 1 for c in optimum.coords)
         decomposition = convex_decompose(optimum, inst.spec.decomposition_scale,
                                          inst)

@@ -167,9 +167,6 @@ def public_defaults(package):
     return sorted(found)
 
 
-_BLANK_TABLEAU = "FinalTableau() is the blank record maximize_linear fills in"
-_BUDGET = "the README documents the budget as raisable by the caller"
-
 #: Each public default and why it stays: its second caller or the document
 #: field it serves.  A default that only one value reaches outside the
 #: tests becomes a constant or goes.
@@ -186,15 +183,8 @@ PUBLIC_DEFAULTS = {
     "io.write_instance.payment_rule": "the document's payment_rule",
     "io.write_report_files.stem":
         "report files; write_witness_file writes the witness stem",
-    **{f"lp.FinalTableau.{name}": _BLANK_TABLEAU for name in (
-        "rows", "basis", "at_cap", "prices", "slopes", "var", "cap", "ends",
-        "start", "carry", "poly")},
-    "lp.maximize_linear.final":
-        "solve_relaxation passes its own final through, None included",
     "lp.maximize_linear.columns":
         "curved objectives pass segment columns; linear ones pass none",
-    "mechanism.allocate.final":
-        "the verifier keeps the tableau; check_approximation does not",
     "model.Family.extra": "the families whose documents carry extra fields",
     "model.Family.m": "the families with a fixed item count",
     "model.Family.max_n": "the families with a bidder cap",
@@ -207,18 +197,12 @@ PUBLIC_DEFAULTS = {
         "curved objectives; linear ones give linear_coeffs instead",
     "relaxation.RelaxedObjective.linear_coeffs":
         "linear objectives; curved ones give curves instead",
-    "relaxation.solve_relaxation.final":
-        "allocate keeps the tableau; decompose and the realized-payment "
-        "lotteries do not",
-    "verify.check_median_no_improvement.budget": _BUDGET,
     "verify.check_obliviousness.rounder":
         "the negative controls pass adversarial_rounder",
-    "verify.check_truthfulness.budget": _BUDGET,
     "verify.check_truthfulness.include_bundle_misreports":
         "bench/tests/test_ops.py turns bundle misreports off",
     "verify.check_truthfulness.payment_rule":
         "the CLI passes first_price_payments for first-price documents",
-    "verify.require_budget.budget": _BUDGET,
 }
 
 

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaxround import lp
-from relaxround import (FinalTableau, FractionalPoint, LPInputError,
-                        Polytope, UnboundedError, contains,
-                        enumerate_vertices, maximize_linear, phase_one)
+from relaxround import (FractionalPoint, LPInputError, Polytope,
+                        UnboundedError, contains, enumerate_vertices,
+                        maximize_linear, phase_one)
 
 ZERO = F(0)
 ONE = F(1)
@@ -26,26 +26,25 @@ def box(n):
 
 class TestMaximizeLinear:
     def test_box_maximum(self):
-        point, value = maximize_linear([F(1), F(2)], box(2))
-        assert point.coords == (F(1), F(1))
-        assert value == 3
+        final = maximize_linear([F(1), F(2)], box(2))
+        assert final.coords == (F(1), F(1))
+        assert final.value == 3
 
     def test_single_item_lp_highest_coefficient_wins(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        point, value = maximize_linear([F(5), F(3)], poly)
-        assert point.coords == (F(1), F(0))
-        assert value == 5
+        final = maximize_linear([F(5), F(3)], poly)
+        assert final.coords == (F(1), F(0))
+        assert final.value == 5
 
     def test_zero_objective_stays_at_origin(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        point, value = maximize_linear([ZERO, ZERO], poly)
-        assert point.coords == (ZERO, ZERO)
-        assert value == 0
+        final = maximize_linear([ZERO, ZERO], poly)
+        assert final.coords == (ZERO, ZERO)
+        assert final.value == 0
 
     def test_tie_breaks_to_lowest_index(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        point, _ = maximize_linear([F(4), F(4)], poly)
-        assert point.coords == (F(1), F(0))
+        assert maximize_linear([F(4), F(4)], poly).coords == (F(1), F(0))
 
     def test_unbounded_direction_raises(self):
         poly = Polytope(2, (((ONE, ZERO), ONE),))  # x2 unconstrained
@@ -58,9 +57,10 @@ class TestMaximizeLinear:
 
     def test_deterministic_bit_identical(self):
         poly = Polytope(3, (((ONE, ONE, ZERO), ONE), ((ZERO, ONE, ONE), ONE)))
-        first = maximize_linear([F(2), F(3), F(2)], poly)
-        second = maximize_linear([F(2), F(3), F(2)], poly)
-        assert first == second
+        first, second = (maximize_linear([F(2), F(3), F(2)], poly)
+                         for _ in range(2))
+        assert ((first.rows, first.basis, first.prices)
+                == (second.rows, second.basis, second.prices))
 
     def test_optimum_matches_vertex_enumeration_oracle(self):
         """Exhaustive oracle: the simplex optimum equals the vertex maximum."""
@@ -78,11 +78,11 @@ class TestMaximizeLinear:
                              F(rng.randint(1, 3))))
             poly = Polytope(n, tuple(rows))
             objective = [F(rng.randint(0, 6)) for _ in range(n)]
-            point, value = maximize_linear(objective, poly)
-            assert contains(poly, point)
+            final = maximize_linear(objective, poly)
+            assert contains(poly, FractionalPoint(final.coords))
             oracle = max(sum((c * v for c, v in zip(objective, vert.coords)), ZERO)
                          for vert in enumerate_vertices(poly))
-            assert value == oracle
+            assert final.value == oracle
 
 
 class TestColumnMaps:
@@ -90,10 +90,10 @@ class TestColumnMaps:
         # Two pieces of one variable, slopes 3 and 1 with caps 1/2 and 1,
         # under x0 <= 1: the steep piece fills first, then the flat one.
         poly = Polytope(1, (((ONE,), ONE),))
-        point, value = maximize_linear([F(3), ONE], poly, None,
-                                       ([0, 0], [F(1, 2), ONE]))
-        assert point.coords == (F(1, 2), F(1, 2))
-        assert value == F(2)
+        final = maximize_linear([F(3), ONE], poly, ([0, 0], [F(1, 2), ONE]))
+        assert lp._values(final) == [F(1, 2), F(1, 2)]
+        assert final.coords == (ONE,)
+        assert final.value == F(2)
 
     @pytest.mark.parametrize("columns", [
         ([0, 2], [ONE, ONE]),          # no variable 2
@@ -103,7 +103,7 @@ class TestColumnMaps:
     def test_malformed_column_maps_raise(self, columns):
         poly = Polytope(2, (((ONE, ONE), ONE),))
         with pytest.raises(LPInputError):
-            maximize_linear([ONE, ONE], poly, None, columns)
+            maximize_linear([ONE, ONE], poly, columns)
 
 
 class TestFinalTableau:
@@ -116,8 +116,8 @@ class TestFinalTableau:
                          for _ in range(rng.randint(1, 4)))
             poly = Polytope(n, rows + box(n).constraints)
             main = [F(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(n)]
-            final = FinalTableau()
-            _, top = maximize_linear(main, poly, final)
+            final = maximize_linear(main, poly)
+            top = final.value
             # Zeroing each entry of the main costs, as the payment LPs do,
             # then fresh cost rows with negative entries as well.
             others = [[ZERO if j == k else c for j, c in enumerate(main)]
@@ -125,17 +125,13 @@ class TestFinalTableau:
             others += [[F(rng.randint(-3, 5), rng.randint(1, 3))
                         for _ in range(n)] for _ in range(3)]
             for cost in others:
-                assert final.maximum(cost) == maximize_linear(cost, poly)[1]
+                assert final.maximum(cost) == maximize_linear(cost,
+                                                              poly).value
             # The recorded tableau is left as it was.
             assert final.maximum(main) == top
 
-    def test_nothing_recorded_raises(self):
-        with pytest.raises(LPInputError):
-            FinalTableau().maximum([ONE])
-
     def test_cost_length_mismatch_raises(self):
-        final = FinalTableau()
-        maximize_linear([ONE, ONE], box(2), final)
+        final = maximize_linear([ONE, ONE], box(2))
         with pytest.raises(LPInputError):
             final.maximum([ONE])
 

@@ -8,11 +8,12 @@ Two oracles, each kept from the code it checks:
   sequence and leave the same tableau and price row after every pivot,
   entry for entry.
 * ``explicit_lp`` with ``_bland_loop``, ``maximize_linear`` and
-  ``FinalTableau.maximum`` below, verbatim, is the solver that the
-  bounded-variable loop replaced: one LP column per curve segment, plus
-  one explicit unit row per capped column.  ``lp.maximize_linear`` with a column map must
-  walk the same bases in the same order, as read in that LP's numbering,
-  and reach the same vertex, value and warm maxima.
+  ``FinalTableau.maximum`` below is the solver that the bounded-variable
+  loop replaced, verbatim but for returning its tableau: one LP column per
+  curve segment, plus one explicit unit row per capped column.
+  ``lp.maximize_linear`` with a column map must walk the same bases in the
+  same order, as read in that LP's numbering, and reach the same vertex,
+  value and warm maxima.
 """
 
 import random
@@ -64,10 +65,9 @@ def dense_maximum(final, objective):
             prices[-1] += (objective[c] - final.slopes[c]) * final.cap[c]
     resumed = replace(final, rows=list(final.rows), basis=list(final.basis),
                       at_cap=list(final.at_cap), prices=prices,
-                      slopes=tuple(objective),
-                      ends=lp._run_ends(objective, final.var))
+                      slopes=tuple(objective))
     lp._bland(resumed)
-    return resumed.prices[-1]
+    return resumed.value
 
 
 def dense_solve_square(rows, rhs):
@@ -158,18 +158,17 @@ def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
 class FinalTableau:
     """The optimal tableau a ``maximize_linear`` call ended on.
 
-    Pass one to ``maximize_linear`` to have it filled in.  A new cost row
-    over the same polytope leaves that basis primal feasible, so
-    ``maximum`` prices the row out of it and resumes Bland's rule there
-    instead of at the slack basis; Bland's rule terminates from any
-    feasible basis.
+    A new cost row over the same polytope leaves that basis primal
+    feasible, so ``maximum`` prices the row out of it and resumes Bland's
+    rule there instead of at the slack basis; Bland's rule terminates from
+    any feasible basis.
     """
 
-    def __init__(self) -> None:
-        self.rows: list[list[Fraction]] | None = None
-        self.basis: tuple[int, ...] = ()
-        self.objective: tuple[Fraction, ...] = ()
-        self.cost: tuple[Fraction, ...] = ()
+    def __init__(self, rows: list[list[Fraction]], basis: tuple[int, ...],
+                 objective: tuple[Fraction, ...],
+                 cost: tuple[Fraction, ...]) -> None:
+        self.rows, self.basis = rows, basis
+        self.objective, self.cost = objective, cost
 
     def maximum(self, objective: Sequence[Fraction]) -> Fraction:
         """Optimal value of objective.x over the recorded polytope.
@@ -177,8 +176,6 @@ class FinalTableau:
         The value is unique, so it equals the value of a cold solve even
         where the optimal vertex would differ.
         """
-        if self.rows is None:
-            raise LPInputError("no optimal tableau has been recorded")
         n = len(self.objective)
         if len(objective) != n:
             raise LPInputError(f"objective has length {len(objective)}, "
@@ -200,14 +197,13 @@ class FinalTableau:
         return -cost[-1]
 
 
-def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
-                    final: FinalTableau | None = None
-                    ) -> tuple[FractionalPoint, Fraction]:
-    """Maximize c.x over the polytope; returns an exact optimal vertex.
+def maximize_linear(objective: Sequence[Fraction], poly: Polytope
+                    ) -> tuple[FractionalPoint, Fraction, FinalTableau]:
+    """Maximize c.x over the polytope; returns an exact optimal vertex,
+    its value and the optimal tableau, for re-optimizing other cost rows.
 
     Ties are resolved by Bland's rule (lowest-index entering variable),
-    which also guarantees termination.  ``final``, if given, receives the
-    optimal tableau for re-optimizing other cost rows.
+    which also guarantees termination.
     """
     n = poly.num_vars
     if len(objective) != n:
@@ -223,16 +219,14 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     cost = list(objective) + [ZERO] * (k + 1)
     basis = list(range(n, n + k))
     _bland_loop(tableau, cost, basis, n + k)
-    if final is not None:
-        final.rows, final.basis = tableau, tuple(basis)
-        final.objective, final.cost = tuple(objective), tuple(cost)
+    final = FinalTableau(tableau, tuple(basis), tuple(objective), tuple(cost))
     coords = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             coords[b] = tableau[i][-1]
     point = FractionalPoint(tuple(coords))
     value = sum((c * v for c, v in zip(objective, coords)), ZERO)
-    return point, value
+    return point, value, final
 
 
 SHIPPED_ORACLE_PIVOT = _pivot
@@ -480,17 +474,16 @@ def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
     expanded = explicit_lp(poly, col_var, col_cap)
 
     def explicit():
-        final = FinalTableau()
-        point, value = maximize_linear(objective, expanded, final)
-        return point, value, [value_or_unbounded(lambda: final.maximum(cost))
-                              for cost in warm_costs]
+        point, value, final = maximize_linear(objective, expanded)
+        return point.coords, value, [
+            value_or_unbounded(lambda: final.maximum(cost))
+            for cost in warm_costs]
 
     def bounded():
-        final = lp.FinalTableau()
-        point, value = lp.maximize_linear(objective, poly, final,
-                                          (col_var, col_cap))
-        return point, value, [value_or_unbounded(lambda: final.maximum(cost))
-                              for cost in warm_costs]
+        final = lp.maximize_linear(objective, poly, (col_var, col_cap))
+        return tuple(lp._values(final)), final.value, [
+            value_or_unbounded(lambda: final.maximum(cost))
+            for cost in warm_costs]
 
     want, want_path = explicit_path(monkeypatch, explicit, len(col_var),
                                     len(poly.constraints), col_cap)
@@ -555,18 +548,17 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
     n = len(bids)
     warm = [[ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)]
             for k in range(n)]
-    (point, value, maxima), path = assert_explicit_path(
+    (values, value, maxima), path = assert_explicit_path(
         monkeypatch, col_obj, poly, col_var, col_cap, warm)
     assert len(path) > segments
     # solve_relaxation folds the same vertex, and residual_maximum reads
     # the same warm maxima.
-    final = lp.FinalTableau()
-    folded = solve_relaxation(objective, poly, final)
+    final = solve_relaxation(objective, poly)
     want = [ZERO] * n
-    for c, d in enumerate(point.coords):
+    for c, d in enumerate(values):
         want[col_var[c]] += d
-    assert folded.coords == tuple(want)
-    assert objective.evaluate(folded.coords) == value
+    assert final.coords == tuple(want)
+    assert objective.evaluate(final.coords) == value
     instance = gap_toy_instance(n, machines, segments)
     assert [residual_maximum(instance, final, k) for k in range(n)] == maxima
 
@@ -599,15 +591,20 @@ def test_random_packing_lps_and_warm_maxima(monkeypatch):
             outcomes["degenerate"] += 1
         if len(set(objective)) < len(objective):
             outcomes["tied"] += 1
-        final = lp.FinalTableau()
-        result, _ = assert_same_path(
-            monkeypatch, lambda: lp.maximize_linear(objective, poly, final))
+        finals = []
+
+        def solve():
+            finals.append(lp.maximize_linear(objective, poly))
+            return finals[-1].coords, finals[-1].value
+
+        result, _ = assert_same_path(monkeypatch, solve)
         if result == "unbounded":
             outcomes["unbounded"] += 1
             continue
         # A cost change as the payment rule makes one (zero some entries),
         # and an arbitrary one.  Both resume from the same recorded
         # tableau, so they also check that re-optimizing leaves it intact.
+        final = finals[-1]
         zeroed = [ZERO if rng.random() < 0.5 else c for c in objective]
         other = [F(rng.randint(0, 4)) for _ in objective]
         for changed in (zeroed, other):
@@ -615,7 +612,7 @@ def test_random_packing_lps_and_warm_maxima(monkeypatch):
                 monkeypatch, lambda: final.maximum(changed),
                 oracle=lambda: dense_maximum(final, changed))
             if got != "unbounded":
-                assert got == lp.maximize_linear(changed, poly)[1]
+                assert got == lp.maximize_linear(changed, poly).value
             outcomes["warm"] += 1
     assert all(count > 0 for count in outcomes.values()), outcomes
 
@@ -627,20 +624,18 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
         objective, poly = build_relaxation(instance, profile)
 
         def scenario():
-            final = lp.FinalTableau()
-            point = solve_relaxation(objective, poly, final)
+            final = solve_relaxation(objective, poly)
             residuals = [residual_maximum(instance, final, k)
                          for k in range(instance.n)]
-            return point, residuals
+            return final.coords, residuals
 
         def oracle():
-            final = lp.FinalTableau()
-            point = solve_relaxation(objective, poly, final)
+            final = solve_relaxation(objective, poly)
             col_var, col_obj, _ = _segment_columns(objective)
             residuals = [dense_maximum(final, [
                 ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)])
                 for k in range(instance.n)]
-            return point, residuals
+            return final.coords, residuals
 
         _, pivots = assert_same_path(monkeypatch, scenario, oracle)
         assert pivots > 50

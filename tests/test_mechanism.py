@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (Allocation, AllocationDistribution, FinalTableau,
+from relaxround import (Allocation, AllocationDistribution,
                         FractionalPoint, allocate, build_relaxation,
                         expected_realized_payments, expected_value_per_bidder,
                         make_case_b_family, make_gap_toy, make_no_money,
@@ -88,8 +88,7 @@ class TestPayments:
         cold maxima of (3, 4, 3)."""
         bids = [F(3), F(2), F(1)]
         recorded = make_single_minded_ca(2, [{0}, {1}, {1}])
-        other = FinalTableau()
-        allocate(recorded, profile_for(recorded, bids), other)
+        other, _ = allocate(recorded, profile_for(recorded, bids))
         instance = make_single_minded_ca(2, [{0}, {0}, {1}])
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, bids))

@@ -99,9 +99,10 @@ class TestSolveRelaxation:
         objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
         exact = relaxation.maximize_linear
 
-        def off_by_one(objective, poly, final=None, columns=None):
-            point, value = exact(objective, poly, final, columns)
-            return point, value + 1
+        def off_by_one(objective, poly, columns=None):
+            final = exact(objective, poly, columns)
+            final.prices[-1] += 1
+            return final
 
         monkeypatch.setattr(relaxation, "maximize_linear", off_by_one)
         with pytest.raises(InvariantError, match="folding"):
@@ -121,10 +122,9 @@ class TestResidualMaximum:
         instance, scalars, winners = build()
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, scalars))
-        final = FinalTableau()
-        optimum = solve_relaxation(objective, poly, final)
+        final = solve_relaxation(objective, poly)
         assert [k for k in range(instance.n)
-                if any(x for x, owner in zip(optimum.coords,
+                if any(x for x, owner in zip(final.coords,
                                              objective.owners)
                        if owner == k)] == winners
         warm, calls = FinalTableau.maximum, []
@@ -144,8 +144,7 @@ class TestResidualMaximum:
     def test_index_out_of_range(self):
         inst = make_single_item(2)
         objective, poly = build_relaxation(inst, profile_for(inst, [F(5), F(3)]))
-        final = FinalTableau()
-        solve_relaxation(objective, poly, final)
+        final = solve_relaxation(objective, poly)
         with pytest.raises(IndexError):
             residual_maximum(inst, final, 2)
 

@@ -238,7 +238,7 @@ class TestExpectations:
         inst = make_single_item(2)
         profile = profile_for(inst, [F(5), F(3)])
         objective, poly = build_relaxation(inst, profile)
-        optimum = solve_relaxation(objective, poly)
+        optimum = FractionalPoint(solve_relaxation(objective, poly).coords)
         dist = convex_decompose(optimum, ONE, inst)
         assert expected_welfare(dist, profile) == objective.evaluate(optimum.coords) == 5
 

@@ -157,14 +157,15 @@ def test_truthfulness_budget_is_checked_before_any_profile(single_item_32,
     assert err.value.required == 3 ** 32 * (1 + 32 * 3)
 
 
-def test_median_budget():
+def test_median_budget(monkeypatch):
     instance = make_no_money(3, "single_peaked")
     grid = [0, 1, 2]
     cases = 3 ** 3 * 3 * 3
-    assert verify.check_median_no_improvement(instance, grid,
-                                              budget=cases).cases == cases
+    monkeypatch.setattr(verify, "VERIFICATION_BUDGET", cases)
+    assert verify.check_median_no_improvement(instance, grid).cases == cases
+    monkeypatch.setattr(verify, "VERIFICATION_BUDGET", cases - 1)
     with pytest.raises(VerificationBudgetError):
-        verify.check_median_no_improvement(instance, grid, budget=cases - 1)
+        verify.check_median_no_improvement(instance, grid)
 
 
 def test_a_huge_requirement_is_reported_without_its_digits():

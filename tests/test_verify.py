@@ -14,6 +14,10 @@ from relaxround import (Allocation, AllocationDistribution, CheckResult,
                         first_price_payments, make_case_b_family,
                         make_gap_toy, make_no_money, make_single_item,
                         make_single_minded_ca, oblivious_rounder, profile_for)
+from relaxround import (AdditiveValuation, FamilySpec, Instance,
+                        SingleMindedValuation, SinglePeakedValuation,
+                        ValuationProfile, mechanism, verify)
+from relaxround.families import NO_MONEY_LOTTERY
 
 ZERO = F(0)
 ONE = F(1)
@@ -59,11 +63,13 @@ class TestCheckTruthfulness:
         inst = make_single_item(1)
         assert check_truthfulness(inst, GRID, GRID).passed
 
-    def test_budget_guard_refuses_to_sample(self):
+    def test_budget_guard_refuses_to_sample(self, monkeypatch):
         inst = make_single_item(2)
+        monkeypatch.setattr(verify, "VERIFICATION_BUDGET", 10)
         with pytest.raises(VerificationBudgetError) as err:
-            check_truthfulness(inst, GRID, GRID, budget=10)
+            check_truthfulness(inst, GRID, GRID)
         assert err.value.required > 10
+        assert err.value.budget == 10
 
     def test_bundle_misreports_are_exhausted(self):
         inst = make_single_minded_ca(2, [{0}, {0, 1}])
@@ -173,12 +179,12 @@ class TestNonObliviousCondition:
 class TestCheckWithoutMoney:
     def test_lottery_passes_with_beta_one(self):
         inst = make_no_money(3, "lottery")
-        report = check_without_money(inst, profile_for(inst, [F(6), F(3), F(9)]), ONE)
+        report = check_without_money(inst, profile_for(inst, [F(6), F(3), F(9)]))
         assert report.passed
 
     def test_median_support_is_feasible(self):
         inst = make_no_money(3, "single_peaked")
-        report = check_without_money(inst, profile_for(inst, [F(1), F(5), F(3)]), ONE)
+        report = check_without_money(inst, profile_for(inst, [F(1), F(5), F(3)]))
         assert report.passed
 
     def test_corrupted_lottery_fails_normalization_upstream(self):
@@ -189,9 +195,15 @@ class TestCheckWithoutMoney:
             ])
 
     def test_wrong_beta_is_detected(self):
-        inst = make_no_money(2, "lottery")
-        report = check_without_money(inst, profile_for(inst, [F(4), F(2)]), F(1, 2))
+        """Negative control: the lottery pipeline keeps every bidder, so an
+        instance whose spec claims beta = 1/2 must fail the identity."""
+        variables = tuple((i, frozenset({0})) for i in range(2))
+        inst = Instance(NO_MONEY_LOTTERY, 2, 1, variables,
+                        FamilySpec(alpha=ONE, beta=F(1, 2)))
+        report = check_without_money(inst, profile_for(inst, [F(4), F(2)]))
         assert not report.passed
+        assert report.checks[1].domain == "beta=1/2"
+        assert report.checks[1].witnesses
 
 
 class TestMedianNoImprovement:
@@ -201,21 +213,37 @@ class TestMedianNoImprovement:
         assert report.passed
         assert report.cases == 4 ** 3 * 3 * 4
 
-    def test_mean_rule_would_fail(self):
-        """Sanity for the checker: a mean-based rule admits improving lies."""
-        from itertools import product
-        grid = [F(g) for g in range(4)]
-        violations = 0
-        for peaks in product(grid, repeat=3):
-            for k in range(3):
-                truth_mean = sum(peaks, ZERO) / 3
-                for lie in grid:
-                    reported = list(peaks)
-                    reported[k] = lie
-                    lied_mean = sum(reported, ZERO) / 3
-                    if abs(lied_mean - peaks[k]) < abs(truth_mean - peaks[k]):
-                        violations += 1
-        assert violations > 0
+    def test_mean_rule_would_fail(self, monkeypatch):
+        """Negative control: with the shipped rule swapped for the mean,
+        the pipeline plays the mean and the checker finds an improving lie."""
+        inst = make_no_money(3, "single_peaked", positions=4)
+        monkeypatch.setattr(mechanism, "lower_median",
+                            lambda peaks: sum(peaks, ZERO) / len(peaks))
+        _, dist = mechanism.run_without_money(
+            inst, profile_for(inst, [F(0), F(0), F(3)]))
+        assert dist.entries[0][0].bundles[0] == {1}
+        report = check_median_no_improvement(inst, [F(g) for g in range(4)])
+        assert not report.passed
+        witness = report.checks[0].witnesses[0]
+        assert witness.gap > 0
+        assert witness.bidder in range(3)
+
+    def test_the_shipped_rule_takes_raw_peaks(self):
+        """The checker's grids need not be positions: 5/2 is a peak."""
+        assert mechanism.lower_median([F(5, 2), F(1), F(4)]) == F(5, 2)
+        assert mechanism.lower_median([F(3), F(5, 2)]) == F(5, 2)
+
+
+class TestProfileSignature:
+    def test_one_format_per_valuation_kind(self):
+        profile = ValuationProfile((
+            SingleMindedValuation(frozenset({2, 0}), F(3, 2)),
+            AdditiveValuation((F(1), ZERO)),
+            SinglePeakedValuation(F(5, 2))))
+        assert verify.profile_signature(profile) == "{0,2}@3/2;(1,0);peak=5/2"
+        assert verify._Misreport(F(3, 2), frozenset({2, 0})).describe() == \
+            "{0,2}@3/2"
+        assert verify._Misreport(F(7)).describe() == "7"
 
 
 class TestOracleEquivalence:
