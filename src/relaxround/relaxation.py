@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .lp import FinalTableau, LPInputError, Polytope, maximize_linear
@@ -222,19 +224,30 @@ def solve_relaxation(objective: RelaxedObjective,
 
 def residual_maximum(instance: Instance, final: FinalTableau,
                      k: int) -> Fraction:
-    """max L^{-k} over P, re-optimized from the recorded solve of max L.
+    """max L^{-k} over P, from the recorded solve of max L.
 
     ``final`` holds the optimal tableau of ``solve_relaxation`` over the
     instance's polytope; its ``slopes`` are L's costs, one per LP column,
-    and ``var`` maps each column to a polytope variable.  Bidder k's costs
-    are set to zero on the same columns, so that basis stays feasible.
-    Zeroed columns add nothing and P is packing, so the maximum equals that
-    of ``residual_objective`` over P.  Raises InvariantError if ``final``
-    was recorded over another polytope than the instance's.
+    and ``var`` maps each column to a polytope variable.  L^{-k} is L with
+    bidder k's costs set to zero; zeroed columns add nothing and P is
+    packing, so its maximum equals that of ``residual_objective`` over P.
+    Raises InvariantError if ``final`` was recorded over another polytope
+    than the instance's.
 
     A bidder who wins nothing at the recorded optimum x* needs no
     re-optimization: costs are nonnegative, so L^{-k} <= L on P, and
     L^{-k}(x*) = L(x*) is already the recorded value.
+
+    A linear L over a family whose constructor audited every vertex of P
+    (single-minded auctions) is maximized over that vertex table, since a
+    linear function peaks at a vertex; the same scan re-checks max L
+    against the recorded value, so a table missing the optimal vertex
+    raises InvariantError.  A curved L (gap-toy), or a family without a
+    table (single-item, case-b), resumes Bland's rule from the recorded
+    basis instead: ``final.maximum`` with bidder k's costs zeroed, which
+    leaves that basis feasible.  Only the optimal value is read, so both
+    paths return the same number; x* itself stays Bland's vertex, whose
+    lottery ``run`` plays even where several vertices tie for max L.
     """
     if not 0 <= k < instance.n:
         raise IndexError(f"bidder index {k} out of range")
@@ -244,8 +257,45 @@ def residual_maximum(instance: Instance, final: FinalTableau,
     owners = [instance.variable_index[v][0] for v in final.var]
     if final.zero_at([c for c, owner in enumerate(owners) if owner == k]):
         return final.value
+    if instance.spec.curve is None and instance.vertex_lotteries:
+        return _table_maximum(instance, final, k)
     return final.maximum([ZERO if owner == k else c
                           for c, owner in zip(final.slopes, owners)])
+
+
+def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The vertices of ``instance.vertex_lotteries`` as integer rows over
+    one common denominator, returned as (denominator, rows).
+
+    They depend on the instance alone, so they are built once per instance.
+    """
+    if "vertex_rows" in instance.derived:
+        return instance.derived["vertex_rows"]
+    vertices = tuple(instance.vertex_lotteries)
+    scale = lcm(*(x.denominator for coords in vertices for x in coords))
+    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in coords)
+                 for coords in vertices)
+    return instance.derived.setdefault("vertex_rows", (scale, rows))
+
+
+def _table_maximum(instance: Instance, final: FinalTableau,
+                   k: int) -> Fraction:
+    """max L^{-k} as the largest dot product over the vertex table, after
+    checking that the table's max L is the recorded value."""
+    scale, rows = _vertex_rows(instance)
+    common = lcm(*(c.denominator for c in final.slopes))
+    costs = [0] * instance.num_vars
+    for c, v in zip(final.slopes, final.var):
+        costs[v] = c.numerator * (common // c.denominator)
+    residual = [0 if owner == k else c for c, (owner, _)
+                in zip(costs, instance.variable_index)]
+    best = Fraction(max(sum(map(mul, costs, row)) for row in rows),
+                    common * scale)
+    if best != final.value:
+        raise InvariantError(f"the vertex table's max L is {best}, but the "
+                             f"recorded optimum is {final.value}")
+    return Fraction(max(sum(map(mul, residual, row)) for row in rows),
+                    common * scale)
 
 
 def residual_objective(objective: RelaxedObjective,

@@ -479,7 +479,8 @@ def check_median_no_improvement(instance: Instance,
                 distance = abs(mechanism.lower_median(misreported) - peaks[k])
                 if distance < truth_distance:
                     witnesses.append(Witness(
-                        profile=";".join(str(p) for p in peaks), bidder=k,
+                        profile=profile_signature(
+                            profile_for(instance, peaks)), bidder=k,
                         misreport=str(deviation), lhs=-truth_distance,
                         rhs=-distance))
     check = CheckResult(name="median-no-improvement", passed=not witnesses,

@@ -111,15 +111,17 @@ class TestSolveRelaxation:
 
 class TestResidualMaximum:
     @pytest.mark.parametrize("build", [
-        lambda: (make_single_item(3), [F(5), F(5), F(2)], [0]),
+        lambda: (make_single_item(3), [F(5), F(5), F(2)], [0], [0]),
         lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
-                 [F(3), F(2), ZERO], [0]),
-        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2]),
-        lambda: (make_gap_toy(3, 2), [F(4), ZERO, F(1)], [0, 2]),
+                 [F(3), F(2), ZERO], [0], []),
+        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2],
+                 [0, 1, 2]),
+        lambda: (make_gap_toy(3, 2), [F(4), ZERO, F(1)], [0, 2], [0, 2]),
     ])
     def test_matches_the_cold_residual_solve(self, build, monkeypatch):
-        """Only a bidder who wins part of x* is re-optimized warm."""
-        instance, scalars, winners = build()
+        """Only a bidder who wins part of x* is re-optimized, and warm only
+        where the family has no vertex table or L is curved."""
+        instance, scalars, winners, warm_bidders = build()
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, scalars))
         final = solve_relaxation(objective, poly)
@@ -139,7 +141,7 @@ class TestResidualMaximum:
             cold = residual.evaluate(solve_relaxation(residual, poly).coords)
             calls.clear()
             assert residual_maximum(instance, final, k) == cold
-            assert len(calls) == (k in winners)
+            assert len(calls) == (k in warm_bidders)
 
     def test_index_out_of_range(self):
         inst = make_single_item(2)

@@ -227,6 +227,7 @@ class TestMedianNoImprovement:
         witness = report.checks[0].witnesses[0]
         assert witness.gap > 0
         assert witness.bidder in range(3)
+        assert witness.profile == "peak=0;peak=0;peak=1"
 
     def test_the_shipped_rule_takes_raw_peaks(self):
         """The checker's grids need not be positions: 5/2 is a peak."""

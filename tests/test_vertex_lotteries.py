@@ -4,8 +4,9 @@ A single-minded constructor rounds every polytope vertex in its
 decomposability audit and keeps the results in the instance's ``derived``
 facts; ``Instance.vertex_lotteries`` reads them.  A linear relaxation's simplex
 optimum is a vertex, so `run` reads its lottery from the table and never
-decomposes.  These tests check the table against the pipeline with the table
-removed, that the lookup is live, and that it changes no output.
+decomposes, and prices its winners' Clarke pivots from the same vertices.
+These tests check the table against the pipeline with the table removed,
+that the lookup is live, and that it changes no output.
 """
 
 import random
