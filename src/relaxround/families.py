@@ -49,9 +49,10 @@ CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
 # (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB at m=10000
 # (0.84 s and 101 MiB at m=200000).  A single-peaked feasible set holds an
 # n-bundle allocation per position, so the family also caps n:
-# verify-no-money at 32 bidders and 10000 positions: 0.8-0.9 s, 244 MiB
-# (1.7 s and 465 MiB at 64).  The loads resolve each constructor when
-# called, so a wrapper installed on the module name sees them.
+# verify-no-money at 32 bidders and 10000 positions takes 0.2-0.3 s and
+# 27 MiB in a child process (244 MiB while each allocation was sorted by
+# n m-bit masks).  The loads resolve each constructor when called, so a
+# wrapper installed on the module name sees them.
 SINGLE_ITEM = Family(
     "single-item", AdditiveValuation, money=True, m=1, max_n=32,
     load=lambda n, m, profile: make_single_item(n))

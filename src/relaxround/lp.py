@@ -145,7 +145,8 @@ class FinalTableau:
     ``maximize_linear`` returns one.  A new cost per LP column leaves that
     basis and those caps primal feasible, so ``maximum`` prices the change
     in and resumes Bland's rule there instead of at the slack basis;
-    Bland's rule terminates from any feasible basis.
+    Bland's rule terminates from any feasible basis.  The payments read
+    only ``value``, ``coords`` and ``maximum`` of the tableau they price.
     """
 
     rows: list[list[Fraction]]
@@ -177,12 +178,6 @@ class FinalTableau:
         for c, y in enumerate(_values(self)):
             coords[self.var[c]] += y
         return tuple(coords)
-
-    def zero_at(self, columns: Sequence[int]) -> bool:
-        """Whether every listed LP column is 0 in the recorded solution."""
-        basic = dict(zip(self.basis, self.rows))
-        return not any((self.at_cap[c] and self.cap[c])
-                       or (c in basic and basic[c][-1]) for c in columns)
 
     def maximum(self, objective: Sequence[Fraction]) -> Fraction:
         """Optimal value of the LP with per-column costs ``objective``.

@@ -16,7 +16,7 @@ from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator,
                     validate_profile, value_of)
 from .relaxation import (UnsupportedFamilyError, build_polytope,
-                         build_relaxation, residual_maximum,
+                         build_relaxation, residual_maxima,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, adjust, convex_decompose,
                        expected_value_per_bidder, sample)
@@ -68,21 +68,22 @@ def _round_point(instance: Instance,
     return adjust(dist, keep_probabilities(instance, x))
 
 
-def _charge(instance: Instance, profile: ValuationProfile,
-            dist: AllocationDistribution,
+def _charge(instance: Instance, expectations: Sequence[Fraction],
             final: FinalTableau) -> tuple[Fraction, ...]:
-    """Externality payments, each residual maximum taken from ``final``."""
-    expectations = expected_value_per_bidder(dist, profile)
+    """Expected externality payments, the one payment formula: bidder k
+    pays calibration * max L^{-k}, every residual maximum taken from
+    ``final``, less the others' expected values ``expectations``."""
     total = sum(expectations, ZERO)
     gamma = instance.spec.calibration
-    return tuple(gamma * residual_maximum(instance, final, k)
-                 - (total - expectations[k]) for k in range(instance.n))
+    return tuple(gamma * top - (total - own) for top, own
+                 in zip(residual_maxima(instance, final), expectations))
 
 
 def allocate(instance: Instance, profile: ValuationProfile
              ) -> tuple[FinalTableau, AllocationDistribution]:
     """Relax, maximize, decompose, thin; deterministic end to end.  Returns
-    the optimal tableau, for ``residual_maximum``, and the lottery."""
+    the optimal tableau of max L, which prices the payments, and the
+    lottery."""
     objective, poly = build_relaxation(instance, profile)
     final = solve_relaxation(objective, poly)
     return final, _round_point(instance, FractionalPoint(final.coords))
@@ -92,23 +93,25 @@ def payments(instance: Instance, profile: ValuationProfile,
              dist: AllocationDistribution) -> tuple[Fraction, ...]:
     """Expected externality payments on the calibrated scale.
 
-    p_k = calibration * max L^{-k} - E[sum of the others' values].  Each
-    residual maximum is re-optimized from the optimal tableau of max L, on
-    the same LP, so both terms live on the same scale.  Nothing is rounded.
+    p_k = calibration * max L^{-k} - E[sum of the others' values], the
+    charge ``run`` makes.  Every residual maximum is priced from one solve
+    of max L, on the same LP, so both terms live on the same scale.
+    Nothing is rounded.
     """
     objective, poly = build_relaxation(instance, profile)
-    return _charge(instance, profile, dist, solve_relaxation(objective, poly))
+    return _charge(instance, expected_value_per_bidder(dist, profile),
+                   solve_relaxation(objective, poly))
 
 
 def run(instance: Instance, profile: ValuationProfile,
         seed: int) -> MechanismOutcome:
     """Full mechanism: allocate, price, and sample one allocation.
 
-    One relaxation is built and solved; the payments re-optimize from its
+    One relaxation is built and solved; the payments are priced from its
     tableau, and the relaxed value L(x*) is the value that tableau records.
     """
     final, dist = allocate(instance, profile)
-    pay = _charge(instance, profile, dist, final)
+    pay = _charge(instance, expected_value_per_bidder(dist, profile), final)
     realized = sample(dist, seed)
     if realized not in dist.support():
         raise InvariantError(f"sampled allocation {realized.bitmasks()} "

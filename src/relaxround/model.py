@@ -312,11 +312,12 @@ def _feasible(instance: Instance) -> list[Allocation]:
     if instance.family.shared:
         if instance.m + 1 > bound:
             raise EnumerationTooLargeError(bound, instance.m + 1)
-        allocs = [Allocation.empty(instance.n)]
-        for _, bundle in instance.variable_index:
-            allocs.append(Allocation(tuple(bundle for _ in range(instance.n))))
-        allocs.sort(key=Allocation.sort_key)
-        return allocs
+        # Every bidder holds the same bundle, so ordering the bundles by
+        # their own mask gives ``sort_key``'s order without n masks each.
+        bundles = sorted((bundle for _, bundle in instance.variable_index),
+                         key=lambda b: sum(1 << j for j in b))
+        return [Allocation.empty(instance.n)] + [
+            Allocation((bundle,) * instance.n) for bundle in bundles]
 
     variables = instance.variable_index
     found: list[Allocation] = []

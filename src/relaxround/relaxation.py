@@ -204,7 +204,8 @@ def solve_relaxation(objective: RelaxedObjective,
 
     Returns the optimal tableau of the LP solved (with one capped column
     per curve segment for a curved L): its ``coords`` is the maximizer,
-    its ``value`` is L there, and ``residual_maximum`` re-optimizes it.
+    its ``value`` is L there, and ``residual_maxima`` prices every
+    bidder's max L^{-k} from it.
     """
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
@@ -222,9 +223,9 @@ def solve_relaxation(objective: RelaxedObjective,
     return final
 
 
-def residual_maximum(instance: Instance, final: FinalTableau,
-                     k: int) -> Fraction:
-    """max L^{-k} over P, from the recorded solve of max L.
+def residual_maxima(instance: Instance,
+                    final: FinalTableau) -> tuple[Fraction, ...]:
+    """max L^{-k} over P for every bidder k, from the recorded solve of max L.
 
     ``final`` holds the optimal tableau of ``solve_relaxation`` over the
     instance's polytope; its ``slopes`` are L's costs, one per LP column,
@@ -234,13 +235,13 @@ def residual_maximum(instance: Instance, final: FinalTableau,
     Raises InvariantError if ``final`` was recorded over another polytope
     than the instance's.
 
-    A bidder who wins nothing at the recorded optimum x* needs no
+    A bidder whose coordinates of x* are all zero needs no
     re-optimization: costs are nonnegative, so L^{-k} <= L on P, and
     L^{-k}(x*) = L(x*) is already the recorded value.
 
     A linear L over a family whose constructor audited every vertex of P
     (single-minded auctions) is maximized over that vertex table, since a
-    linear function peaks at a vertex; the same scan re-checks max L
+    linear function peaks at a vertex; the table's max L is checked once
     against the recorded value, so a table missing the optimal vertex
     raises InvariantError.  A curved L (gap-toy), or a family without a
     table (single-item, case-b), resumes Bland's rule from the recorded
@@ -249,18 +250,36 @@ def residual_maximum(instance: Instance, final: FinalTableau,
     paths return the same number; x* itself stays Bland's vertex, whose
     lottery ``run`` plays even where several vertices tie for max L.
     """
-    if not 0 <= k < instance.n:
-        raise IndexError(f"bidder index {k} out of range")
     if final.poly != build_polytope(instance):
         raise InvariantError("the recorded tableau was solved over another "
                              "polytope than this instance's")
-    owners = [instance.variable_index[v][0] for v in final.var]
-    if final.zero_at([c for c, owner in enumerate(owners) if owner == k]):
-        return final.value
+    owners = [owner for owner, _ in instance.variable_index]
+    winners = {owner for owner, x in zip(owners, final.coords) if x}
     if instance.spec.curve is None and instance.vertex_lotteries:
-        return _table_maximum(instance, final, k)
-    return final.maximum([ZERO if owner == k else c
-                          for c, owner in zip(final.slopes, owners)])
+        scale, rows = _vertex_rows(instance)
+        common = lcm(*(c.denominator for c in final.slopes))
+        costs = [0] * instance.num_vars
+        for c, v in zip(final.slopes, final.var):
+            costs[v] = c.numerator * (common // c.denominator)
+
+        def top(k: Optional[int]) -> Fraction:
+            residual = [0 if owner == k else c
+                        for c, owner in zip(costs, owners)]
+            return Fraction(max(sum(map(mul, residual, row)) for row in rows),
+                            common * scale)
+
+        best = top(None)  # money families own every variable: max L
+        if best != final.value:
+            raise InvariantError(f"the vertex table's max L is {best}, but "
+                                 f"the recorded optimum is {final.value}")
+    else:
+        col_owners = [owners[v] for v in final.var]
+
+        def top(k: Optional[int]) -> Fraction:
+            return final.maximum([ZERO if owner == k else c for c, owner
+                                  in zip(final.slopes, col_owners)])
+    return tuple(top(k) if k in winners else final.value
+                 for k in range(instance.n))
 
 
 def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -276,26 +295,6 @@ def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
     rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in coords)
                  for coords in vertices)
     return instance.derived.setdefault("vertex_rows", (scale, rows))
-
-
-def _table_maximum(instance: Instance, final: FinalTableau,
-                   k: int) -> Fraction:
-    """max L^{-k} as the largest dot product over the vertex table, after
-    checking that the table's max L is the recorded value."""
-    scale, rows = _vertex_rows(instance)
-    common = lcm(*(c.denominator for c in final.slopes))
-    costs = [0] * instance.num_vars
-    for c, v in zip(final.slopes, final.var):
-        costs[v] = c.numerator * (common // c.denominator)
-    residual = [0 if owner == k else c for c, (owner, _)
-                in zip(costs, instance.variable_index)]
-    best = Fraction(max(sum(map(mul, costs, row)) for row in rows),
-                    common * scale)
-    if best != final.value:
-        raise InvariantError(f"the vertex table's max L is {best}, but the "
-                             f"recorded optimum is {final.value}")
-    return Fraction(max(sum(map(mul, residual, row)) for row in rows),
-                    common * scale)
 
 
 def residual_objective(objective: RelaxedObjective,

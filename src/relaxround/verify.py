@@ -14,18 +14,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .lp import FinalTableau, FractionalPoint
+from .lp import FractionalPoint
 from .model import (AdditiveValuation, Allocation, Instance, InvariantError,
                     SingleMindedValuation, Valuation, ValuationProfile, ZERO,
                     ONE, enumerate_feasible, fractional_value, social_welfare,
                     value_of)
 # build_relaxation is bound, not called: bench/tests/test_tracer.py wants it.
 from .relaxation import (_bundle_value, build_polytope,  # noqa: F401
-                         build_relaxation, residual_maximum)
+                         build_relaxation)
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
 from . import mechanism
-from .mechanism import _round_point, allocate, run_without_money
+from .mechanism import _charge, _round_point, allocate, run_without_money
 from .families import profile_for, with_desires
 
 #: The most pipeline runs one verification sweep may take.
@@ -168,31 +168,27 @@ def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
 @dataclass(frozen=True)
 class _Outcome:
     """One pipeline run as the verifier keeps it: the lottery, the reported
-    expected values and their total, the optimal tableau of max L, and the
-    payments a ``payment_rule`` charged (None without one)."""
+    expected values, and the expected payments charged."""
 
     dist: AllocationDistribution
     values: tuple[Fraction, ...]
-    total: Fraction
-    final: FinalTableau
-    charged: Optional[tuple[Fraction, ...]]
+    charged: tuple[Fraction, ...]
 
 
 class _PipelineCache:
-    """Memoizes one check's outcomes per reported instance + profile, and
-    each Clarke pivot calibration * max L^{-k} by the others' reports.
+    """Memoizes one check's outcomes per reported instance + profile.
 
-    A miss solves one LP, whose optimal tableau prices the pivots.  The
-    pivot reads neither k's bundle nor k's value: P is packing and L^{-k}
-    zeroes every column k owns, so max L^{-k} over P is the maximum over
-    P with x_k = 0 (see ``residual_maximum``).  The instances of one check
-    share their family, item count and calibration.
+    A miss solves one LP and charges what ``run`` charges, every Clarke
+    pivot priced from that solve's own tableau; a ``payment_rule`` charges
+    instead when one is given.  No pivot is shared between outcomes, so a
+    pivot that read a bidder's own report would show in the sweep.  The
+    instances of one check share their family, item count and
+    calibration, so packages and profile name an outcome.
     """
 
     def __init__(self, payment_rule: Optional[PaymentRule]):
         self.payment_rule = payment_rule
         self._store: dict[tuple, _Outcome] = {}
-        self._pivots: dict[tuple, Fraction] = {}
 
     def outcome(self, instance: Instance,
                 profile: ValuationProfile) -> _Outcome:
@@ -201,30 +197,11 @@ class _PipelineCache:
         if found is None:
             final, dist = allocate(instance, profile)
             values = expected_value_per_bidder(dist, profile)
-            charged = (None if self.payment_rule is None
+            charged = (_charge(instance, values, final)
+                       if self.payment_rule is None
                        else self.payment_rule(instance, profile, dist))
-            found = self._store[key] = _Outcome(
-                dist, values, sum(values, ZERO), final, charged)
+            found = self._store[key] = _Outcome(dist, values, charged)
         return found
-
-    def _pivot_key(self, instance: Instance, profile: ValuationProfile,
-                   k: int) -> tuple:
-        others = tuple(var for var in instance.variable_index if var[0] != k)
-        return (k, others, profile.valuations[:k] + profile.valuations[k + 1:])
-
-    def payment(self, instance: Instance, profile: ValuationProfile,
-                k: int) -> Fraction:
-        """Bidder k's expected payment: the pivot less the others' values."""
-        found = self.outcome(instance, profile)
-        if found.charged is not None:
-            return found.charged[k]
-        key = self._pivot_key(instance, profile, k)
-        pivot = self._pivots.get(key)
-        if pivot is None:
-            pivot = self._pivots[key] = (
-                instance.spec.calibration
-                * residual_maximum(instance, found.final, k))
-        return pivot - (found.total - found.values[k])
 
 
 def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
@@ -270,19 +247,18 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     witnesses = []
     cases = 0
     for truth in profiles:
-        value_truth = cache.outcome(instance, truth).values
-        utility_truth = [value_truth[k] - cache.payment(instance, truth, k)
-                         for k in range(instance.n)]
+        at_truth = cache.outcome(instance, truth)
+        utility_truth = [value - paid for value, paid
+                         in zip(at_truth.values, at_truth.charged)]
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1
                 rep_instance, rep_profile = _reported(instance, truth, k, mis,
                                                       instance_cache)
-                dist_mis = cache.outcome(rep_instance, rep_profile).dist
+                at_mis = cache.outcome(rep_instance, rep_profile)
                 true_value = sum((p * value_of(truth, k, a)
-                                  for a, p in dist_mis.entries), ZERO)
-                utility_mis = true_value - cache.payment(rep_instance,
-                                                         rep_profile, k)
+                                  for a, p in at_mis.dist.entries), ZERO)
+                utility_mis = true_value - at_mis.charged[k]
                 if utility_truth[k] < utility_mis:
                     witnesses.append(Witness(
                         profile=profile_signature(truth), bidder=k,

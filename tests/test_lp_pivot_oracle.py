@@ -28,7 +28,7 @@ import pytest
 from relaxround import (FamilySpec, FractionalPoint, Instance, LPInputError,
                         Polytope, RelaxedObjective, UnboundedError,
                         build_relaxation, make_gap_toy, profile_for,
-                        residual_maximum, solve_relaxation)
+                        residual_maxima, solve_relaxation)
 from relaxround import lp
 from relaxround.families import GAP_TOY, unit_gap_curve
 from relaxround.relaxation import _segment_columns
@@ -551,7 +551,7 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
     (values, value, maxima), path = assert_explicit_path(
         monkeypatch, col_obj, poly, col_var, col_cap, warm)
     assert len(path) > segments
-    # solve_relaxation folds the same vertex, and residual_maximum reads
+    # solve_relaxation folds the same vertex, and residual_maxima reads
     # the same warm maxima.
     final = solve_relaxation(objective, poly)
     want = [ZERO] * n
@@ -560,7 +560,7 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
     assert final.coords == tuple(want)
     assert objective.evaluate(final.coords) == value
     instance = gap_toy_instance(n, machines, segments)
-    assert [residual_maximum(instance, final, k) for k in range(n)] == maxima
+    assert list(residual_maxima(instance, final)) == maxima
 
 
 # --- Dense versus sparse pivot --------------------------------------------
@@ -625,8 +625,7 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
 
         def scenario():
             final = solve_relaxation(objective, poly)
-            residuals = [residual_maximum(instance, final, k)
-                         for k in range(instance.n)]
+            residuals = list(residual_maxima(instance, final))
             return final.coords, residuals
 
         def oracle():

@@ -10,7 +10,7 @@ from relaxround import (Allocation, AllocationDistribution,
                         make_case_b_family, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, payments,
                         profile_for, range_contains, realized_payments,
-                        residual_maximum, residual_objective, run,
+                        residual_maxima, residual_objective, run,
                         run_without_money, solve_relaxation)
 from relaxround import InvariantError, mechanism
 from relaxround.relaxation import UnsupportedFamilyError
@@ -96,8 +96,8 @@ class TestPayments:
             residual = residual_objective(objective, k)
             assert residual.evaluate(
                 solve_relaxation(residual, poly).coords) == cold
-            with pytest.raises(InvariantError, match="another polytope"):
-                residual_maximum(instance, other, k)
+        with pytest.raises(InvariantError, match="another polytope"):
+            residual_maxima(instance, other)
 
     def test_payments_when_two_bidders_want_one_item(self):
         instance = make_single_minded_ca(2, [{0}, {0}, {1}])

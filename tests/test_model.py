@@ -148,6 +148,8 @@ class TestEnumerateFeasible:
         allocs = enumerate_feasible(inst)
         assert len(allocs) == 6
         assert allocs[0] == Allocation.empty(3)
+        keys = [a.sort_key() for a in allocs]
+        assert keys == sorted(keys)
 
     def test_size_bound_raises_with_estimate(self, monkeypatch):
         inst = replace(make_single_minded_ca(2, [{0}, {1}]))  # cold memo

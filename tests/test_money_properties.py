@@ -10,6 +10,8 @@ examples pay for runs, not for construction audits.  Properties:
   thins onto L, so g = 1;
 - the utility identity E[u_k] = g * (L(x*) - max L^{-k}), the residual
   maximum from a cold solve;
+- every entry of ``residual_maxima``, a loser's included, equals that cold
+  solve;
 - individual rationality: 0 <= p_k <= E[v_k];
 - the ratio floor E[f(X')] >= alpha * beta * OPT.
 
@@ -24,12 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relaxround import (FamilySpec, brute_force_opt, build_relaxation,
-                        expected_value_per_bidder, expected_welfare,
-                        first_price_payments, make_case_b_family,
-                        make_gap_toy, make_single_item, make_single_minded_ca,
-                        profile_for, residual_objective, run,
-                        solve_relaxation)
+from relaxround import (FamilySpec, allocate, brute_force_opt,
+                        build_relaxation, expected_value_per_bidder,
+                        expected_welfare, first_price_payments,
+                        make_case_b_family, make_gap_toy, make_single_item,
+                        make_single_minded_ca, profile_for, residual_maxima,
+                        residual_objective, run, solve_relaxation)
 
 ONE = F(1)
 
@@ -86,6 +88,17 @@ def calibrated(instance, profile):
             == gamma * outcome.relaxed_value)
 
 
+def cold_residual_maxima(instance, profile):
+    """max L^{-k} for every bidder k, each from a cold solve."""
+    objective, poly = build_relaxation(instance, profile)
+    maxima = []
+    for k in range(instance.n):
+        residual = residual_objective(objective, k)
+        maxima.append(residual.evaluate(
+            solve_relaxation(residual, poly).coords))
+    return tuple(maxima)
+
+
 def utility_identity(instance, profile, payment_rule=None):
     """E[v_k] - p_k = g * (L(x*) - max L^{-k}) for every bidder k."""
     outcome = run(instance, profile, seed=0)
@@ -93,14 +106,10 @@ def utility_identity(instance, profile, payment_rule=None):
     pay = (outcome.expected_payments if payment_rule is None
            else payment_rule(instance, profile, dist))
     values = expected_value_per_bidder(dist, profile)
-    objective, poly = build_relaxation(instance, profile)
     gamma = framework_calibration(instance.spec)
-    for k in range(instance.n):
-        residual = residual_objective(objective, k)
-        ceiling = residual.evaluate(solve_relaxation(residual, poly).coords)
-        if values[k] - pay[k] != gamma * (outcome.relaxed_value - ceiling):
-            return False
-    return True
+    return all(value - paid == gamma * (outcome.relaxed_value - ceiling)
+               for value, paid, ceiling in zip(
+                   values, pay, cold_residual_maxima(instance, profile)))
 
 
 @EXAMPLES
@@ -115,6 +124,15 @@ def test_expected_welfare_is_the_calibrated_relaxed_value(market):
 @given(markets())
 def test_utility_identity_against_a_cold_residual_solve(market):
     assert utility_identity(*market)
+
+
+@EXAMPLES
+@given(markets())
+def test_one_solve_prices_every_cold_residual_maximum(market):
+    instance, profile = market
+    final, _ = allocate(instance, profile)
+    assert residual_maxima(instance, final) == cold_residual_maxima(
+        instance, profile)
 
 
 @EXAMPLES

@@ -10,7 +10,7 @@ from relaxround import (FinalTableau, FractionalPoint, InvariantError,
                         build_relaxation, contains, enumerate_feasible,
                         indicator, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
-                        residual_maximum, residual_objective,
+                        residual_maxima, residual_objective,
                         solve_relaxation)
 from relaxround import relaxation
 
@@ -109,7 +109,7 @@ class TestSolveRelaxation:
             solve_relaxation(objective, poly)
 
 
-class TestResidualMaximum:
+class TestResidualMaxima:
     @pytest.mark.parametrize("build", [
         lambda: (make_single_item(3), [F(5), F(5), F(2)], [0], [0]),
         lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
@@ -129,6 +129,11 @@ class TestResidualMaximum:
                 if any(x for x, owner in zip(final.coords,
                                              objective.owners)
                        if owner == k)] == winners
+        cold = []
+        for k in range(instance.n):
+            residual = residual_objective(objective, k)
+            cold.append(residual.evaluate(
+                solve_relaxation(residual, poly).coords))
         warm, calls = FinalTableau.maximum, []
 
         def counting(self, costs):
@@ -136,19 +141,11 @@ class TestResidualMaximum:
             return warm(self, costs)
 
         monkeypatch.setattr(FinalTableau, "maximum", counting)
-        for k in range(instance.n):
-            residual = residual_objective(objective, k)
-            cold = residual.evaluate(solve_relaxation(residual, poly).coords)
-            calls.clear()
-            assert residual_maximum(instance, final, k) == cold
-            assert len(calls) == (k in warm_bidders)
-
-    def test_index_out_of_range(self):
-        inst = make_single_item(2)
-        objective, poly = build_relaxation(inst, profile_for(inst, [F(5), F(3)]))
-        final = solve_relaxation(objective, poly)
-        with pytest.raises(IndexError):
-            residual_maximum(inst, final, 2)
+        assert residual_maxima(instance, final) == tuple(cold)
+        col_owners = [objective.owners[v] for v in final.var]
+        assert [{col_owners[c] for c, (cost, slope)
+                 in enumerate(zip(costs, final.slopes)) if cost != slope}
+                for costs in calls] == [{k} for k in warm_bidders]
 
 
 class TestResidualObjective:

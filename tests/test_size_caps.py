@@ -1,7 +1,11 @@
 """Oversized documents and sweeps fail fast with exit 2, before the work."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from relaxround import (FAMILIES, FormatError, VerificationBudgetError,
                         make_no_money)
 from relaxround import cli, io as rio, verify
 from relaxround.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, doc):
@@ -87,7 +93,7 @@ def test_the_caps_themselves_load(doc):
     ("verify-ratio", 2), ("decompose", 2)])
 def test_every_mode_at_the_single_peaked_caps_is_fast(mode, code, tmp_path):
     """The feasible set holds one n-bundle allocation per position, so both
-    caps bound verify-no-money (0.8-0.9 s and 244 MiB measured); the money
+    caps bound verify-no-money (0.2-0.3 s and 27 MiB measured); the money
     modes refuse the family."""
     family = FAMILIES["single-peaked"]
     path = _write(tmp_path, single_peaked_doc(n=family.max_n, m=family.max_m))
@@ -95,6 +101,41 @@ def test_every_mode_at_the_single_peaked_caps_is_fast(mode, code, tmp_path):
     assert main(["--instance", str(path), "--mode", mode, "--grid", "0",
                  "--out", str(tmp_path / "out")]) == code
     assert time.perf_counter() - start < 2
+
+
+#: Runs the CLI, then reports its peak resident set in KiB.  VmHWM counts
+#: the new process image only; ``ru_maxrss`` would also count the forking
+#: test process.
+PEAK_RSS_SCRIPT = """
+import sys
+from relaxround.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_verify_no_money_at_the_single_peaked_caps_stays_small(tmp_path):
+    """The feasible set at the caps holds 10001 allocations of 32 bundles;
+    ordering it must not build n m-bit masks per allocation (244 MiB
+    measured when it did, 27 MiB without)."""
+    family = FAMILIES["single-peaked"]
+    path = _write(tmp_path, single_peaked_doc(n=family.max_n, m=family.max_m))
+    path_var = os.pathsep.join(p for p in (str(SRC),
+                                           os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "--instance", str(path),
+         "--mode", "verify-no-money", "--grid", "1",
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path_var}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    peak_kib = int(result.stderr.split()[-1])
+    assert peak_kib < 64 * 1024
 
 
 def test_nine_single_minded_bidders_fail_on_n(tmp_path, capsys):

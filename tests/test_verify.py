@@ -59,6 +59,24 @@ class TestCheckTruthfulness:
         assert witness.gap > 0
         assert witness.bidder in (0, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_single_minded_ca(3, [{0, 1}, {1, 2}]),
+        lambda: make_single_item(2),
+        lambda: make_gap_toy(2, 1),
+    ], ids=["single-minded-m3-n2", "single-item-n2", "gap-toy-2x1"])
+    def test_a_pivot_that_reads_the_own_report_is_caught(self, build,
+                                                         monkeypatch):
+        """Negative control: max L in place of max L^{-k}.  Each outcome
+        is charged from its own solve, so the sweep must see it."""
+        inst = build()
+        small = [F(0), F(1), F(2)]
+        assert check_truthfulness(inst, small, small).passed
+        monkeypatch.setattr(mechanism, "residual_maxima",
+                            lambda instance, final: (final.value,) * inst.n)
+        report = check_truthfulness(inst, small, small)
+        assert not report.passed
+        assert all(w.gap > 0 for w in report.checks[0].witnesses)
+
     def test_single_bidder_always_passes(self):
         inst = make_single_item(1)
         assert check_truthfulness(inst, GRID, GRID).passed

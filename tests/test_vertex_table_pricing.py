@@ -2,7 +2,7 @@
 
 A single-minded constructor audits every vertex of the packing polytope P
 and keeps them in ``Instance.vertex_lotteries``.  A linear L peaks at a
-vertex, so ``residual_maximum`` takes max L^{-k} as the best vertex of that
+vertex, so ``residual_maxima`` takes max L^{-k} as the best vertex of that
 table instead of resuming the simplex.  Properties, on random single-minded
 instances with at most four items and four bidders:
 
@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaxround import (FinalTableau, InvariantError, build_relaxation,
-                        make_single_minded_ca, profile_for, residual_maximum,
+                        make_single_minded_ca, profile_for, residual_maxima,
                         residual_objective, solve_relaxation)
 
 EXAMPLES = settings(max_examples=100, deadline=2000, derandomize=True,
@@ -67,9 +67,8 @@ def test_table_maximum_equals_a_cold_residual_solve(market):
     final = solve_relaxation(objective, poly)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FinalTableau, "maximum", no_warm_start)
-        for k in range(instance.n):
-            assert (residual_maximum(instance, final, k)
-                    == cold_maximum(objective, poly, k))
+        assert residual_maxima(instance, final) == tuple(
+            cold_maximum(objective, poly, k) for k in range(instance.n))
 
 
 @pytest.fixture
@@ -92,12 +91,12 @@ def with_table(instance, table):
 
 def test_rows_are_the_vertices_over_one_denominator(market):
     instance, objective, poly, final = market
-    residual_maximum(instance, final, 0)
+    residual_maxima(instance, final)
     table = instance.derived["vertex_rows"]
     scale, rows = table
     assert [tuple(F(x, scale) for x in row) for row in rows] == \
         list(instance.vertex_lotteries)
-    residual_maximum(instance, final, 0)
+    residual_maxima(instance, final)
     assert instance.derived["vertex_rows"] is table
 
 
@@ -105,9 +104,9 @@ def test_a_table_missing_the_optimal_vertex_raises(market):
     instance, objective, poly, final = market
     table = dict(instance.vertex_lotteries)
     full = with_table(instance, table)
-    assert residual_maximum(full, final, 0) == cold_maximum(objective, poly, 0)
+    assert residual_maxima(full, final)[0] == cold_maximum(objective, poly, 0)
     del table[final.coords]
     pruned = with_table(instance, table)
     with pytest.raises(InvariantError, match="vertex table's max L is 5/2"):
-        residual_maximum(pruned, final, 0)
+        residual_maxima(pruned, final)
 
