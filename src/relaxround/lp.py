@@ -13,13 +13,16 @@ Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
 held to Bland's path: the entering scan skips concave runs of segments
 that cannot enter, and resumes after a bound flip with its ratio test
 carried along.  Each shortcut leaves out only comparisons whose outcome is
-known, so every step makes the full scan's choice (see ``_step``).
+known, so every step makes the full scan's choice (see ``_step``).  Every
+answer comes from one cold solve from the slack basis; no solve resumes a
+recorded tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -111,9 +114,8 @@ def _pivot(tableau: list[list[Fraction]], prices: list[Fraction],
            row: int, col: int, excess: Fraction) -> None:
     """Pivot on (row, col), then take excess times the new pivot row off
     the prices (excess: the entering column's price minus its cost)."""
-    # Rows are replaced, never mutated, so a FinalTableau's rows stay as
-    # recorded.  Since a - f * 0 == a and 0 / p == 0 exactly, skipping the
-    # pivot row's zeros changes no entry.
+    # Changed rows are built as new lists.  Since a - f * 0 == a and
+    # 0 / p == 0 exactly, skipping the pivot row's zeros changes no entry.
     piv = tableau[row][col]
     prow = list(tableau[row])
     nonzero = [j for j, v in enumerate(prow) if v]
@@ -142,11 +144,9 @@ class FinalTableau:
     ``poly`` is the polytope ``maximize_linear`` solved over (None for
     ``phase_one``'s equalities).  ``_step`` explains the rest.
 
-    ``maximize_linear`` returns one.  A new cost per LP column leaves that
-    basis and those caps primal feasible, so ``maximum`` prices the change
-    in and resumes Bland's rule there instead of at the slack basis;
-    Bland's rule terminates from any feasible basis.  The payments read
-    only ``value``, ``coords`` and ``maximum`` of the tableau they price.
+    ``maximize_linear`` returns one; ``values`` and ``coords`` are read
+    from the finished tableau, once.  The payments read only ``value``,
+    ``values`` and ``coords`` of the tableau they price.
     """
 
     rows: list[list[Fraction]]
@@ -171,42 +171,23 @@ class FinalTableau:
         """The objective value of the basic solution."""
         return self.prices[-1]
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """Each polytope variable's value: its LP columns summed."""
-        coords = [ZERO] * (len(self.prices) - len(self.rows) - 1)
-        for c, y in enumerate(_values(self)):
-            coords[self.var[c]] += y
-        return tuple(coords)
-
-    def maximum(self, objective: Sequence[Fraction]) -> Fraction:
-        """Optimal value of the LP with per-column costs ``objective``.
-
-        The value is unique, so it equals the value of a cold solve even
-        where the optimal vertex would differ.
-        """
-        n = len(self.slopes)
-        if len(objective) != n:
-            raise LPInputError(f"objective has length {len(objective)}, "
-                               f"expected {n}")
-        # Prices are linear in the basic costs, so only the change from the
-        # recorded costs needs pricing in: through the rows whose basic
-        # column's cost changed, and into the value for columns at cap.
-        prices = list(self.prices)
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """Every LP column's value in the basic solution."""
+        values = [u if up else ZERO for u, up in zip(self.cap, self.at_cap)]
         for row, b in zip(self.rows, self.basis):
-            if b < n and objective[b] != self.slopes[b]:
-                prices = _minus(prices, self.slopes[b] - objective[b], row,
-                                [j for j, a in enumerate(row) if a])
-        for c in range(n):
-            if self.at_cap[c]:
-                prices[-1] += (objective[c] - self.slopes[c]) * self.cap[c]
-        # Pivots and flips replace rows and never mutate them, so copies of
-        # the lists leave the recorded state intact for the next cost row.
-        resumed = FinalTableau(list(self.rows), list(self.basis),
-                               list(self.at_cap), prices, tuple(objective),
-                               self.var, self.cap, self.poly)
-        _bland(resumed)
-        return resumed.value
+            if b < len(values):
+                values[b] = row[-1]
+        return tuple(values)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Each polytope variable's value: its nonzero LP columns summed."""
+        coords = [ZERO] * (len(self.prices) - len(self.rows) - 1)
+        for v, y in zip(self.var, self.values):
+            if y:
+                coords[v] += y
+        return tuple(coords)
 
 
 def _flip(t: FinalTableau, c: int, to_cap: bool) -> None:
@@ -347,15 +328,6 @@ def _slack_start(width: int, rows: Sequence[Row],
                         tuple(cap), poly)
 
 
-def _values(t: FinalTableau) -> list[Fraction]:
-    """Every LP column's value in t's basic solution."""
-    values = [u if up else ZERO for u, up in zip(t.cap, t.at_cap)]
-    for row, b in zip(t.rows, t.basis):
-        if b < len(values):
-            values[b] = row[-1]
-    return values
-
-
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
                     columns: tuple[Sequence[int],
                                    Sequence[Optional[Fraction]]] | None = None
@@ -366,9 +338,9 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     ``columns = (var, cap)``, LP column c adds y_c to variable ``var[c]``,
     is bounded by 0 <= y_c <= ``cap[c]`` (None: unbounded) and costs
     ``objective[c]``.  The tableau's ``coords`` is an exact optimal point
-    of the polytope and ``value`` its objective value; it also re-optimizes
-    other costs (``maximum``).  Ties are resolved by Bland's rule
-    (lowest-index entering variable), which also guarantees termination.
+    of the polytope and ``value`` its objective value.  Ties are resolved
+    by Bland's rule (lowest-index entering variable), which also
+    guarantees termination.
     """
     n = poly.num_vars
     if columns is None:
@@ -423,7 +395,7 @@ def phase_one(equalities: Sequence[Row],
                     if b >= nonneg_vars), ZERO)
     if residual > 0:
         return None, residual
-    return tuple(_values(t)), ZERO
+    return t.values, ZERO
 
 
 def _solve_square(rows: list[list[Fraction]],

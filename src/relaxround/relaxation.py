@@ -243,12 +243,18 @@ def residual_maxima(instance: Instance,
     (single-minded auctions) is maximized over that vertex table, since a
     linear function peaks at a vertex; the table's max L is checked once
     against the recorded value, so a table missing the optimal vertex
-    raises InvariantError.  A curved L (gap-toy), or a family without a
-    table (single-item, case-b), resumes Bland's rule from the recorded
-    basis instead: ``final.maximum`` with bidder k's costs zeroed, which
-    leaves that basis feasible.  Only the optimal value is read, so both
-    paths return the same number; x* itself stays Bland's vertex, whose
-    lottery ``run`` plays even where several vertices tie for max L.
+    raises InvariantError.
+
+    Otherwise (gap-toy's curved L, single-item, case-b), two variables
+    share a block when some row has nonzero coefficients on both.  P is the
+    product of its blocks and L a sum over them, so x* is optimal on each
+    block.  Let B(k) be the blocks holding k's variables and F(k) the rest
+    of B(k).  Off B(k), L^{-k} = L peaks at x*: L(x*) - L_{B(k)}(x*).  On
+    B(k), k's columns cost nothing and P is downward closed, so x_k = 0
+    loses nothing: max L over P_{F(k)}, P's rows restricted to F(k), by
+    one cold ``maximize_linear`` (0 if F(k) is empty).  Optimal values are
+    unique, so every path returns the same number; x* stays Bland's
+    vertex, whose lottery ``run`` plays even where vertices tie for max L.
     """
     if final.poly != build_polytope(instance):
         raise InvariantError("the recorded tableau was solved over another "
@@ -273,13 +279,49 @@ def residual_maxima(instance: Instance,
             raise InvariantError(f"the vertex table's max L is {best}, but "
                                  f"the recorded optimum is {final.value}")
     else:
-        col_owners = [owners[v] for v in final.var]
+        faces = _faces(instance)
+        columns = list(zip(final.slopes, final.values, final.var, final.cap))
 
         def top(k: Optional[int]) -> Fraction:
-            return final.maximum([ZERO if owner == k else c for c, owner
-                                  in zip(final.slopes, col_owners)])
+            block, local, face = faces[k]
+            rest = final.value - sum((s * y for s, y, v, _ in columns
+                                      if y and v in block), ZERO)
+            if face is None:
+                return rest
+            kept = [(s, local[v], u) for s, _, v, u in columns if v in local]
+            return rest + maximize_linear(
+                [s for s, _, _ in kept], face,
+                ([v for _, v, _ in kept], [u for _, _, u in kept])).value
     return tuple(top(k) if k in winners else final.value
                  for k in range(instance.n))
+
+
+def _faces(instance: Instance) -> tuple[
+        tuple[frozenset[int], dict[int, int], Optional[Polytope]], ...]:
+    """Per bidder k: B(k), F(k) as a map from variable to face variable,
+    and P_{F(k)} without its all-zero rows (None if F(k) is empty).
+
+    They depend on the instance alone, so they are built once per instance.
+    """
+    if "faces" in instance.derived:
+        return instance.derived["faces"]
+    poly = build_polytope(instance)
+    block = [{v} for v in range(poly.num_vars)]  # each variable's block
+    for coeffs, _ in poly.constraints:
+        joined = set().union(*(block[v] for v, c in enumerate(coeffs) if c))
+        for v in joined:
+            block[v] = joined
+    faces = []
+    for k in range(instance.n):
+        own = {v for v, (owner, _) in enumerate(instance.variable_index)
+               if owner == k}
+        near = frozenset().union(*(block[v] for v in own))
+        local = {v: i for i, v in enumerate(sorted(near - own))}
+        rows = ((tuple(coeffs[v] for v in local), bound)
+                for coeffs, bound in poly.constraints)
+        faces.append((near, local, Polytope(len(local), tuple(
+            row for row in rows if any(row[0]))) if local else None))
+    return instance.derived.setdefault("faces", tuple(faces))
 
 
 def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -91,7 +91,7 @@ class TestColumnMaps:
         # under x0 <= 1: the steep piece fills first, then the flat one.
         poly = Polytope(1, (((ONE,), ONE),))
         final = maximize_linear([F(3), ONE], poly, ([0, 0], [F(1, 2), ONE]))
-        assert lp._values(final) == [F(1, 2), F(1, 2)]
+        assert final.values == (F(1, 2), F(1, 2))
         assert final.coords == (ONE,)
         assert final.value == F(2)
 
@@ -104,36 +104,6 @@ class TestColumnMaps:
         poly = Polytope(2, (((ONE, ONE), ONE),))
         with pytest.raises(LPInputError):
             maximize_linear([ONE, ONE], poly, columns)
-
-
-class TestFinalTableau:
-    def test_reoptimized_values_match_cold_solves(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            rows = tuple((tuple(F(rng.randint(0, 3)) for _ in range(n)),
-                          F(rng.randint(0, 4), rng.randint(1, 3)))
-                         for _ in range(rng.randint(1, 4)))
-            poly = Polytope(n, rows + box(n).constraints)
-            main = [F(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(n)]
-            final = maximize_linear(main, poly)
-            top = final.value
-            # Zeroing each entry of the main costs, as the payment LPs do,
-            # then fresh cost rows with negative entries as well.
-            others = [[ZERO if j == k else c for j, c in enumerate(main)]
-                      for k in range(n)]
-            others += [[F(rng.randint(-3, 5), rng.randint(1, 3))
-                        for _ in range(n)] for _ in range(3)]
-            for cost in others:
-                assert final.maximum(cost) == maximize_linear(cost,
-                                                              poly).value
-            # The recorded tableau is left as it was.
-            assert final.maximum(main) == top
-
-    def test_cost_length_mismatch_raises(self):
-        final = maximize_linear([ONE, ONE], box(2))
-        with pytest.raises(LPInputError):
-            final.maximum([ONE])
 
 
 class TestContains:

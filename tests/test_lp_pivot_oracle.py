@@ -7,18 +7,17 @@ Two oracles, each kept from the code it checks:
   scenario once under each; the two must pivot on the same (row, col)
   sequence and leave the same tableau and price row after every pivot,
   entry for entry.
-* ``explicit_lp`` with ``_bland_loop``, ``maximize_linear`` and
-  ``FinalTableau.maximum`` below is the solver that the bounded-variable
-  loop replaced, verbatim but for returning its tableau: one LP column per
-  curve segment, plus one explicit unit row per capped column.
-  ``lp.maximize_linear`` with a column map must walk the same bases in the
-  same order, as read in that LP's numbering, and reach the same vertex,
-  value and warm maxima.
+* ``explicit_lp`` with ``_bland_loop`` and ``maximize_linear`` below is
+  the solver that the bounded-variable loop replaced, verbatim but for its
+  warm restart, which is gone from both: one LP column per curve segment,
+  plus one explicit unit row per capped column.  ``lp.maximize_linear``
+  with a column map must walk the same bases in the same order, as read in
+  that LP's numbering, and reach the same vertex and value, for the main
+  costs and for each residual cost vector's cold solve.
 """
 
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Optional, Sequence
@@ -28,8 +27,8 @@ import pytest
 from relaxround import (FamilySpec, FractionalPoint, Instance, LPInputError,
                         Polytope, RelaxedObjective, UnboundedError,
                         build_relaxation, make_gap_toy, profile_for,
-                        residual_maxima, solve_relaxation)
-from relaxround import lp
+                        residual_maxima, residual_objective, solve_relaxation)
+from relaxround import lp, relaxation
 from relaxround.families import GAP_TOY, unit_gap_curve
 from relaxround.relaxation import _segment_columns
 
@@ -50,24 +49,6 @@ def dense_pivot(tableau, prices, row, col, excess):
     if excess != 0:
         for j in range(len(prices)):
             prices[j] -= excess * prow[j]
-
-
-def dense_maximum(final, objective):
-    """``FinalTableau.maximum`` with dense pricing-in loops."""
-    n = len(final.slopes)
-    prices = list(final.prices)
-    for row, b in zip(final.rows, final.basis):
-        if b < n and objective[b] != final.slopes[b]:
-            f = objective[b] - final.slopes[b]
-            prices = [p + f * a for p, a in zip(prices, row)]
-    for c in range(n):
-        if final.at_cap[c]:
-            prices[-1] += (objective[c] - final.slopes[c]) * final.cap[c]
-    resumed = replace(final, rows=list(final.rows), basis=list(final.basis),
-                      at_cap=list(final.at_cap), prices=prices,
-                      slopes=tuple(objective))
-    lp._bland(resumed)
-    return resumed.value
 
 
 def dense_solve_square(rows, rhs):
@@ -155,52 +136,10 @@ def _bland_loop(tableau: list[list[Fraction]], cost: list[Fraction],
         basis[leave] = enter
 
 
-class FinalTableau:
-    """The optimal tableau a ``maximize_linear`` call ended on.
-
-    A new cost row over the same polytope leaves that basis primal
-    feasible, so ``maximum`` prices the row out of it and resumes Bland's
-    rule there instead of at the slack basis; Bland's rule terminates from
-    any feasible basis.
-    """
-
-    def __init__(self, rows: list[list[Fraction]], basis: tuple[int, ...],
-                 objective: tuple[Fraction, ...],
-                 cost: tuple[Fraction, ...]) -> None:
-        self.rows, self.basis = rows, basis
-        self.objective, self.cost = objective, cost
-
-    def maximum(self, objective: Sequence[Fraction]) -> Fraction:
-        """Optimal value of objective.x over the recorded polytope.
-
-        The value is unique, so it equals the value of a cold solve even
-        where the optimal vertex would differ.
-        """
-        n = len(self.objective)
-        if len(objective) != n:
-            raise LPInputError(f"objective has length {len(objective)}, "
-                               f"expected {n}")
-        # Reduced costs are linear in the cost row, so only the change from
-        # the recorded objective needs pricing out, through the rows whose
-        # basic variable's cost changed.
-        delta = [new - old for new, old in zip(objective, self.objective)]
-        cost = [c + d for c, d in zip(self.cost, delta)] + list(self.cost[n:])
-        for row, b in zip(self.rows, self.basis):
-            f = delta[b] if b < n else ZERO
-            if f:
-                cost = _minus(cost, f, row,
-                              [j for j, a in enumerate(row) if a])
-        # _pivot replaces rows and never mutates them, so a copy of the row
-        # list leaves the recorded tableau intact for the next cost row.
-        _bland_loop(list(self.rows), cost, list(self.basis),
-                    n + len(self.rows))
-        return -cost[-1]
-
-
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope
-                    ) -> tuple[FractionalPoint, Fraction, FinalTableau]:
-    """Maximize c.x over the polytope; returns an exact optimal vertex,
-    its value and the optimal tableau, for re-optimizing other cost rows.
+                    ) -> tuple[FractionalPoint, Fraction]:
+    """Maximize c.x over the polytope; returns an exact optimal vertex
+    and its value.
 
     Ties are resolved by Bland's rule (lowest-index entering variable),
     which also guarantees termination.
@@ -219,14 +158,13 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope
     cost = list(objective) + [ZERO] * (k + 1)
     basis = list(range(n, n + k))
     _bland_loop(tableau, cost, basis, n + k)
-    final = FinalTableau(tableau, tuple(basis), tuple(objective), tuple(cost))
     coords = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             coords[b] = tableau[i][-1]
     point = FractionalPoint(tuple(coords))
     value = sum((c * v for c, v in zip(objective, coords)), ZERO)
-    return point, value, final
+    return point, value
 
 
 SHIPPED_ORACLE_PIVOT = _pivot
@@ -381,7 +319,7 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
     rng = random.Random(17)
     seen = dict.fromkeys(("unbounded", "uncapped", "zero rhs", "tied slopes",
                           "equal caps", "flip", "cap slack enters",
-                          "leaves at cap", "warm"), 0)
+                          "leaves at cap", "residual"), 0)
     for _ in range(240):
         poly, objective, col_var, col_cap = random_bounded_lp(rng)
         n, top = len(col_var), len(col_var) + len(poly.constraints)
@@ -391,17 +329,18 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
         caps = [u for u in col_cap if u is not None]
         seen["equal caps"] += len(set(caps)) < len(caps)
         # A cost change as the payment rule makes one (zero the columns of
-        # one variable), and an arbitrary one; both resume from the same
-        # recorded state, so they also check that it is left intact.
+        # one variable), and an arbitrary one, each solved cold.
         k = rng.randrange(poly.num_vars)
-        warm = [[ZERO if v == k else c for c, v in zip(objective, col_var)],
-                [F(rng.randint(-2, 4), rng.randint(1, 2)) for _ in col_var]]
+        residual = [[ZERO if v == k else c
+                     for c, v in zip(objective, col_var)],
+                    [F(rng.randint(-2, 4), rng.randint(1, 2))
+                     for _ in col_var]]
         result, path = assert_explicit_path(monkeypatch, objective, poly,
-                                            col_var, col_cap, warm)
+                                            col_var, col_cap, residual)
         if result == "unbounded":
             seen["unbounded"] += 1
             continue
-        seen["warm"] += 1
+        seen["residual"] += 1
         for entering, leaving in path:
             seen["flip"] += entering in (leaving - top, leaving + top)
             seen["cap slack enters"] += entering >= top
@@ -438,10 +377,10 @@ def random_concave_lp(rng):
 
 def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
     """The skip table, the resumed scan and the carried ratio test on the
-    LP shape they are built for, cold and warm."""
+    LP shape they are built for, with main and residual costs."""
     rng = random.Random(23)
     seen = dict.fromkeys(("tied slopes", "zero cap", "equal caps", "flip",
-                          "middle released", "unordered warm"), 0)
+                          "middle released", "unordered residual"), 0)
     for _ in range(150):
         poly, objective, col_var, col_cap = random_concave_lp(rng)
         n, top = len(col_var), len(col_var) + len(poly.constraints)
@@ -452,13 +391,13 @@ def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
         seen["equal caps"] += len(set(col_cap)) < n
         k = rng.randrange(poly.num_vars)
         unordered = [F(rng.randint(-2, 6), rng.randint(1, 2)) for _ in col_var]
-        seen["unordered warm"] += any(
+        seen["unordered residual"] += any(
             col_var[c] == col_var[c + 1] and unordered[c] < unordered[c + 1]
             for c in range(n - 1))
-        warm = [[ZERO if v == k else c for c, v in zip(objective, col_var)],
-                unordered]
+        residual = [[ZERO if v == k else c
+                     for c, v in zip(objective, col_var)], unordered]
         result, path = assert_explicit_path(monkeypatch, objective, poly,
-                                            col_var, col_cap, warm)
+                                            col_var, col_cap, residual)
         assert result != "unbounded"  # every column is capped
         for entering, leaving in path:
             seen["flip"] += entering in (leaving - top, leaving + top)
@@ -469,21 +408,22 @@ def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
 
 
 def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
-                         warm_costs):
-    """Both solvers agree on the path, vertex, value and warm maxima."""
+                         residual_costs):
+    """Both solvers agree on the path, vertex and value of the main solve
+    and then of a cold solve of each residual cost vector."""
     expanded = explicit_lp(poly, col_var, col_cap)
 
     def explicit():
-        point, value, final = maximize_linear(objective, expanded)
+        point, value = maximize_linear(objective, expanded)
         return point.coords, value, [
-            value_or_unbounded(lambda: final.maximum(cost))
-            for cost in warm_costs]
+            value_or_unbounded(lambda: maximize_linear(cost, expanded)[1])
+            for cost in residual_costs]
 
     def bounded():
         final = lp.maximize_linear(objective, poly, (col_var, col_cap))
-        return tuple(lp._values(final)), final.value, [
-            value_or_unbounded(lambda: final.maximum(cost))
-            for cost in warm_costs]
+        return final.values, final.value, [value_or_unbounded(
+            lambda: lp.maximize_linear(cost, poly, (col_var, col_cap)).value)
+            for cost in residual_costs]
 
     want, want_path = explicit_path(monkeypatch, explicit, len(col_var),
                                     len(poly.constraints), col_cap)
@@ -546,13 +486,13 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
     objective, poly = gap_toy_lp(bids, machines, segments)
     col_var, col_obj, col_cap = _segment_columns(objective)
     n = len(bids)
-    warm = [[ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)]
-            for k in range(n)]
+    residual = [[ZERO if col_var[c] == k else s
+                 for c, s in enumerate(col_obj)] for k in range(n)]
     (values, value, maxima), path = assert_explicit_path(
-        monkeypatch, col_obj, poly, col_var, col_cap, warm)
+        monkeypatch, col_obj, poly, col_var, col_cap, residual)
     assert len(path) > segments
-    # solve_relaxation folds the same vertex, and residual_maxima reads
-    # the same warm maxima.
+    # solve_relaxation folds the same vertex, and residual_maxima's face
+    # solves give the same maxima as the explicit LP's cold solves.
     final = solve_relaxation(objective, poly)
     want = [ZERO] * n
     for c, d in enumerate(values):
@@ -582,62 +522,71 @@ def random_packing_lp(rng):
     return Polytope(n, tuple(rows)), objective
 
 
-def test_random_packing_lps_and_warm_maxima(monkeypatch):
+def test_random_packing_lps_and_residual_costs(monkeypatch):
     rng = random.Random(3)
-    outcomes = {"unbounded": 0, "degenerate": 0, "tied": 0, "warm": 0}
+    outcomes = {"unbounded": 0, "degenerate": 0, "tied": 0, "residual": 0}
     for _ in range(240):
         poly, objective = random_packing_lp(rng)
         if any(b == 0 for _, b in poly.constraints):
             outcomes["degenerate"] += 1
         if len(set(objective)) < len(objective):
             outcomes["tied"] += 1
-        finals = []
 
-        def solve():
-            finals.append(lp.maximize_linear(objective, poly))
-            return finals[-1].coords, finals[-1].value
+        def solve(costs):
+            final = lp.maximize_linear(costs, poly)
+            return final.coords, final.value
 
-        result, _ = assert_same_path(monkeypatch, solve)
+        result, _ = assert_same_path(monkeypatch, lambda: solve(objective))
         if result == "unbounded":
             outcomes["unbounded"] += 1
             continue
         # A cost change as the payment rule makes one (zero some entries),
-        # and an arbitrary one.  Both resume from the same recorded
-        # tableau, so they also check that re-optimizing leaves it intact.
-        final = finals[-1]
+        # and an arbitrary one, each solved cold.  Zeroing nonnegative
+        # costs can only lower the maximum, and never below zero.
         zeroed = [ZERO if rng.random() < 0.5 else c for c in objective]
         other = [F(rng.randint(0, 4)) for _ in objective]
         for changed in (zeroed, other):
-            got, _ = assert_same_path(
-                monkeypatch, lambda: final.maximum(changed),
-                oracle=lambda: dense_maximum(final, changed))
-            if got != "unbounded":
-                assert got == lp.maximize_linear(changed, poly).value
-            outcomes["warm"] += 1
+            got, _ = assert_same_path(monkeypatch, lambda: solve(changed))
+            if changed is zeroed:
+                assert ZERO <= got[1] <= result[1]
+            outcomes["residual"] += 1
     assert all(count > 0 for count in outcomes.values()), outcomes
 
 
 def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
+    """The main solve, residual_maxima's face solves and the cold residual
+    solves pivot as the dense oracle does, and agree.  A bidder on machine
+    0 who wins takes one face solve, the bidder alone on machine 1 none."""
     instance = make_gap_toy(3, 2)
+    shipped, solved = relaxation.maximize_linear, []
+
+    def counting(objective, poly, columns=None):
+        solved.append(poly)
+        return shipped(objective, poly, columns)
+
     for bids in GAP_TOY_BIDS:
         profile = profile_for(instance, bids)
         objective, poly = build_relaxation(instance, profile)
 
         def scenario():
             final = solve_relaxation(objective, poly)
+            del solved[:]
             residuals = list(residual_maxima(instance, final))
-            return final.coords, residuals
+            cold = [residual_objective(objective, k) for k in range(3)]
+            return final.coords, residuals, [
+                residual.evaluate(solve_relaxation(residual, poly).coords)
+                for residual in cold]
 
-        def oracle():
-            final = solve_relaxation(objective, poly)
-            col_var, col_obj, _ = _segment_columns(objective)
-            residuals = [dense_maximum(final, [
-                ZERO if col_var[c] == k else s for c, s in enumerate(col_obj)])
-                for k in range(instance.n)]
-            return final.coords, residuals
-
-        _, pivots = assert_same_path(monkeypatch, scenario, oracle)
+        monkeypatch.setattr(relaxation, "maximize_linear", counting)
+        (coords, residuals, cold), pivots = assert_same_path(monkeypatch,
+                                                             scenario)
+        monkeypatch.setattr(relaxation, "maximize_linear", shipped)
         assert pivots > 50
+        assert residuals == cold
+        planes = [face for _, _, face in instance.derived["faces"]]
+        assert [next(k for k, plane in enumerate(planes) if plane is face)
+                for face in solved if face is not poly] == \
+            [k for k in (0, 2) if coords[k]]
 
 
 def random_equalities(rng):

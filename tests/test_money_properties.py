@@ -16,7 +16,9 @@ examples pay for runs, not for construction audits.  Properties:
 - the ratio floor E[f(X')] >= alpha * beta * OPT.
 
 The negative controls show that first-price payments break the utility
-identity and a decomposition at half the scale breaks the calibration.
+identity, a decomposition at half the scale breaks the calibration, and
+faces that split every bidder off into a block of its own break the
+residual maxima.
 """
 
 from fractions import Fraction as F
@@ -32,6 +34,7 @@ from relaxround import (FamilySpec, allocate, brute_force_opt,
                         make_case_b_family, make_gap_toy, make_single_item,
                         make_single_minded_ca, profile_for, residual_maxima,
                         residual_objective, run, solve_relaxation)
+from relaxround import relaxation
 
 ONE = F(1)
 
@@ -65,7 +68,9 @@ def shapes(draw):
         m = draw(st.integers(1, 3))
         return family, m, tuple(draw(st.integers(1, 2 ** m - 1))
                                 for _ in range(n))
-    machines = draw(st.integers(1, 2))
+    # One machine puts every bidder in one block of P; n machines isolate
+    # every bidder; in between, some bidders share a machine.
+    machines = draw(st.integers(1, 3))
     return family, n, machines, draw(st.sampled_from((1, 2, 4)))
 
 
@@ -182,3 +187,26 @@ def test_half_the_decomposition_scale_breaks_the_calibration(key, bids,
     # A new instance, so its audits and vertex table use the halved scale.
     instance = CONSTRUCTORS[key[0]](*key[1:])
     assert not calibrated(instance, profile_for(instance, bids))
+
+
+def own_blocks(instance):
+    """Faces as if every bidder's variables formed a block of their own."""
+    return tuple((frozenset(v for v, (owner, _)
+                            in enumerate(instance.variable_index)
+                            if owner == k), {}, None)
+                 for k in range(instance.n))
+
+
+@pytest.mark.parametrize("key, bids", [
+    (("gap-toy", 3, 2, 16), [F(4), F(1), F(4)]),
+    (("single-item", 3), [F(5), F(5), F(2)]),
+])
+def test_faces_that_isolate_every_bidder_break_the_residual_maxima(
+        key, bids, monkeypatch):
+    instance = shape(*key)
+    profile = profile_for(instance, bids)
+    final, _ = allocate(instance, profile)
+    cold = cold_residual_maxima(instance, profile)
+    assert residual_maxima(instance, final) == cold
+    monkeypatch.setattr(relaxation, "_faces", own_blocks)
+    assert residual_maxima(instance, final) != cold

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FinalTableau, FractionalPoint, InvariantError,
+from relaxround import (FractionalPoint, InvariantError,
                         PiecewiseCurve, RelaxedObjective,
                         UnsupportedFamilyError, audit_alpha, build_polytope,
                         build_relaxation, contains, enumerate_feasible,
@@ -114,14 +114,14 @@ class TestResidualMaxima:
         lambda: (make_single_item(3), [F(5), F(5), F(2)], [0], [0]),
         lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
                  [F(3), F(2), ZERO], [0], []),
-        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2],
-                 [0, 1, 2]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2], [0, 2]),
         lambda: (make_gap_toy(3, 2), [F(4), ZERO, F(1)], [0, 2], [0, 2]),
     ])
     def test_matches_the_cold_residual_solve(self, build, monkeypatch):
-        """Only a bidder who wins part of x* is re-optimized, and warm only
-        where the family has no vertex table or L is curved."""
-        instance, scalars, winners, warm_bidders = build()
+        """Only a bidder who wins part of x* is re-optimized, and by a face
+        solve only where the family has no vertex table or L is curved and
+        the winner shares a block with another bidder."""
+        instance, scalars, winners, face_bidders = build()
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, scalars))
         final = solve_relaxation(objective, poly)
@@ -134,18 +134,50 @@ class TestResidualMaxima:
             residual = residual_objective(objective, k)
             cold.append(residual.evaluate(
                 solve_relaxation(residual, poly).coords))
-        warm, calls = FinalTableau.maximum, []
+        solve, faces = relaxation.maximize_linear, []
 
-        def counting(self, costs):
-            calls.append(costs)
-            return warm(self, costs)
+        def counting(objective, poly, columns=None):
+            faces.append(poly)
+            return solve(objective, poly, columns)
 
-        monkeypatch.setattr(FinalTableau, "maximum", counting)
+        monkeypatch.setattr(relaxation, "maximize_linear", counting)
         assert residual_maxima(instance, final) == tuple(cold)
-        col_owners = [objective.owners[v] for v in final.var]
-        assert [{col_owners[c] for c, (cost, slope)
-                 in enumerate(zip(costs, final.slopes)) if cost != slope}
-                for costs in calls] == [{k} for k in warm_bidders]
+        # Faces of two bidders may be equal polytopes, so match identity.
+        planes = [face for _, _, face in instance.derived.get("faces", ())]
+        assert [next(k for k, plane in enumerate(planes) if plane is face)
+                for face in faces] == face_bidders
+
+
+class TestFaces:
+    @pytest.mark.parametrize("instance, blocks", [
+        (make_gap_toy(3, 2), [{0, 2}, {1}]),
+        (make_gap_toy(2, 2), [{0}, {1}]),
+        (make_single_item(3), [{0, 1, 2}]),
+        (make_single_minded_ca(3, [{0}, {1, 2}]), [{0}, {1}]),
+    ])
+    def test_blocks_are_built_once_per_instance(self, instance, blocks,
+                                                monkeypatch):
+        built = []
+        shipped = relaxation.Polytope
+
+        def counting(*args):
+            built.append(args)
+            return shipped(*args)
+
+        monkeypatch.setattr(relaxation, "Polytope", counting)
+        faces = relaxation._faces(instance)
+        assert relaxation._faces(instance) is faces
+        assert instance.derived["faces"] is faces
+        assert sorted(map(sorted, {block for block, _, _ in faces})) == \
+            sorted(map(sorted, blocks))
+        # One face polytope per bidder who shares a block, built once.
+        assert len(built) == sum(face is not None for _, _, face in faces)
+        for k, (block, local, face) in enumerate(faces):
+            own = {v for v, (owner, _) in enumerate(instance.variable_index)
+                   if owner == k}
+            assert sorted(local) == sorted(block - own)
+            assert list(local.values()) == list(range(len(local)))
+            assert (face is None) == (block == own)
 
 
 class TestResidualObjective:

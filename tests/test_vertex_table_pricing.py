@@ -3,15 +3,15 @@
 A single-minded constructor audits every vertex of the packing polytope P
 and keeps them in ``Instance.vertex_lotteries``.  A linear L peaks at a
 vertex, so ``residual_maxima`` takes max L^{-k} as the best vertex of that
-table instead of resuming the simplex.  Properties, on random single-minded
+table instead of solving an LP.  Properties, on random single-minded
 instances with at most four items and four bidders:
 
 - the table's max L^{-k} equals a cold solve of ``residual_objective``;
-- the warm simplex (``FinalTableau.maximum``) is never entered.
+- a face solve (``maximize_linear`` over a bidder's face) is never entered.
 
 The negative control removes the optimal vertex from the table: the scan's
 re-check of max L against the recorded value must raise.  An instance
-without a table resumes the simplex instead; ``tests/test_vertex_lotteries.py``
+without a table takes face solves instead; ``tests/test_vertex_lotteries.py``
 compares ``run`` on both.
 """
 
@@ -24,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relaxround import (FinalTableau, InvariantError, build_relaxation,
+from relaxround import (InvariantError, build_relaxation,
                         make_single_minded_ca, profile_for, residual_maxima,
                         residual_objective, solve_relaxation)
+from relaxround import relaxation
 
 EXAMPLES = settings(max_examples=100, deadline=2000, derandomize=True,
                     database=None,
@@ -55,8 +56,8 @@ def cold_maximum(objective, poly, k):
     return residual.evaluate(solve_relaxation(residual, poly).coords)
 
 
-def no_warm_start(self, costs):
-    raise AssertionError("a tabled instance resumed the simplex")
+def no_face_solve(objective, poly, columns=None):
+    raise AssertionError("a tabled instance entered a face solve")
 
 
 @EXAMPLES
@@ -65,10 +66,11 @@ def test_table_maximum_equals_a_cold_residual_solve(market):
     instance, profile = market
     objective, poly = build_relaxation(instance, profile)
     final = solve_relaxation(objective, poly)
+    cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FinalTableau, "maximum", no_warm_start)
-        assert residual_maxima(instance, final) == tuple(
-            cold_maximum(objective, poly, k) for k in range(instance.n))
+        patch.setattr(relaxation, "maximize_linear", no_face_solve)
+        assert residual_maxima(instance, final) == cold
+    assert "faces" not in instance.derived
 
 
 @pytest.fixture
