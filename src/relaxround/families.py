@@ -66,8 +66,8 @@ SINGLE_MINDED_CA = Family(
     load=lambda n, m, profile, alpha: make_single_minded_ca(
         m, [v.bundle for v in profile.valuations], alpha))
 GAP_TOY = Family(
-    "gap-toy", AdditiveValuation, money=True, max_m=64, max_segments=32,
-    extra=(("segments", DEFAULT_CURVE_SEGMENTS),),
+    "gap-toy", AdditiveValuation, money=True, max_n=4, max_m=64,
+    max_segments=32, extra=(("segments", DEFAULT_CURVE_SEGMENTS),),
     load=lambda n, m, profile, segments: make_gap_toy(n, m, segments))
 NO_MONEY_LOTTERY = Family(
     "no-money-lottery", AdditiveValuation, money=False, m=1, max_n=32,
@@ -254,8 +254,8 @@ def make_gap_toy(bidders: int, machines: int,
     """
     if bidders < 1 or machines < 1:
         raise InputError("need at least one bidder and one machine")
-    if bidders > 4:
-        raise InputError("desk-scale audits cap the toy at 4 bidders")
+    if bidders > GAP_TOY.max_n:
+        raise InputError(f"audits cap the toy at {GAP_TOY.max_n} bidders")
     curve = unit_gap_curve(segments)
     variables = tuple((i, frozenset({i % machines})) for i in range(bidders))
     spec = FamilySpec(alpha=curve.value_at(ONE), curve=curve)

@@ -6,16 +6,16 @@ variable and carry an upper bound, so a concave objective's curve
 segments are columns of one tableau column, and their caps are bound
 flips instead of rows.  Sizes are desk scale, so there is no scaling and
 no presolve; exactness and determinism are the product.  Tableau rows stay
-dense lists, but a pivot only touches the pivot row's nonzero columns,
-which leaves every entry exactly as a dense pivot would.
+dense lists, changed in place, but a pivot only touches the pivot row's
+nonzero columns, which leaves every entry exactly as a dense pivot would.
 
 Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
 held to Bland's path: the entering scan skips concave runs of segments
 that cannot enter, and resumes after a bound flip with its ratio test
 carried along.  Each shortcut leaves out only comparisons whose outcome is
 known, so every step makes the full scan's choice (see ``_step``).  Every
-answer comes from one cold solve from the slack basis; no solve resumes a
-recorded tableau.
+answer comes from one cold solve from the slack basis, on rows built for
+that solve alone; no solve resumes or shares a tableau.
 """
 
 from __future__ import annotations
@@ -101,32 +101,26 @@ def contains(poly: Polytope, x: FractionalPoint) -> bool:
     return True
 
 
-def _minus(target: list[Fraction], f: Fraction, prow: list[Fraction],
-           nonzero: list[int]) -> list[Fraction]:
-    """A new list target - f * prow, where prow is zero off ``nonzero``."""
-    out = list(target)
-    for j in nonzero:
-        out[j] -= f * prow[j]
-    return out
-
-
 def _pivot(tableau: list[list[Fraction]], prices: list[Fraction],
            row: int, col: int, excess: Fraction) -> None:
     """Pivot on (row, col), then take excess times the new pivot row off
     the prices (excess: the entering column's price minus its cost)."""
-    # Changed rows are built as new lists.  Since a - f * 0 == a and
-    # 0 / p == 0 exactly, skipping the pivot row's zeros changes no entry.
-    piv = tableau[row][col]
-    prow = list(tableau[row])
+    # Rows change in place; every solve builds its own rows.  Since
+    # a - f * 0 == a and 0 / p == 0 exactly, skipping the pivot row's zeros
+    # changes no entry.
+    prow = tableau[row]
+    piv = prow[col]
     nonzero = [j for j, v in enumerate(prow) if v]
     for j in nonzero:
         prow[j] /= piv
-    tableau[row] = prow
     for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            tableau[i] = _minus(other, other[col], prow, nonzero)
+        f = other[col]
+        if i != row and f:
+            for j in nonzero:
+                other[j] -= f * prow[j]
     if excess:
-        prices[:] = _minus(prices, excess, prow, nonzero)
+        for j in nonzero:
+            prices[j] -= excess * prow[j]
 
 
 @dataclass(eq=False)
@@ -199,11 +193,9 @@ def _flip(t: FinalTableau, c: int, to_cap: bool) -> None:
     """
     v = t.var[c]
     step = t.cap[c] if to_cap else -t.cap[c]
-    for i, row in enumerate(t.rows):
+    for row in t.rows:
         if row[v]:
-            row = list(row)
             row[-1] -= step * row[v]
-            t.rows[i] = row
     t.prices[-1] += step * (t.slopes[c] - t.prices[v])
     t.at_cap[c] = to_cap
 
@@ -257,7 +249,6 @@ def _step(t: FinalTableau) -> bool:
             enter = next((c for c in range(n)
                           if at_cap[c] and prices[var[c]] > slopes[c]), None)
             if enter is None:
-                t.start, t.carry = 0, None
                 return False
             up, col = True, var[enter]
     # Ratio test over the explicit LP's rows: for each tableau row its

@@ -299,9 +299,10 @@ def residual_maxima(instance: Instance,
 def _faces(instance: Instance) -> tuple[
         tuple[frozenset[int], dict[int, int], Optional[Polytope]], ...]:
     """Per bidder k: B(k), F(k) as a map from variable to face variable,
-    and P_{F(k)} without its all-zero rows (None if F(k) is empty).
+    and P_{F(k)} with each nonzero row once (None if F(k) is empty).
 
-    They depend on the instance alone, so they are built once per instance.
+    They depend on the instance alone, so they are built once per instance,
+    and bidders whose faces are equal share one polytope.
     """
     if "faces" in instance.derived:
         return instance.derived["faces"]
@@ -311,16 +312,19 @@ def _faces(instance: Instance) -> tuple[
         joined = set().union(*(block[v] for v, c in enumerate(coeffs) if c))
         for v in joined:
             block[v] = joined
-    faces = []
+    faces, shared = [], {}
     for k in range(instance.n):
         own = {v for v, (owner, _) in enumerate(instance.variable_index)
                if owner == k}
         near = frozenset().union(*(block[v] for v in own))
         local = {v: i for i, v in enumerate(sorted(near - own))}
-        rows = ((tuple(coeffs[v] for v in local), bound)
-                for coeffs, bound in poly.constraints)
-        faces.append((near, local, Polytope(len(local), tuple(
-            row for row in rows if any(row[0]))) if local else None))
+        rows = tuple(dict.fromkeys((tuple(c[v] for v in local), bound)
+                                   for c, bound in poly.constraints
+                                   if any(c[v] for v in local)))
+        # rows == () iff F(k) is empty: face variables share rows with k's.
+        if rows and rows not in shared:
+            shared[rows] = Polytope(len(local), rows)
+        faces.append((near, local, shared.get(rows)))
     return instance.derived.setdefault("faces", tuple(faces))
 
 

@@ -154,7 +154,8 @@ class TestBidderCap:
             raise AssertionError("a constructor ran")
 
         for name in ("make_single_item", "make_case_b_family",
-                     "make_no_money", "make_single_minded_ca"):
+                     "make_no_money", "make_single_minded_ca",
+                     "make_gap_toy"):
             monkeypatch.setattr(rio.families, name, never)
         n = FAMILIES[family].max_n + 1
         doc = {"family": family, "n": n, "m": 1, "beta": "1/2",

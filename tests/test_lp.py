@@ -106,6 +106,36 @@ class TestColumnMaps:
             maximize_linear([ONE, ONE], poly, columns)
 
 
+class TestFreshRows:
+    """Pivots and bound flips change a solve's rows in place, which is safe
+    only while every solve builds rows of its own."""
+
+    POLY = Polytope(2, (((ONE, ONE), ONE), ((F(2), ONE), F(3, 2))))
+    COLUMNS = ([0, 0, 1, 1], [F(1, 3), None, F(1, 4), None])
+
+    def test_solves_share_no_row_and_leave_the_polytope_alone(self):
+        constraints = [(list(coeffs), b) for coeffs, b in
+                       self.POLY.constraints]
+        first = maximize_linear([F(3), ONE, F(2), ONE], self.POLY,
+                                self.COLUMNS)
+        rows, prices = [list(row) for row in first.rows], list(first.prices)
+        second = maximize_linear([ONE, ONE, F(5), F(2)], self.POLY,
+                                 self.COLUMNS)
+        # Both solves left the slack basis, so both pivoted.
+        assert first.basis != [4, 5] and second.basis != [4, 5]
+        assert first.rows is not second.rows
+        assert first.prices is not second.prices
+        assert not ({id(row) for row in first.rows}
+                    & {id(row) for row in second.rows})
+        assert [(list(coeffs), b) for coeffs, b in
+                self.POLY.constraints] == constraints
+        # The first tableau, read only after the second solve ran.
+        assert first.rows == rows and first.prices == prices
+        assert first.values == (F(1, 3), F(1, 6), F(1, 4), F(1, 4))
+        assert first.value == F(23, 12)
+        assert second.value == F(11, 4)
+
+
 class TestContains:
     def test_boundary_membership(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))

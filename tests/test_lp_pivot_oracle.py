@@ -561,7 +561,7 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
     shipped, solved = relaxation.maximize_linear, []
 
     def counting(objective, poly, columns=None):
-        solved.append(poly)
+        solved.append((list(objective), poly))
         return shipped(objective, poly, columns)
 
     for bids in GAP_TOY_BIDS:
@@ -583,10 +583,14 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
         monkeypatch.setattr(relaxation, "maximize_linear", shipped)
         assert pivots > 50
         assert residuals == cold
-        planes = [face for _, _, face in instance.derived["faces"]]
-        assert [next(k for k, plane in enumerate(planes) if plane is face)
-                for face in solved if face is not poly] == \
-            [k for k in (0, 2) if coords[k]]
+        # Bidders 0 and 2 share one face polytope, so a face solve is told
+        # by bidder order and by its costs, F(k)'s segment slopes.
+        faces = instance.derived["faces"]
+        col_var, col_obj, _ = _segment_columns(objective)
+        assert [(costs, face) for costs, face in solved
+                if face is not poly] == [
+            ([s for s, v in zip(col_obj, col_var) if v in faces[k][1]],
+             faces[k][2]) for k in (0, 2) if coords[k]]
 
 
 def random_equalities(rng):

@@ -134,18 +134,22 @@ class TestResidualMaxima:
             residual = residual_objective(objective, k)
             cold.append(residual.evaluate(
                 solve_relaxation(residual, poly).coords))
-        solve, faces = relaxation.maximize_linear, []
+        solve, solved = relaxation.maximize_linear, []
 
         def counting(objective, poly, columns=None):
-            faces.append(poly)
+            solved.append((list(objective), poly))
             return solve(objective, poly, columns)
 
         monkeypatch.setattr(relaxation, "maximize_linear", counting)
         assert residual_maxima(instance, final) == tuple(cold)
-        # Faces of two bidders may be equal polytopes, so match identity.
-        planes = [face for _, _, face in instance.derived.get("faces", ())]
-        assert [next(k for k, plane in enumerate(planes) if plane is face)
-                for face in faces] == face_bidders
+        # Bidders with equal faces share one polytope, so a face solve is
+        # told by bidder order and by its costs, F(k)'s columns of L.
+        faces = instance.derived.get("faces", ())
+        assert [costs for costs, _ in solved] == [
+            [s for s, v in zip(final.slopes, final.var) if v in faces[k][1]]
+            for k in face_bidders]
+        assert all(poly is faces[k][2]
+                   for (_, poly), k in zip(solved, face_bidders))
 
 
 class TestFaces:
@@ -170,14 +174,29 @@ class TestFaces:
         assert instance.derived["faces"] is faces
         assert sorted(map(sorted, {block for block, _, _ in faces})) == \
             sorted(map(sorted, blocks))
-        # One face polytope per bidder who shares a block, built once.
-        assert len(built) == sum(face is not None for _, _, face in faces)
+        # One face polytope per distinct face, built once and shared by
+        # every bidder whose face equals it, each row held once.
+        shared = [face for _, _, face in faces if face is not None]
+        assert len(built) == len({id(face) for face in shared}) == \
+            len(set(shared))
         for k, (block, local, face) in enumerate(faces):
             own = {v for v, (owner, _) in enumerate(instance.variable_index)
                    if owner == k}
             assert sorted(local) == sorted(block - own)
             assert list(local.values()) == list(range(len(local)))
             assert (face is None) == (block == own)
+            if face is not None:
+                assert len(set(face.constraints)) == len(face.constraints)
+                assert all(any(coeffs) for coeffs, _ in face.constraints)
+
+    def test_equal_faces_are_one_polytope_with_each_row_once(self):
+        """On gap-toy 3x2 bidders 0 and 2 share machine 0, so each one's
+        face is the other's variable, where the other's bidder row and
+        machine 0's row restrict to the same unit row, held once."""
+        faces = relaxation._faces(make_gap_toy(3, 2))
+        assert faces[0][2] is faces[2][2]
+        assert faces[0][2].constraints == (((ONE,), ONE),)
+        assert faces[1][2] is None
 
 
 class TestResidualObjective:
