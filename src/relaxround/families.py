@@ -42,7 +42,8 @@ CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
 # calibration audit probes 5**n grid points).  The lottery has no audit;
 # its cap matches single-item, where `run_without_money` takes 0.01 s.
 # Single-minded auctions have one variable per bidder, and their
-# decomposability audit enumerates vertices in at most 8 variables.
+# decomposability audit enumerates vertices in at most 8 variables, over
+# at most 4 item rows.
 # gap-toy builds one polytope row per machine for each of its 5**n
 # calibration probes, and single-peaked one variable per position: gap-toy
 # with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments together
@@ -61,7 +62,7 @@ CASE_B = Family(
     extra=(("beta", None),),
     load=lambda n, m, profile, beta: make_case_b_family(n, beta))
 SINGLE_MINDED_CA = Family(
-    "single-minded-ca", SingleMindedValuation, money=True, max_n=8,
+    "single-minded-ca", SingleMindedValuation, money=True, max_n=8, max_m=4,
     extra=(("alpha", DEFAULT_SINGLE_MINDED_ALPHA),),
     load=lambda n, m, profile, alpha: make_single_minded_ca(
         m, [v.bundle for v in profile.valuations], alpha))
@@ -214,8 +215,9 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
     decomposition is audited at every polytope vertex, so a successful
     construction covers the full polytope.
     """
-    if m < 1 or m > 4:
-        raise InputError("desk-scale single-minded auctions use 1..4 items")
+    if m < 1 or m > SINGLE_MINDED_CA.max_m:
+        raise InputError("desk-scale single-minded auctions use "
+                         f"1..{SINGLE_MINDED_CA.max_m} items")
     bundles = [frozenset(int(j) for j in d) for d in desires]
     if not bundles:
         raise InputError("need at least one bidder")

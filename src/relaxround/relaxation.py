@@ -1,14 +1,15 @@
 """Relaxed objectives over packing polytopes, and the alpha-contract audit.
 
-The relaxed objective is either linear (one coefficient per variable) or
-separable concave, represented exactly as one piecewise-linear curve per
-variable.  Concave maximization is a single exact LP with one bounded
-column per curve segment, so one solver serves both shapes.
+The relaxed objective is the bids times one function per variable: the
+identity for a linear L, or the family's unit curve, a concave
+piecewise-linear curve, for a separable concave one.  Concave maximization
+is a single exact LP with one bounded column per curve segment, so one
+solver serves both shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -78,37 +79,31 @@ class PiecewiseCurve:
                 return t0 + (t1 - t0) * (y - v0) / (v1 - v0)
         return self.points[-1][0]
 
-    def scaled(self, c: Fraction) -> "PiecewiseCurve":
-        if c < 0:
-            raise ValueError("curve scale must be nonnegative")
-        return PiecewiseCurve(tuple((t, c * v) for t, v in self.points))
-
-
-def zero_curve() -> PiecewiseCurve:
-    return PiecewiseCurve(((ZERO, ZERO), (ONE, ZERO)))
-
 
 @dataclass(frozen=True)
 class RelaxedObjective:
-    """L with its guarantee factor and the per-bidder variable split."""
+    """L with its guarantee factor and the per-bidder variable split.
+
+    L(x) = sum of coeffs[v] * x_v for a linear L (``curves`` is None), and
+    sum of coeffs[v] * curves[v](x_v) for a separable concave one.
+    """
 
     alpha: Fraction
     owners: tuple[int | None, ...]
-    linear_coeffs: tuple[Fraction, ...] | None = None
+    coeffs: tuple[Fraction, ...]
     curves: tuple[PiecewiseCurve, ...] | None = None
 
     def __post_init__(self):
         if not (ZERO < self.alpha <= ONE):
             raise ValueError("alpha must lie in (0, 1]")
-        if (self.linear_coeffs is None) == (self.curves is None):
-            raise ValueError("exactly one of linear_coeffs/curves is required")
-        n = len(self.linear_coeffs if self.curves is None else self.curves)
-        if n != len(self.owners):
+        if len(self.coeffs) != len(self.owners) or (
+                self.curves is not None
+                and len(self.curves) != len(self.owners)):
             raise ValueError("owners must cover every variable")
 
     @property
     def is_linear(self) -> bool:
-        return self.linear_coeffs is not None
+        return self.curves is None
 
     @property
     def num_vars(self) -> int:
@@ -117,12 +112,10 @@ class RelaxedObjective:
     def evaluate(self, coords: Sequence[Fraction]) -> Fraction:
         if len(coords) != self.num_vars:
             raise LPInputError("point dimension does not match objective")
-        if self.linear_coeffs is not None:
-            return sum((c * x for c, x in zip(self.linear_coeffs, coords)), ZERO)
         if self.curves is None:
-            raise InvariantError("a curved objective must carry curves")
-        return sum((curve.value_at(x)
-                    for curve, x in zip(self.curves, coords)), ZERO)
+            return sum((c * x for c, x in zip(self.coeffs, coords)), ZERO)
+        return sum((c * curve.value_at(x) for c, curve, x
+                    in zip(self.coeffs, self.curves, coords)), ZERO)
 
 
 def build_polytope(instance: Instance) -> Polytope:
@@ -160,8 +153,8 @@ def _bundle_value(profile: ValuationProfile, instance: Instance,
 
 def build_relaxation(instance: Instance,
                      profile: ValuationProfile) -> tuple[RelaxedObjective, Polytope]:
-    """Assemble (L, P) for the reported profile: L is linear in the bids,
-    or the family's unit curve scaled by each bid.
+    """Assemble (L, P) for the reported profile: L is the bids times 1
+    (linear) or times the family's unit curve, one per variable.
 
     That P contains every feasible allocation's indicator depends on the
     instance alone; the family constructors prove it once per instance.
@@ -172,28 +165,22 @@ def build_relaxation(instance: Instance,
     bids = tuple(_bundle_value(profile, instance, v)
                  for v in range(instance.num_vars))
     curve = instance.spec.curve
-    if curve is None:
-        objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
-                                     linear_coeffs=bids)
-    else:
-        objective = RelaxedObjective(alpha=instance.spec.alpha, owners=owners,
-                                     curves=tuple(curve.scaled(bid)
-                                                  for bid in bids))
-    return objective, poly
+    return RelaxedObjective(
+        alpha=instance.spec.alpha, owners=owners, coeffs=bids,
+        curves=None if curve is None else (curve,) * len(bids)), poly
 
 
 def _segment_columns(objective: RelaxedObjective
                      ) -> tuple[list[int], list[Fraction], list[Fraction]]:
     """Variable, slope and length of every piece of a curved objective."""
-    if objective.curves is None:
-        raise InvariantError("segment columns need a curved objective")
     col_var: list[int] = []
     col_obj: list[Fraction] = []
     col_cap: list[Fraction] = []
-    for v, curve in enumerate(objective.curves):
+    for v, (coeff, curve) in enumerate(zip(objective.coeffs,
+                                           objective.curves)):
         for length, slope in curve.segments():
             col_var.append(v)
-            col_obj.append(slope)
+            col_obj.append(coeff * slope)
             col_cap.append(length)
     return col_var, col_obj, col_cap
 
@@ -210,7 +197,7 @@ def solve_relaxation(objective: RelaxedObjective,
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
     if objective.is_linear:
-        return maximize_linear(objective.linear_coeffs, poly)
+        return maximize_linear(objective.coeffs, poly)
     # One LP column per linear piece, capped at its length; concavity
     # (nonincreasing slopes) makes the split exact at any LP optimum.
     col_var, col_obj, col_cap = _segment_columns(objective)
@@ -345,22 +332,14 @@ def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def residual_objective(objective: RelaxedObjective,
                        k: int) -> RelaxedObjective:
-    """L with bidder k removed: zero out every variable k owns."""
+    """L with bidder k removed: zero every coefficient k owns, which is L
+    of the same profile with bidder k's bid set to 0."""
     known = [o for o in objective.owners if o is not None]
     if k < 0 or (known and k > max(known)):
         raise IndexError(f"bidder index {k} out of range")
-    if objective.is_linear:
-        coeffs = tuple(ZERO if owner == k else c
-                       for c, owner in zip(objective.linear_coeffs,
-                                           objective.owners))
-        return RelaxedObjective(alpha=objective.alpha, owners=objective.owners,
-                                linear_coeffs=coeffs)
-    if objective.curves is None:
-        raise InvariantError("a curved objective must carry curves")
-    curves = tuple(zero_curve() if owner == k else curve
-                   for curve, owner in zip(objective.curves, objective.owners))
-    return RelaxedObjective(alpha=objective.alpha, owners=objective.owners,
-                            curves=curves)
+    return replace(objective, coeffs=tuple(
+        ZERO if owner == k else c
+        for c, owner in zip(objective.coeffs, objective.owners)))
 
 
 @dataclass(frozen=True)

@@ -57,13 +57,9 @@ class TestAlphaAudit:
 
         def first_bid_halved(instance, profile):
             objective, poly = exact(instance, profile)
-            if objective.is_linear:
-                coeffs = list(objective.linear_coeffs)
-                coeffs[0] /= 2
-                return replace(objective, linear_coeffs=tuple(coeffs)), poly
-            curves = list(objective.curves)
-            curves[0] = curves[0].scaled(F(1, 2))
-            return replace(objective, curves=tuple(curves)), poly
+            coeffs = list(objective.coeffs)
+            coeffs[0] /= 2
+            return replace(objective, coeffs=tuple(coeffs)), poly
 
         monkeypatch.setattr(families, "build_relaxation", first_bid_halved)
         with pytest.raises(FamilyConstructionError, match="alpha audit"):

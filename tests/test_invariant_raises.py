@@ -11,26 +11,12 @@ from pathlib import Path
 import pytest
 
 from relaxround import (FamilySpec, FractionalPoint, Instance,
-                        InvariantError, brute_force_opt, build_relaxation,
-                        make_gap_toy, make_no_money, make_single_item,
-                        profile_for)
+                        InvariantError, brute_force_opt, make_no_money,
+                        make_single_item, profile_for)
 from relaxround import families, relaxation, verify
 from relaxround.mechanism import keep_probabilities
 
 ONE = F(1)
-
-
-def curved_objective():
-    instance = make_gap_toy(2, 1)
-    objective, _ = build_relaxation(instance, profile_for(instance,
-                                                          [F(3), F(2)]))
-    return objective
-
-
-def without_curves(objective):
-    # Frozen dataclass: strip the curves behind the constructor's back.
-    object.__setattr__(objective, "curves", None)
-    return objective
 
 
 def test_brute_force_opt_with_an_empty_feasible_set(monkeypatch):
@@ -40,31 +26,11 @@ def test_brute_force_opt_with_an_empty_feasible_set(monkeypatch):
         brute_force_opt(instance, profile_for(instance, [F(5), F(3)]))
 
 
-def test_evaluate_on_a_curved_objective_without_curves():
-    objective = without_curves(curved_objective())
-    with pytest.raises(InvariantError, match="carry curves"):
-        objective.evaluate((ONE, ONE))
-
-
 def test_bundle_value_of_an_ownerless_variable():
     instance = make_no_money(2, "single_peaked", positions=3)
     profile = profile_for(instance, [F(0), F(2)])
     with pytest.raises(InvariantError, match="no owner"):
         relaxation._bundle_value(profile, instance, 0)
-
-
-def test_segment_columns_of_a_linear_objective():
-    instance = make_single_item(2)
-    objective, _ = build_relaxation(instance, profile_for(instance,
-                                                          [F(5), F(3)]))
-    with pytest.raises(InvariantError, match="curved objective"):
-        relaxation._segment_columns(objective)
-
-
-def test_residual_objective_of_a_curved_objective_without_curves():
-    objective = without_curves(curved_objective())
-    with pytest.raises(InvariantError, match="carry curves"):
-        relaxation.residual_objective(objective, 0)
 
 
 def test_curve_ratio_keep_with_an_ownerless_variable():
@@ -194,9 +160,7 @@ PUBLIC_DEFAULTS = {
     "model.FamilySpec.curve": "gap-toy's curve; linear families have none",
     "relaxation.AlphaAudit.counterexample": "None on a passing audit",
     "relaxation.RelaxedObjective.curves":
-        "curved objectives; linear ones give linear_coeffs instead",
-    "relaxation.RelaxedObjective.linear_coeffs":
-        "linear objectives; curved ones give curves instead",
+        "curved objectives; linear ones have none",
     "verify.check_obliviousness.rounder":
         "the negative controls pass adversarial_rounder",
     "verify.check_truthfulness.include_bundle_misreports":

@@ -446,8 +446,8 @@ def gap_toy_lp(bids, machines, segments):
     rows += [(tuple(ONE if j % machines == item else ZERO for j in range(n)),
               ONE) for item in range(machines)]
     objective = RelaxedObjective(alpha=unit.value_at(ONE),
-                                 owners=tuple(range(n)),
-                                 curves=tuple(unit.scaled(b) for b in bids))
+                                 owners=tuple(range(n)), coeffs=tuple(bids),
+                                 curves=(unit,) * n)
     return objective, Polytope(n, tuple(rows))
 
 

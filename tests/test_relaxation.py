@@ -8,8 +8,9 @@ from relaxround import (FractionalPoint, InvariantError,
                         PiecewiseCurve, RelaxedObjective,
                         UnsupportedFamilyError, audit_alpha, build_polytope,
                         build_relaxation, contains, enumerate_feasible,
-                        indicator, make_gap_toy, make_no_money,
-                        make_single_item, make_single_minded_ca, profile_for,
+                        indicator, make_case_b_family, make_gap_toy,
+                        make_no_money, make_single_item,
+                        make_single_minded_ca, profile_for,
                         residual_maxima, residual_objective,
                         solve_relaxation)
 from relaxround import relaxation
@@ -22,7 +23,7 @@ class TestBuildRelaxation:
     def test_single_item_recipe(self):
         inst = make_single_item(2)
         objective, poly = build_relaxation(inst, profile_for(inst, [F(5), F(3)]))
-        assert objective.linear_coeffs == (F(5), F(3))
+        assert objective.coeffs == (F(5), F(3))
         assert objective.alpha == 1
         assert contains(poly, FractionalPoint((F(1, 2), F(1, 2))))
         assert not contains(poly, FractionalPoint((F(3, 4), F(1, 2))))
@@ -38,7 +39,7 @@ class TestBuildRelaxation:
     def test_zero_profile_gives_zero_objective(self):
         inst = make_single_item(3)
         objective, _ = build_relaxation(inst, profile_for(inst, [ZERO] * 3))
-        assert objective.linear_coeffs == (ZERO, ZERO, ZERO)
+        assert objective.coeffs == (ZERO, ZERO, ZERO)
 
     def test_no_money_families_have_no_recipe(self):
         inst = make_no_money(2, "lottery")
@@ -90,8 +91,9 @@ class TestSolveRelaxation:
         inst = make_gap_toy(2, 1)
         objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
         optimum = solve_relaxation(objective, poly)
-        direct = sum((curve.value_at(x) for curve, x
-                      in zip(objective.curves, optimum.coords)), ZERO)
+        direct = sum((bid * curve.value_at(x) for bid, curve, x
+                      in zip(objective.coeffs, objective.curves,
+                             optimum.coords)), ZERO)
         assert direct == objective.evaluate(optimum.coords)
 
     def test_fold_mismatch_raises(self, monkeypatch):
@@ -203,8 +205,8 @@ class TestResidualObjective:
     def test_zeroes_the_named_bidder(self):
         inst = make_single_item(2)
         objective, _ = build_relaxation(inst, profile_for(inst, [F(5), F(3)]))
-        assert residual_objective(objective, 0).linear_coeffs == (ZERO, F(3))
-        assert residual_objective(objective, 1).linear_coeffs == (F(5), ZERO)
+        assert residual_objective(objective, 0).coeffs == (ZERO, F(3))
+        assert residual_objective(objective, 1).coeffs == (F(5), ZERO)
 
     def test_idempotent_and_commutative(self):
         inst = make_single_item(3)
@@ -214,6 +216,23 @@ class TestResidualObjective:
         ab = residual_objective(residual_objective(objective, 0), 2)
         ba = residual_objective(residual_objective(objective, 2), 0)
         assert ab == ba
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_single_item(3),
+        lambda: make_case_b_family(3, F(1, 2)),
+        lambda: make_single_minded_ca(3, [{0}, {0, 1}, {2}]),
+        lambda: make_gap_toy(3, 2),
+    ])
+    def test_removing_a_bidder_is_setting_its_bid_to_zero(self, build):
+        """L^{-k} is L of the same profile with k's scalar set to 0, so
+        the cold k-excluded pipeline solves the LP of a real profile."""
+        inst = build()
+        bids = [F(5), F(3, 2), F(4)]
+        objective, _ = build_relaxation(inst, profile_for(inst, bids))
+        for k in range(inst.n):
+            silenced = [ZERO if i == k else b for i, b in enumerate(bids)]
+            want, _ = build_relaxation(inst, profile_for(inst, silenced))
+            assert residual_objective(objective, k) == want
 
     def test_zero_objective_unchanged(self):
         inst = make_single_item(2)
@@ -248,7 +267,7 @@ class TestAuditAlpha:
         objective, _ = build_relaxation(inst, profile)
         halved = RelaxedObjective(alpha=objective.alpha,
                                   owners=objective.owners,
-                                  linear_coeffs=(F(5, 2), F(3)))
+                                  coeffs=(F(5, 2), F(3)))
         audit = audit_alpha(halved, inst, profile)
         assert not audit.passed
         alloc, lval, fval = audit.counterexample

@@ -65,13 +65,14 @@ def test_a_million_exits_two_fast(field, doc, tmp_path, capsys):
     ("m", gap_toy_doc(m=FAMILIES["gap-toy"].max_m + 1)),
     ("m", single_peaked_doc(m=FAMILIES["single-peaked"].max_m + 1)),
     ("n", single_peaked_doc(n=FAMILIES["single-peaked"].max_n + 1)),
+    ("m", single_minded_doc(m=FAMILIES["single-minded-ca"].max_m + 1)),
 ])
 def test_one_over_the_cap_is_rejected_before_construction(field, doc,
                                                           monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a constructor ran")
 
-    for name in ("make_gap_toy", "make_no_money"):
+    for name in ("make_gap_toy", "make_no_money", "make_single_minded_ca"):
         monkeypatch.setattr(rio.families, name, never)
     with pytest.raises(FormatError, match=f"{field!r}.*at most"):
         load_instance_document(doc)
@@ -82,6 +83,7 @@ def test_one_over_the_cap_is_rejected_before_construction(field, doc,
                 segments=FAMILIES["gap-toy"].max_segments),
     single_peaked_doc(n=FAMILIES["single-peaked"].max_n,
                       m=FAMILIES["single-peaked"].max_m),
+    single_minded_doc(m=FAMILIES["single-minded-ca"].max_m),
 ])
 def test_the_caps_themselves_load(doc):
     instance, _, _ = load_instance_document(doc)
