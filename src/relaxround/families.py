@@ -42,8 +42,7 @@ CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
 # calibration audit probes 5**n grid points).  The lottery has no audit;
 # its cap matches single-item, where `run_without_money` takes 0.01 s.
 # Single-minded auctions have one variable per bidder, and their
-# decomposability audit enumerates vertices in at most 8 variables, over
-# at most 4 item rows.
+# decomposability audit enumerates vertices in at most 8 variables.
 # gap-toy builds one polytope row per machine for each of its 5**n
 # calibration probes, and single-peaked one variable per position: gap-toy
 # with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments together

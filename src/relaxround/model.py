@@ -100,12 +100,12 @@ class FamilySpec:
 
     ``alpha`` is the welfare guarantee factor: the relaxed objective at any
     feasible allocation's indicator is at least alpha times its welfare.
-    ``curve``, if given, is the unit curve of a separable concave objective:
-    L is each bid times this one curve, and without a curve each bid times
-    1 (linear).  The rest follows: a linear objective decomposes alpha
-    times its optimum (the scaled decomposition of Lavi-Swamy) and keeps
-    every bidder with probability ``beta`` (case b; case c at beta = 1); a
-    curved one decomposes its optimum and keeps bidder i with probability
+    ``curve``, if given, is the unit curve of a separable concave L: each
+    bid times this one curve (without one, L is linear in the bids).  The
+    rest follows: a linear objective decomposes alpha times its optimum
+    (the scaled decomposition of Lavi-Swamy) and keeps every bidder with
+    probability ``beta`` (case b; case c at beta = 1); a curved one
+    decomposes its optimum and keeps bidder i with probability
     curve(x_i)/x_i (case a), so beta must be 1.
     The approximation floor is ``alpha * beta``.
     """

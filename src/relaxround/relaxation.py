@@ -1,10 +1,9 @@
 """Relaxed objectives over packing polytopes, and the alpha-contract audit.
 
-The relaxed objective is the bids times one function per variable: the
-identity for a linear L, or the family's unit curve, a concave
-piecewise-linear curve, for a separable concave one.  Concave maximization
-is a single exact LP with one bounded column per curve segment, so one
-solver serves both shapes.
+The relaxed objective is the bids times 1 (linear) or times the family's
+concave piecewise-linear unit curve, one per variable.  Concave
+maximization is a single exact LP with one bounded column per curve
+segment, so one solver serves both shapes.
 """
 
 from __future__ import annotations
@@ -96,9 +95,8 @@ class RelaxedObjective:
     def __post_init__(self):
         if not (ZERO < self.alpha <= ONE):
             raise ValueError("alpha must lie in (0, 1]")
-        if len(self.coeffs) != len(self.owners) or (
-                self.curves is not None
-                and len(self.curves) != len(self.owners)):
+        if not len(self.coeffs) == len(self.owners) == len(
+                self.curves or self.owners):
             raise ValueError("owners must cover every variable")
 
     @property
