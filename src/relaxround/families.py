@@ -43,16 +43,16 @@ CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
 # its cap matches single-item, where `run_without_money` takes 0.01 s.
 # Single-minded auctions have one variable per bidder, and their
 # decomposability audit enumerates vertices in at most 8 variables.
-# gap-toy builds one polytope row per machine for each of its 5**n
-# calibration probes, and single-peaked one variable per position: gap-toy
-# with 3 bidders loads in 1.5-1.7 s at 64 machines and 32 segments together
-# (2.4-3.4 s at 64 and 64), single-peaked in 0.02 s and 21 MiB at m=10000
-# (0.84 s and 101 MiB at m=200000).  A single-peaked feasible set holds an
-# n-bundle allocation per position, so the family also caps n:
-# verify-no-money at 32 bidders and 10000 positions takes 0.2-0.3 s and
-# 27 MiB in a child process (244 MiB while each allocation was sorted by
-# n m-bit masks).  The loads resolve each constructor when called, so a
-# wrapper installed on the module name sees them.
+# gap-toy tests each of its 5**n calibration probes against one polytope
+# row per machine, and single-peaked builds one variable per position:
+# gap-toy with 3 bidders loads in 0.19-0.38 s at 64 machines and 32
+# segments together (0.21-0.43 s at 64 and 64), single-peaked in 0.02 s
+# and 21 MiB at m=10000 (0.84 s and 101 MiB at m=200000).  A single-peaked
+# feasible set holds an n-bundle allocation per position, so the family
+# also caps n: verify-no-money at 32 bidders and 10000 positions takes
+# 0.2-0.3 s and 27 MiB in a child process (244 MiB while each allocation
+# was sorted by n m-bit masks).  The loads resolve each constructor when
+# called, so a wrapper installed on the module name sees them.
 SINGLE_ITEM = Family(
     "single-item", AdditiveValuation, money=True, m=1, max_n=32,
     load=lambda n, m, profile: make_single_item(n))
@@ -177,12 +177,13 @@ def _audit_calibration(instance: Instance) -> None:
     probes = [FractionalPoint(coords) for coords in
               product(CALIBRATION_PROBE_GRID, repeat=instance.num_vars)]
     target = instance.spec.calibration
+    objectives = [(profile, build_relaxation(instance, profile)[0])
+                  for profile in _probe_profiles(instance)]
     for probe in probes:
         if not contains(poly, probe):
             continue
         thinned = _round_point(instance, probe)
-        for profile in _probe_profiles(instance):
-            objective, _ = build_relaxation(instance, profile)
+        for profile, objective in objectives:
             expected = sum(expected_value_per_bidder(thinned, profile), ZERO)
             want = target * objective.evaluate(probe.coords)
             if expected != want:

@@ -10,20 +10,24 @@ dense lists, changed in place, but a pivot only touches the pivot row's
 nonzero columns, which leaves every entry exactly as a dense pivot would.
 
 Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
-held to Bland's path: the entering scan skips concave runs of segments
-that cannot enter, and resumes after a bound flip with its ratio test
-carried along.  Each shortcut leaves out only comparisons whose outcome is
-known, so every step makes the full scan's choice (see ``_step``).  Every
-answer comes from one cold solve from the slack basis, on rows built for
-that solve alone; no solve resumes or shares a tableau.
+held to Bland's path: the entering scan skips or bisects concave runs of
+segments, and one long step passes every breakpoint of a run that the
+ratio allows, flipping those columns to their caps together before the
+next column enters.  Each shortcut leaves out only comparisons whose
+outcome is known, so the bases visited are those of Bland's rule one flip
+a step (see ``_step``).  Row ratios are compared as integer pairs, without
+a division.  Every answer comes from one cold solve from the slack basis,
+on rows built for that solve alone; no solve resumes or shares a tableau.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import neg
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -152,13 +156,9 @@ class FinalTableau:
     cap: tuple[Optional[Fraction], ...]
     poly: Optional[Polytope]
     ends: list[int] = field(init=False)
-    start: int = field(init=False)
-    carry: Optional[tuple[int, Optional[Fraction], int, int]] = field(
-        init=False)
 
     def __post_init__(self):
         self.ends = _run_ends(self.slopes, self.var)
-        self.start, self.carry = 0, None
 
     @property
     def value(self) -> Fraction:
@@ -211,21 +211,28 @@ def _run_ends(slopes: Sequence[Fraction], var: Sequence[int]) -> list[int]:
 
 
 def _step(t: FinalTableau) -> bool:
-    """One step of Bland's rule: a pivot or a bound flip; False at optimum.
+    """One step of Bland's rule: a pivot, a run of bound flips to the cap
+    that may end in a pivot, or one flip back from a cap; False at optimum.
 
     Bland's rule chooses in the numbering of the same LP with one explicit
     row y_c + s_c = cap[c] per capped column: LP column c, slack n + i,
     cap slack n + k + c, for n LP columns and k rows.  Ratio ties go to the
     lowest such leaving id, so the bases visited are the explicit LP's.
 
-    Three shortcuts keep that choice.  A column below its cap whose cost
-    does not beat its variable's price has no later column of its run
-    (``ends``) beating it, so the scan jumps past the run.  A pure flip to
-    the cap moves no price, so the next scan resumes after the flipped
-    column (``start``; a pivot resets it).  That flip lowers every row's
-    ratio on its tableau column by exactly the cap, ties kept in order, so
-    a next entering column on that tableau column takes the rows' minimum
-    over (``carry``) instead of taking it afresh.
+    A column below its cap whose cost does not beat its variable's price
+    has no later column of its run (``ends``) beating it, so the entering
+    scan jumps past the run; among columns at their cap, the one whose
+    cost falls short of the price is found by bisecting the run.  Row
+    ratios are compared as integer pairs, and only the winner becomes a
+    ``Fraction``.
+
+    The long step: a column entering from zero whose cap fits under the
+    ratio goes to its cap, and so does each next column of its run (same
+    variable, below its cap, cost above the price) while the caps summed
+    still fit.  A flip moves no price and lowers every row's ratio on the
+    shared tableau column by its cap, ties kept in order, so these are the
+    flips that Bland's rule makes one step at a time, and the first column
+    that does not fit enters on the ratio left over, in the same step.
     """
     rows, basis, at_cap, prices = t.rows, t.basis, t.at_cap, t.prices
     slopes, var, cap, ends = t.slopes, t.var, t.cap, t.ends
@@ -235,7 +242,7 @@ def _step(t: FinalTableau) -> bool:
     # price, else a slack with a negative price, else a column at its cap
     # whose cost falls short of that price (its cap slack enters).
     up = False
-    enter = t.start
+    enter = 0
     while enter < n and (at_cap[enter]
                          or slopes[enter] <= prices[var[enter]]):
         enter = enter + 1 if at_cap[enter] else ends[enter]
@@ -246,52 +253,80 @@ def _step(t: FinalTableau) -> bool:
         if slack is not None:
             enter, col = n + slack, width + slack
         else:
-            enter = next((c for c in range(n)
-                          if at_cap[c] and prices[var[c]] > slopes[c]), None)
-            if enter is None:
+            enter = next((c for c in range(n) if at_cap[c]), n)
+            while enter < n:
+                # Costs fall along a run, so those below the price are a
+                # suffix of it.
+                end = ends[enter]
+                low = bisect_right(slopes, -prices[var[enter]], enter, end,
+                                   key=neg)
+                enter = next((c for c in range(low, n) if at_cap[c]), n)
+                if enter < end:
+                    break
+            if enter == n:
                 return False
             up, col = True, var[enter]
     # Ratio test over the explicit LP's rows: for each tableau row its
     # basic variable, which falls to zero or, for a capped column, rises to
-    # its cap; then the entering column's own cap row.
-    carry, t.carry = t.carry, None
-    if carry is not None and carry[0] == col and not up:
-        _, best, leave, leave_row = carry
-    else:
-        best, leave, leave_row = None, -1, -1
-        for i, row in enumerate(rows):
-            a = -row[col] if up else row[col]
-            if a > 0:
-                ratio, out = row[-1] / a, basis[i]
-            elif a and basis[i] < n and cap[basis[i]] is not None:
-                b = basis[i]
-                ratio, out = (cap[b] - row[-1]) / -a, n + k + b
-            else:
-                continue
-            if best is None or ratio < best or (ratio == best and out < leave):
-                best, leave, leave_row = ratio, out, i
-    if enter < n and cap[enter] is not None:
-        u, own = cap[enter], enter if up else n + k + enter
-        if best is None or u < best or (u == best and own < leave):
-            # The entering column reaches its other bound.
-            _flip(t, enter, not up)
-            if not up:
-                t.start = enter + 1
-                t.carry = (col, None if best is None else best - u, leave,
-                           leave_row)
-            return True
+    # its cap; then the entering column's own cap row.  A ratio is the
+    # integer pair (num, den), den > 0.
+    num = den = 0
+    leave = leave_row = -1
+    sign = -1 if up else 1
+    for i, row in enumerate(rows):
+        a = row[col]
+        if not a:
+            continue
+        top = a.numerator * sign
+        if top > 0:
+            rhs, out = row[-1], basis[i]
+        elif basis[i] < n and cap[basis[i]] is not None:
+            b = basis[i]
+            rhs, out, top = cap[b] - row[-1], n + k + b, -top
+        else:
+            continue
+        p, q = rhs.numerator * a.denominator, rhs.denominator * top
+        if leave < 0 or p * den < num * q or (p * den == num * q
+                                              and out < leave):
+            num, den, leave, leave_row = p, q, out, i
+    best = None if leave < 0 else Fraction(num, den)
+    if up:
+        _flip(t, enter, False)
+        if best is None or cap[enter] < best or (cap[enter] == best
+                                                 and enter < leave):
+            return True  # it falls back to zero
+    elif enter < n:
+        price, total, gain, c = prices[col], ZERO, ZERO, enter
+        while cap[c] is not None:
+            fill = total + cap[c]
+            if best is not None and (fill > best or (fill == best
+                                                     and leave < n + k + c)):
+                break
+            total, gain = fill, gain + cap[c] * slopes[c]
+            at_cap[c] = True
+            c += 1
+            if (c == n or var[c] != col or at_cap[c]
+                    or slopes[c] <= price):
+                c = n  # the run is over
+                break
+        if c > enter:
+            for row in rows:
+                if row[col]:
+                    row[-1] -= total * row[col]
+            prices[-1] += gain - total * price
+            # Past an uncapped column no row bounds, the next step raises.
+            if c == n or best is None:
+                return True
+            enter = c
     if best is None:
         raise UnboundedError("objective is unbounded in the entering "
                              f"direction of variable {enter}")
-    if up:
-        _flip(t, enter, False)
     b = basis[leave_row]
     if leave != b:
         _flip(t, b, True)
     excess = prices[col] - slopes[enter] if enter < n else prices[col]
     _pivot(rows, prices, leave_row, col, excess)
     basis[leave_row] = enter
-    t.start = 0
     return True
 
 

@@ -37,19 +37,20 @@ class PiecewiseCurve:
     def __post_init__(self):
         if len(self.points) < 2 or self.points[0] != (ZERO, ZERO):
             raise ValueError("curve must start at (0, 0) with >= 2 points")
-        last_slope = None
+        lengths: list[Fraction] = []
+        slopes: list[Fraction] = []
         for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
             if t1 <= t0:
                 raise ValueError("breakpoints must strictly increase")
             slope = (v1 - v0) / (t1 - t0)
             if slope < 0:
                 raise ValueError("curve must be nondecreasing")
-            if last_slope is not None and slope > last_slope:
+            if slopes and slope > slopes[-1]:
                 raise ValueError("curve must be concave")
-            last_slope = slope
-        object.__setattr__(self, "_segs", tuple(
-            (t1 - t0, (v1 - v0) / (t1 - t0))
-            for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])))
+            lengths.append(t1 - t0)
+            slopes.append(slope)
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_slopes", tuple(slopes))
 
     @property
     def domain_end(self) -> Fraction:
@@ -57,7 +58,7 @@ class PiecewiseCurve:
 
     def segments(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(length, slope) per linear piece."""
-        return self._segs  # type: ignore[attr-defined]
+        return tuple(zip(self._lengths, self._slopes))
 
     def value_at(self, t: Fraction) -> Fraction:
         if not (ZERO <= t <= self.domain_end):
@@ -171,15 +172,13 @@ def build_relaxation(instance: Instance,
 def _segment_columns(objective: RelaxedObjective
                      ) -> tuple[list[int], list[Fraction], list[Fraction]]:
     """Variable, slope and length of every piece of a curved objective."""
-    col_var: list[int] = []
+    curves = objective.curves
+    col_var = [v for v, curve in enumerate(curves) for _ in curve._lengths]
+    col_cap = [u for curve in curves for u in curve._lengths]
     col_obj: list[Fraction] = []
-    col_cap: list[Fraction] = []
-    for v, (coeff, curve) in enumerate(zip(objective.coeffs,
-                                           objective.curves)):
-        for length, slope in curve.segments():
-            col_var.append(v)
-            col_obj.append(coeff * slope)
-            col_cap.append(length)
+    for coeff, curve in zip(objective.coeffs, curves):
+        col_obj += ([coeff * s for s in curve._slopes] if coeff
+                    else [ZERO] * len(curve._slopes))
     return col_var, col_obj, col_cap
 
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from relaxround import lp
 from relaxround import (FractionalPoint, LPInputError, Polytope,
-                        UnboundedError, contains, enumerate_vertices,
-                        maximize_linear, phase_one)
+                        UnboundedError, build_relaxation, contains,
+                        enumerate_vertices, make_gap_toy, maximize_linear,
+                        phase_one, profile_for, residual_maxima,
+                        solve_relaxation)
 
 ZERO = F(0)
 ONE = F(1)
@@ -134,6 +136,64 @@ class TestFreshRows:
         assert first.values == (F(1, 3), F(1, 6), F(1, 4), F(1, 4))
         assert first.value == F(23, 12)
         assert second.value == F(11, 4)
+
+
+class TestLongStep:
+    """A run of curve breakpoints is one step, and the pivots stay those
+    of Bland's rule one flip a step."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Patch lp's step and pivot; returns (moving steps by polytope,
+        pivots)."""
+        moves, pivots = {}, []
+        step, pivot = lp._step, lp._pivot
+
+        def counted_step(t):
+            moved = step(t)
+            if moved:
+                moves[id(t.poly)] = moves.get(id(t.poly), 0) + 1
+            return moved
+
+        def counted_pivot(*args):
+            pivots.append(args[2:4])  # (row, col)
+            pivot(*args)
+
+        monkeypatch.setattr(lp, "_step", counted_step)
+        monkeypatch.setattr(lp, "_pivot", counted_pivot)
+        return moves, pivots
+
+    def test_a_one_row_face_solve_is_one_step(self, monkeypatch):
+        # Bidders 0 and 2 share machine 0 and both win, so each is priced
+        # by a cold solve of the other's one-row face: 16 segments of 1/16
+        # under x <= 1.  Fifteen flips fit under the ratio 1; the last cap
+        # ties it and loses to the row's slack, so it enters by a pivot.
+        # One flip a step, that solve took 16 steps.
+        instance = make_gap_toy(3, 2)
+        final = solve_relaxation(*build_relaxation(
+            instance, profile_for(instance, [F(5), F(3), F(4)])))
+        assert final.coords[0] and final.coords[2]
+        moves, pivots = self.counting(monkeypatch)
+        residual_maxima(instance, final)
+        face = instance.derived["faces"][0][2]
+        assert len(face.constraints) == 1
+        assert face is instance.derived["faces"][2][2]
+        assert moves == {id(face): 2}  # one step for each of two solves
+        assert len(pivots) == 2
+
+    def test_main_solves_pivot_as_often_as_one_flip_a_step(self,
+                                                          monkeypatch):
+        # 300 seeded gap-toy 3x2 profiles.  8913 is the total of the loop
+        # that made one bound flip per step, on the same profiles.
+        instance = make_gap_toy(3, 2)
+        rng = random.Random(19)
+        relaxations = [build_relaxation(instance, profile_for(
+            instance, [F(rng.randint(0, 20), rng.randint(1, 6))
+                       for _ in range(3)])) for _ in range(300)]
+        _, pivots = self.counting(monkeypatch)
+        for objective, poly in relaxations:
+            solve_relaxation(objective, poly)
+        assert len(pivots) == 8913
 
 
 class TestContains:

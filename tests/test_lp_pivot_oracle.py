@@ -209,13 +209,16 @@ def explicit_path(monkeypatch, scenario, ncols, nrows, col_cap):
 
 
 def bounded_path(monkeypatch, scenario):
-    """Run scenario on the bounded loop; its (entering, leaving) ids.
+    """Run scenario on the bounded loop; its (entering, leaving) ids, one
+    list per step.
 
     After every step the basis of the explicit LP is read off the grouped
     state: the basic columns and slacks, the columns at cap, and the cap
-    slacks of the capped columns below their cap.
+    slacks of the capped columns below their cap.  A step is read as its
+    flips to the cap, (c, n + k + c) in column order, then at most one
+    more pair: a pivot or a flip back from a cap.
     """
-    path = []
+    steps = []
 
     def explicit_basis(t):
         n, k = len(t.slopes), len(t.rows)
@@ -224,12 +227,18 @@ def bounded_path(monkeypatch, scenario):
                    if t.cap[c] is not None and not t.at_cap[c]})
 
     def recorder(t):
+        n, k = len(t.slopes), len(t.rows)
         before = explicit_basis(t)
         moved = shipped_step(t)
         after = explicit_basis(t)
         if moved:
-            (entering,), (leaving,) = after - before, before - after
-            path.append((entering, leaving))
+            entering, leaving = after - before, before - after
+            flips = [(c, n + k + c) for c in sorted(entering)
+                     if n + k + c in leaving]
+            entering -= {c for c, _ in flips}
+            leaving -= {s for _, s in flips}
+            assert len(entering) == len(leaving) <= 1
+            steps.append(flips + list(zip(entering, leaving)))
         return moved
 
     shipped_step = lp._step
@@ -239,7 +248,7 @@ def bounded_path(monkeypatch, scenario):
     except UnboundedError:
         result = "unbounded"
     monkeypatch.setattr(lp, "_step", shipped_step)
-    return result, path
+    return result, steps
 
 
 # --- Dense versus sparse pivot on the bounded loop ------------------------
@@ -319,7 +328,8 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
     rng = random.Random(17)
     seen = dict.fromkeys(("unbounded", "uncapped", "zero rhs", "tied slopes",
                           "equal caps", "flip", "cap slack enters",
-                          "leaves at cap", "residual"), 0)
+                          "leaves at cap", "residual", "flip run",
+                          "run then pivot"), 0)
     for _ in range(240):
         poly, objective, col_var, col_cap = random_bounded_lp(rng)
         n, top = len(col_var), len(col_var) + len(poly.constraints)
@@ -335,13 +345,17 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
                      for c, v in zip(objective, col_var)],
                     [F(rng.randint(-2, 4), rng.randint(1, 2))
                      for _ in col_var]]
-        result, path = assert_explicit_path(monkeypatch, objective, poly,
-                                            col_var, col_cap, residual)
+        result, steps = assert_explicit_path(monkeypatch, objective, poly,
+                                             col_var, col_cap, residual)
+        for step in steps:
+            flips = sum(leaving == entering + top for entering, leaving in step)
+            seen["flip run"] += flips >= 2
+            seen["run then pivot"] += 0 < flips < len(step)
         if result == "unbounded":
             seen["unbounded"] += 1
             continue
         seen["residual"] += 1
-        for entering, leaving in path:
+        for entering, leaving in (pair for step in steps for pair in step):
             seen["flip"] += entering in (leaving - top, leaving + top)
             seen["cap slack enters"] += entering >= top
             seen["leaves at cap"] += (leaving >= top
@@ -396,10 +410,10 @@ def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
             for c in range(n - 1))
         residual = [[ZERO if v == k else c
                      for c, v in zip(objective, col_var)], unordered]
-        result, path = assert_explicit_path(monkeypatch, objective, poly,
-                                            col_var, col_cap, residual)
+        result, steps = assert_explicit_path(monkeypatch, objective, poly,
+                                             col_var, col_cap, residual)
         assert result != "unbounded"  # every column is capped
-        for entering, leaving in path:
+        for entering, leaving in (pair for step in steps for pair in step):
             seen["flip"] += entering in (leaving - top, leaving + top)
             c = entering - top  # a cap slack enters: column c leaves its cap
             seen["middle released"] += (0 < c < n - 1 and col_var[c - 1]
@@ -410,7 +424,8 @@ def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
 def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
                          residual_costs):
     """Both solvers agree on the path, vertex and value of the main solve
-    and then of a cold solve of each residual cost vector."""
+    and then of a cold solve of each residual cost vector; returns the
+    bounded loop's result and its path, one list of pairs per step."""
     expanded = explicit_lp(poly, col_var, col_cap)
 
     def explicit():
@@ -427,10 +442,10 @@ def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
 
     want, want_path = explicit_path(monkeypatch, explicit, len(col_var),
                                     len(poly.constraints), col_cap)
-    got, got_path = bounded_path(monkeypatch, bounded)
-    assert got_path == want_path
+    got, got_steps = bounded_path(monkeypatch, bounded)
+    assert [pair for step in got_steps for pair in step] == want_path
     assert got == want
-    return got, got_path
+    return got, got_steps
 
 
 GAP_TOY_BIDS = ([F(5), F(3), F(4)], [F(4), F(3), F(5)],
@@ -488,9 +503,9 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
     n = len(bids)
     residual = [[ZERO if col_var[c] == k else s
                  for c, s in enumerate(col_obj)] for k in range(n)]
-    (values, value, maxima), path = assert_explicit_path(
+    (values, value, maxima), steps = assert_explicit_path(
         monkeypatch, col_obj, poly, col_var, col_cap, residual)
-    assert len(path) > segments
+    assert sum(map(len, steps)) > segments
     # solve_relaxation folds the same vertex, and residual_maxima's face
     # solves give the same maxima as the explicit LP's cold solves.
     final = solve_relaxation(objective, poly)
