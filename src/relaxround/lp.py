@@ -10,24 +10,22 @@ dense lists, changed in place, but a pivot only touches the pivot row's
 nonzero columns, which leaves every entry exactly as a dense pivot would.
 
 Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
-held to Bland's path: the entering scan skips or bisects concave runs of
-segments, and one long step passes every breakpoint of a run that the
-ratio allows, flipping those columns to their caps together before the
-next column enters.  Each shortcut leaves out only comparisons whose
-outcome is known, so the bases visited are those of Bland's rule one flip
-a step (see ``_step``).  Row ratios are compared as integer pairs, without
+held to Bland's path: the entering scan skips concave runs of segments
+that cannot enter, and one long step passes every breakpoint of a run
+that the ratio allows, flipping those columns to their caps together
+before the next column enters.  Each shortcut leaves out only comparisons
+whose outcome is known, so the bases visited are those of Bland's rule
+one flip a step (see ``_step``).  Row ratios are compared as integer pairs, without
 a division.  Every answer comes from one cold solve from the slack basis,
 on rows built for that solve alone; no solve resumes or shares a tableau.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import neg
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -221,10 +219,8 @@ def _step(t: FinalTableau) -> bool:
 
     A column below its cap whose cost does not beat its variable's price
     has no later column of its run (``ends``) beating it, so the entering
-    scan jumps past the run; among columns at their cap, the one whose
-    cost falls short of the price is found by bisecting the run.  Row
-    ratios are compared as integer pairs, and only the winner becomes a
-    ``Fraction``.
+    scan jumps past the run.  Row ratios are compared as integer pairs,
+    and only the winner becomes a ``Fraction``.
 
     The long step: a column entering from zero whose cap fits under the
     ratio goes to its cap, and so does each next column of its run (same
@@ -253,17 +249,9 @@ def _step(t: FinalTableau) -> bool:
         if slack is not None:
             enter, col = n + slack, width + slack
         else:
-            enter = next((c for c in range(n) if at_cap[c]), n)
-            while enter < n:
-                # Costs fall along a run, so those below the price are a
-                # suffix of it.
-                end = ends[enter]
-                low = bisect_right(slopes, -prices[var[enter]], enter, end,
-                                   key=neg)
-                enter = next((c for c in range(low, n) if at_cap[c]), n)
-                if enter < end:
-                    break
-            if enter == n:
+            enter = next((c for c in range(n)
+                          if at_cap[c] and prices[var[c]] > slopes[c]), None)
+            if enter is None:
                 return False
             up, col = True, var[enter]
     # Ratio test over the explicit LP's rows: for each tableau row its

@@ -37,20 +37,19 @@ class PiecewiseCurve:
     def __post_init__(self):
         if len(self.points) < 2 or self.points[0] != (ZERO, ZERO):
             raise ValueError("curve must start at (0, 0) with >= 2 points")
-        lengths: list[Fraction] = []
-        slopes: list[Fraction] = []
+        last_slope = None
         for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
             if t1 <= t0:
                 raise ValueError("breakpoints must strictly increase")
             slope = (v1 - v0) / (t1 - t0)
             if slope < 0:
                 raise ValueError("curve must be nondecreasing")
-            if slopes and slope > slopes[-1]:
+            if last_slope is not None and slope > last_slope:
                 raise ValueError("curve must be concave")
-            lengths.append(t1 - t0)
-            slopes.append(slope)
-        object.__setattr__(self, "_lengths", tuple(lengths))
-        object.__setattr__(self, "_slopes", tuple(slopes))
+            last_slope = slope
+        object.__setattr__(self, "_segs", tuple(
+            (t1 - t0, (v1 - v0) / (t1 - t0))
+            for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])))
 
     @property
     def domain_end(self) -> Fraction:
@@ -58,7 +57,7 @@ class PiecewiseCurve:
 
     def segments(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(length, slope) per linear piece."""
-        return tuple(zip(self._lengths, self._slopes))
+        return self._segs  # type: ignore[attr-defined]
 
     def value_at(self, t: Fraction) -> Fraction:
         if not (ZERO <= t <= self.domain_end):
@@ -173,12 +172,10 @@ def _segment_columns(objective: RelaxedObjective
                      ) -> tuple[list[int], list[Fraction], list[Fraction]]:
     """Variable, slope and length of every piece of a curved objective."""
     curves = objective.curves
-    col_var = [v for v, curve in enumerate(curves) for _ in curve._lengths]
-    col_cap = [u for curve in curves for u in curve._lengths]
-    col_obj: list[Fraction] = []
-    for coeff, curve in zip(objective.coeffs, curves):
-        col_obj += ([coeff * s for s in curve._slopes] if coeff
-                    else [ZERO] * len(curve._slopes))
+    col_var = [v for v, curve in enumerate(curves) for _ in curve._segs]
+    col_obj = [coeff * slope for coeff, curve in zip(objective.coeffs, curves)
+               for _, slope in curve._segs]
+    col_cap = [length for curve in curves for length, _ in curve._segs]
     return col_var, col_obj, col_cap
 
 
