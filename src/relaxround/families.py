@@ -6,14 +6,14 @@ Each constructor declares the family's alpha, beta and curve (the
 decomposition scale and the thinning follow from them), then audits the
 guarantees it relies on before handing the instance out: that the polytope
 contains every feasible allocation's indicator, the alpha contract on probe
-profiles, decomposability at every polytope vertex for the scaled families,
-and the exact thinning calibration for the thinned families.
+profiles, and decomposability at every polytope vertex for the scaled
+families.  The thinned families' calibration depends on the point played,
+so ``mechanism._round_point`` checks it on every lottery it thins.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -25,28 +25,23 @@ from .model import (AdditiveValuation, Family, FamilySpec, Instance,
                     indicator)
 from .relaxation import (PiecewiseCurve, audit_alpha, build_polytope,
                          build_relaxation)
-from .rounding import (AllocationDistribution, DecompositionInfeasibleError,
-                       expected_value_per_bidder)
+from .rounding import AllocationDistribution, DecompositionInfeasibleError
 
 DEFAULT_SINGLE_MINDED_ALPHA = Fraction(1, 2)
 DEFAULT_CURVE_SEGMENTS = 16
 DEFAULT_POSITIONS = 8
 
-#: Probe coordinates for the construction-time calibration audit.
-CALIBRATION_PROBE_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2),
-                          Fraction(3, 4), ONE)
-
 # Document caps.  Construction audits grow faster than linearly in n;
-# measured with Python 3.11 on a 2-vCPU VM: single-item 0.59 s at n=32
-# (1.09 s at n=40), case-b 0.68 s at n=5 (3.8 s at n=6, since its
-# calibration audit probes 5**n grid points).  The lottery has no audit;
+# measured with Python 3.11 on a 2-vCPU VM: single-item 0.3-0.6 s at n=32
+# (1.09 s at n=40).  case-b and gap-toy check their calibration on each
+# lottery as it is built, not at load: case-b loads in 2-3 ms at n=5, and
+# gap-toy with 4 bidders in 6-9 ms at 2 machines and 12-19 ms at 64
+# machines and 32 segments together.  Their caps stay where the old
+# 5**n-probe calibration audit put them.  The lottery has no audit;
 # its cap matches single-item, where `run_without_money` takes 0.01 s.
 # Single-minded auctions have one variable per bidder, and their
 # decomposability audit enumerates vertices in at most 8 variables.
-# gap-toy tests each of its 5**n calibration probes against one polytope
-# row per machine, and single-peaked builds one variable per position:
-# gap-toy with 3 bidders loads in 0.19-0.38 s at 64 machines and 32
-# segments together (0.21-0.43 s at 64 and 64), single-peaked in 0.02 s
+# single-peaked builds one variable per position: it loads in 0.02 s
 # and 21 MiB at m=10000 (0.84 s and 101 MiB at m=200000).  A single-peaked
 # feasible set holds an n-bundle allocation per position, so the family
 # also caps n: verify-no-money at 32 bidders and 10000 positions takes
@@ -166,33 +161,6 @@ def _audit_decomposability(instance: Instance
     return lotteries
 
 
-def _audit_calibration(instance: Instance) -> None:
-    """Thinned expectations must hit the relaxed objective exactly.
-
-    Probes every point with coordinates in the probe grid that lies in the
-    polytope, using per-bidder unit profiles; matching each bidder's
-    coefficient makes the identity hold for every additive profile.
-    """
-    poly = build_polytope(instance)
-    probes = [FractionalPoint(coords) for coords in
-              product(CALIBRATION_PROBE_GRID, repeat=instance.num_vars)]
-    target = instance.spec.calibration
-    objectives = [(profile, build_relaxation(instance, profile)[0])
-                  for profile in _probe_profiles(instance)]
-    for probe in probes:
-        if not contains(poly, probe):
-            continue
-        thinned = _round_point(instance, probe)
-        for profile, objective in objectives:
-            expected = sum(expected_value_per_bidder(thinned, profile), ZERO)
-            want = target * objective.evaluate(probe.coords)
-            if expected != want:
-                raise FamilyConstructionError(
-                    f"calibration audit failed at {probe.coords}: "
-                    f"E[f(X')] = {expected}, expected {want} "
-                    f"(gap {expected - want})")
-
-
 def make_single_item(n: int) -> Instance:
     """One item, scalar bids, integral LP; the pipeline is second price."""
     if n < 1:
@@ -251,25 +219,28 @@ def make_gap_toy(bidders: int, machines: int,
     Bidder i is tied to machine i mod ``machines`` (unit capacity); the
     relaxed objective applies a concave per-variable curve to each bid, the
     first rounding overshoots it, and the thinning formula
-    keep_i = curve(x_i)/x_i lands exactly on L.  The calibration is audited
-    exactly on the probe grid at construction.
+    keep_i = curve(x_i)/x_i lands exactly on L.  Each thinned lottery's
+    marginals are checked against curve(x_i) when it is built.
     """
     if bidders < 1 or machines < 1:
         raise InputError("need at least one bidder and one machine")
     if bidders > GAP_TOY.max_n:
-        raise InputError(f"audits cap the toy at {GAP_TOY.max_n} bidders")
+        raise InputError(f"the toy takes at most {GAP_TOY.max_n} bidders")
     curve = unit_gap_curve(segments)
     variables = tuple((i, frozenset({i % machines})) for i in range(bidders))
     spec = FamilySpec(alpha=curve.value_at(ONE), curve=curve)
     instance = Instance(GAP_TOY, bidders, machines, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
-    _audit_calibration(instance)
     return instance
 
 
 def make_case_b_family(n: int, beta: Fraction) -> Instance:
-    """Single-item base thinned uniformly to beta of the relaxed value."""
+    """Single-item base thinned uniformly to beta of the relaxed value.
+
+    Each thinned lottery's marginals are checked against beta * x_i when
+    it is built.
+    """
     if n < 1:
         raise InputError("need at least one bidder")
     variables = tuple((i, frozenset({0})) for i in range(n))
@@ -277,7 +248,6 @@ def make_case_b_family(n: int, beta: Fraction) -> Instance:
     instance = Instance(CASE_B, n, 1, variables, spec)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
-    _audit_calibration(instance)
     return instance
 
 

@@ -54,18 +54,44 @@ def keep_probabilities(instance: Instance,
     return tuple(probs)
 
 
+def _marginals(instance: Instance,
+               dist: AllocationDistribution) -> list[Fraction]:
+    """P[X's indicator has a 1 at v] for every variable v."""
+    marginals = [ZERO] * instance.num_vars
+    for alloc, p in dist.entries:
+        for v, chi in enumerate(indicator(instance, alloc)):
+            if chi:
+                marginals[v] += p
+    return marginals
+
+
 def _round_point(instance: Instance,
                  x: FractionalPoint) -> AllocationDistribution:
     """The oblivious part of the pipeline: decompose, then thin.
 
     A vertex the family constructor already rounded is read back from
-    ``instance.vertex_lotteries`` as it is.
+    ``instance.vertex_lotteries`` as it is.  A thinned lottery must give
+    each variable v the marginal calibration * curve(x_v) (calibration *
+    x_v for a linear L), the curve read from the spec, not from the keep
+    formula.  L is the bids times these unit values, so this is
+    E[f(X')] = calibration * L(x) for every additive profile.
     """
     cached = instance.vertex_lotteries.get(x.coords)
     if cached is not None:
         return cached
-    dist = convex_decompose(x, instance.spec.decomposition_scale, instance)
-    return adjust(dist, keep_probabilities(instance, x))
+    spec = instance.spec
+    dist = adjust(convex_decompose(x, spec.decomposition_scale, instance),
+                  keep_probabilities(instance, x))
+    if spec.curve is None and spec.beta == ONE:
+        return dist
+    want = [spec.calibration * (t if spec.curve is None
+                                else spec.curve.value_at(t))
+            for t in x.coords]
+    got = _marginals(instance, dist)
+    if got != want:
+        raise InvariantError(f"calibration fails at {x.coords}: marginals "
+                             f"{got}, not {want}")
+    return dist
 
 
 def _charge(instance: Instance, expectations: Sequence[Fraction],
@@ -185,12 +211,7 @@ def range_contains(instance: Instance,
     feasible = set(enumerate_feasible(instance))
     if any(a not in feasible for a in dist.support()):
         return False
-    nv = instance.num_vars
-    marginals = [ZERO] * nv
-    for alloc, p in dist.entries:
-        chi = indicator(instance, alloc)
-        for v in range(nv):
-            marginals[v] += p * chi[v]
+    marginals = _marginals(instance, dist)
     curve = instance.spec.curve
     if curve is None:
         coords = [m_v / instance.spec.calibration for m_v in marginals]

@@ -8,6 +8,7 @@ segment, so one solver serves both shapes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -50,6 +51,7 @@ class PiecewiseCurve:
         object.__setattr__(self, "_segs", tuple(
             (t1 - t0, (v1 - v0) / (t1 - t0))
             for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])))
+        object.__setattr__(self, "_ends", tuple(t for t, _ in self.points[1:]))
 
     @property
     def domain_end(self) -> Fraction:
@@ -62,10 +64,10 @@ class PiecewiseCurve:
     def value_at(self, t: Fraction) -> Fraction:
         if not (ZERO <= t <= self.domain_end):
             raise ValueError(f"argument {t} outside curve domain")
-        for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
-            if t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return self.points[-1][1]
+        # The first segment whose right end reaches t.
+        k = bisect_left(self._ends, t)  # type: ignore[attr-defined]
+        t0, v0 = self.points[k]
+        return v0 + self._segs[k][1] * (t - t0)  # type: ignore[attr-defined]
 
     def inverse(self, y: Fraction) -> Fraction:
         """Preimage of a value; requires strictly increasing segments."""

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from relaxround import (FamilyConstructionError, FamilySpec, adjust, allocate,
-                        brute_force_opt, build_relaxation, check_approximation,
+from relaxround import (FamilyConstructionError, FamilySpec, InvariantError,
+                        adjust, allocate, brute_force_opt, build_relaxation,
+                        check_approximation,
                         convex_decompose, expected_welfare,
                         make_case_b_family,
                         make_gap_toy, make_no_money, make_single_item,
@@ -66,18 +67,40 @@ class TestAlphaAudit:
             build()
 
 
-class TestCalibrationAudit:
+class TestCalibrationIdentity:
+    """Every thinned lottery is checked against calibration * curve(x_v)
+    when it is built, at the point ``run`` plays."""
+
     @pytest.mark.parametrize("build", [
         lambda: make_gap_toy(3, 2),
         lambda: make_case_b_family(3, F(1, 2)),
     ])
-    def test_a_wrong_keep_formula_fails_construction(self, build,
-                                                     monkeypatch):
+    def test_a_wrong_keep_formula_fails_at_run(self, build, monkeypatch):
         # Keeping every bidder skips the thinning both families rely on.
         monkeypatch.setattr(mechanism, "keep_probabilities",
                             lambda instance, x: (ONE,) * instance.n)
-        with pytest.raises(FamilyConstructionError, match="calibration"):
-            build()
+        instance = build()
+        with pytest.raises(InvariantError, match="calibration"):
+            run(instance, profile_for(instance, [F(5), F(3), F(4)]), seed=0)
+
+    def test_a_keep_formula_wrong_off_the_quarter_grid_fails(self,
+                                                             monkeypatch):
+        """Keeping everyone only where 4 * x_i is not an integer agrees
+        with the true formula on every point of a quarter grid; x* =
+        (9/16, 1, 7/16) is off it."""
+        def off_grid_keeps_everyone(instance, x):
+            return tuple(ONE if (4 * t).denominator != 1 else q for t, q
+                         in zip(x.coords, keep_probabilities(instance, x)))
+
+        monkeypatch.setattr(mechanism, "keep_probabilities",
+                            off_grid_keeps_everyone)
+        instance = make_gap_toy(3, 2)
+        profile = profile_for(instance, [F(5), F(3), F(4)])
+        objective, poly = build_relaxation(instance, profile)
+        assert solve_relaxation(objective, poly).coords == (
+            F(9, 16), ONE, F(7, 16))
+        with pytest.raises(InvariantError, match="calibration"):
+            run(instance, profile, seed=0)
 
 
 class TestFamilySpec:
