@@ -17,8 +17,8 @@ from .lp import (FinalTableau, FractionalPoint, LPInputError, Polytope,
                  UnboundedError, contains, enumerate_vertices, maximize_linear,
                  phase_one)
 from .relaxation import (AlphaAudit, PiecewiseCurve, RelaxedObjective,
-                         UnsupportedFamilyError, audit_alpha, build_polytope,
-                         build_relaxation, residual_maxima,
+                         RelaxedOptimum, UnsupportedFamilyError, audit_alpha,
+                         build_polytope, build_relaxation, residual_maxima,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, DecompositionInfeasibleError,
                        adjust, convex_decompose, expected_value_per_bidder,

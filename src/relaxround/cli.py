@@ -35,11 +35,8 @@ INTERNAL_ERRORS = (InvariantError, DecompositionInfeasibleError,
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if not text:
         return ()
-    try:
-        return tuple(rio.parse_fraction(part.strip(), "--grid")
-                     for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed --grid {text!r}: {exc}") from exc
+    return tuple(rio.parse_fraction(part.strip(), "--grid")
+                 for part in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +82,7 @@ def _mode_run(args: argparse.Namespace, instance: Instance,
         obj = {
             "seed": args.seed,
             "fractional_point": [rio.format_fraction(c) for c in x.coords],
-            "distribution": rio.distribution_rows(dist),
+            "distribution": rio.distribution_rows(dist, "probability"),
             "expected_payments": [rio.format_fraction(Fraction(0))
                                   for _ in range(instance.n)],
             "realized": list(realized.bitmasks()),
@@ -157,7 +154,7 @@ def _mode_decompose(args: argparse.Namespace, instance: Instance,
     obj = {
         "fractional_point": [rio.format_fraction(c) for c in optimum.coords],
         "scale": rio.format_fraction(instance.spec.decomposition_scale),
-        "terms": rio.decomposition_rows(decomposition),
+        "terms": rio.distribution_rows(decomposition, "weight"),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "decomposition.json"

@@ -210,18 +210,10 @@ def write_instance(path: str | Path, instance: Instance,
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def distribution_rows(dist: AllocationDistribution) -> list[dict]:
-    """Ordered dump rows: allocation bitmask per bidder plus probability."""
-    return [{"bundles": list(alloc.bitmasks()),
-             "probability": format_fraction(p)}
+def distribution_rows(dist: AllocationDistribution, key: str) -> list[dict]:
+    """Ordered dump rows: bitmasks per bidder and the mass under ``key``."""
+    return [{"bundles": list(alloc.bitmasks()), key: format_fraction(p)}
             for alloc, p in dist.entries]
-
-
-def decomposition_rows(decomposition: AllocationDistribution) -> list[dict]:
-    """Like ``distribution_rows``, with each probability as a "weight"."""
-    return [{"bundles": list(alloc.bitmasks()),
-             "weight": format_fraction(w)}
-            for alloc, w in decomposition.entries]
 
 
 def outcome_to_obj(outcome: MechanismOutcome) -> dict:
@@ -229,7 +221,8 @@ def outcome_to_obj(outcome: MechanismOutcome) -> dict:
         "seed": outcome.seed,
         "relaxed_value": format_fraction(outcome.relaxed_value),
         "calibration": format_fraction(outcome.calibration),
-        "distribution": distribution_rows(outcome.distribution),
+        "distribution": distribution_rows(outcome.distribution,
+                                          "probability"),
         "expected_payments": [format_fraction(p)
                               for p in outcome.expected_payments],
         "realized": list(outcome.realized.bitmasks()),

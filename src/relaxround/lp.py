@@ -137,12 +137,10 @@ class FinalTableau:
     names each row's basic LP column c, or slack i as len(slopes) + i;
     ``at_cap`` flags the nonbasic columns held at their cap; ``prices``
     holds c_B B^-1 over the tableau columns, then the objective value.
-    ``poly`` is the polytope ``maximize_linear`` solved over (None for
-    ``phase_one``'s equalities).  ``_step`` explains the rest.
+    ``_step`` explains the rest.
 
     ``maximize_linear`` returns one; ``values`` and ``coords`` are read
-    from the finished tableau, once.  The payments read only ``value``,
-    ``values`` and ``coords`` of the tableau they price.
+    from the finished tableau, once.
     """
 
     rows: list[list[Fraction]]
@@ -152,7 +150,6 @@ class FinalTableau:
     slopes: tuple[Fraction, ...]
     var: tuple[int, ...]
     cap: tuple[Optional[Fraction], ...]
-    poly: Optional[Polytope]
     ends: list[int] = field(init=False)
 
     def __post_init__(self):
@@ -318,16 +315,9 @@ def _step(t: FinalTableau) -> bool:
     return True
 
 
-def _bland(t: FinalTableau) -> None:
-    """Run Bland's rule to optimality; raises UnboundedError."""
-    while _step(t):
-        pass
-
-
 def _slack_start(width: int, rows: Sequence[Row],
                  slopes: Sequence[Fraction], var: Sequence[int],
-                 cap: Sequence[Optional[Fraction]],
-                 poly: Optional[Polytope]) -> FinalTableau:
+                 cap: Sequence[Optional[Fraction]]) -> FinalTableau:
     """The slack basis of rows over ``width`` variables, every LP column at
     zero."""
     k = len(rows)
@@ -339,7 +329,7 @@ def _slack_start(width: int, rows: Sequence[Row],
     n = len(slopes)
     return FinalTableau(tableau, list(range(n, n + k)), [False] * n,
                         [ZERO] * (width + k + 1), tuple(slopes), tuple(var),
-                        tuple(cap), poly)
+                        tuple(cap))
 
 
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
@@ -371,8 +361,9 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     if len(objective) != len(var):
         raise LPInputError(f"objective has length {len(objective)}, "
                            f"expected {len(var)}")
-    t = _slack_start(n, poly.constraints, objective, var, cap, poly)
-    _bland(t)
+    t = _slack_start(n, poly.constraints, objective, var, cap)
+    while _step(t):  # Bland's rule to optimality; raises UnboundedError
+        pass
     return t
 
 
@@ -403,8 +394,9 @@ def phase_one(equalities: Sequence[Row],
     sums = [sum((coeffs[j] for coeffs, _ in rows), ZERO)
             for j in range(nonneg_vars)]
     t = _slack_start(nonneg_vars, rows, sums, range(nonneg_vars),
-                     (None,) * nonneg_vars, None)
-    _bland(t)
+                     (None,) * nonneg_vars)
+    while _step(t):
+        pass
     residual = sum((row[-1] for row, b in zip(t.rows, t.basis)
                     if b >= nonneg_vars), ZERO)
     if residual > 0:

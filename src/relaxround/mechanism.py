@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-from .lp import FinalTableau, FractionalPoint, contains
+from .lp import FractionalPoint, contains
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator,
                     validate_profile, value_of)
-from .relaxation import (UnsupportedFamilyError, build_polytope,
-                         build_relaxation, residual_maxima,
+from .relaxation import (RelaxedOptimum, UnsupportedFamilyError,
+                         build_polytope, build_relaxation, residual_maxima,
                          residual_objective, solve_relaxation)
 from .rounding import (AllocationDistribution, adjust, convex_decompose,
                        expected_value_per_bidder, sample)
@@ -95,24 +95,23 @@ def _round_point(instance: Instance,
 
 
 def _charge(instance: Instance, expectations: Sequence[Fraction],
-            final: FinalTableau) -> tuple[Fraction, ...]:
+            optimum: RelaxedOptimum) -> tuple[Fraction, ...]:
     """Expected externality payments, the one payment formula: bidder k
-    pays calibration * max L^{-k}, every residual maximum taken from
-    ``final``, less the others' expected values ``expectations``."""
+    pays calibration * max L^{-k}, every residual maximum priced from
+    ``optimum``, less the others' expected values ``expectations``."""
     total = sum(expectations, ZERO)
     gamma = instance.spec.calibration
     return tuple(gamma * top - (total - own) for top, own
-                 in zip(residual_maxima(instance, final), expectations))
+                 in zip(residual_maxima(instance, optimum), expectations))
 
 
 def allocate(instance: Instance, profile: ValuationProfile
-             ) -> tuple[FinalTableau, AllocationDistribution]:
+             ) -> tuple[RelaxedOptimum, AllocationDistribution]:
     """Relax, maximize, decompose, thin; deterministic end to end.  Returns
-    the optimal tableau of max L, which prices the payments, and the
-    lottery."""
+    the optimum of max L, which prices the payments, and the lottery."""
     objective, poly = build_relaxation(instance, profile)
-    final = solve_relaxation(objective, poly)
-    return final, _round_point(instance, FractionalPoint(final.coords))
+    optimum = solve_relaxation(objective, poly)
+    return optimum, _round_point(instance, FractionalPoint(optimum.coords))
 
 
 def payments(instance: Instance, profile: ValuationProfile,
@@ -134,17 +133,17 @@ def run(instance: Instance, profile: ValuationProfile,
     """Full mechanism: allocate, price, and sample one allocation.
 
     One relaxation is built and solved; the payments are priced from its
-    tableau, and the relaxed value L(x*) is the value that tableau records.
+    optimum x*, and the relaxed value is L(x*).
     """
-    final, dist = allocate(instance, profile)
-    pay = _charge(instance, expected_value_per_bidder(dist, profile), final)
+    optimum, dist = allocate(instance, profile)
+    pay = _charge(instance, expected_value_per_bidder(dist, profile), optimum)
     realized = sample(dist, seed)
     if realized not in dist.support():
         raise InvariantError(f"sampled allocation {realized.bitmasks()} "
                              "is outside the distribution's support")
     return MechanismOutcome(distribution=dist, realized=realized,
                             expected_payments=pay,
-                            relaxed_value=final.value,
+                            relaxed_value=optimum.value,
                             calibration=instance.spec.calibration, seed=seed)
 
 

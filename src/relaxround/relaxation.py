@@ -15,7 +15,8 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .lp import FinalTableau, LPInputError, Polytope, maximize_linear
+from .lp import (FractionalPoint, LPInputError, Polytope, contains,
+                 maximize_linear)
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator, social_welfare,
                     value_of, validate_profile)
@@ -117,6 +118,24 @@ class RelaxedObjective:
         return sum((c * curve.value_at(x) for c, curve, x
                     in zip(self.coeffs, self.curves, coords)), ZERO)
 
+    def restricted(self, variables: Sequence[int]) -> RelaxedObjective:
+        """L's terms of ``variables`` only, in that order."""
+        return RelaxedObjective(
+            self.alpha, tuple(self.owners[v] for v in variables),
+            tuple(self.coeffs[v] for v in variables),
+            None if self.curves is None
+            else tuple(self.curves[v] for v in variables))
+
+
+@dataclass(frozen=True)
+class RelaxedOptimum:
+    """x*, a maximizer of L over P, and L(x*): all that the Clarke pivots
+    read, however x* was found."""
+
+    objective: RelaxedObjective
+    coords: tuple[Fraction, ...]
+    value: Fraction
+
 
 def build_polytope(instance: Instance) -> Polytope:
     """The packing polytope of the family: bidder rows then item rows.
@@ -181,75 +200,68 @@ def _segment_columns(objective: RelaxedObjective
     return col_var, col_obj, col_cap
 
 
-def solve_relaxation(objective: RelaxedObjective,
-                     poly: Polytope) -> FinalTableau:
-    """Exact maximizer of L over P, deterministic via Bland's rule.
+def _maximize(objective: RelaxedObjective,
+              poly: Polytope) -> RelaxedOptimum:
+    """L's optimum over P by one cold ``maximize_linear``; a curved L has
+    one LP column per linear piece, capped at its length."""
+    if objective.is_linear:
+        final = maximize_linear(objective.coeffs, poly)
+    else:
+        col_var, col_obj, col_cap = _segment_columns(objective)
+        final = maximize_linear(col_obj, poly, (col_var, col_cap))
+    return RelaxedOptimum(objective, final.coords, final.value)
 
-    Returns the optimal tableau of the LP solved (with one capped column
-    per curve segment for a curved L): its ``coords`` is the maximizer,
-    its ``value`` is L there, and ``residual_maxima`` prices every
-    bidder's max L^{-k} from it.
-    """
+
+def solve_relaxation(objective: RelaxedObjective,
+                     poly: Polytope) -> RelaxedOptimum:
+    """Exact maximizer x* of L over P and L(x*), deterministic via Bland's
+    rule; ``residual_maxima`` prices every max L^{-k} from them."""
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
-    if objective.is_linear:
-        return maximize_linear(objective.coeffs, poly)
-    # One LP column per linear piece, capped at its length; concavity
-    # (nonincreasing slopes) makes the split exact at any LP optimum.
-    col_var, col_obj, col_cap = _segment_columns(objective)
-    final = maximize_linear(col_obj, poly, (col_var, col_cap))
-    # Any optimal fill is ordered up to slope ties, so folding is lossless.
-    folded = objective.evaluate(final.coords)
-    if folded != final.value:
-        raise InvariantError(f"folding the segment fill changed the value "
-                             f"from {final.value} to {folded}")
-    return final
+    optimum = _maximize(objective, poly)
+    # Concavity (nonincreasing slopes) orders any optimal fill up to slope
+    # ties, so folding it into x* is lossless.
+    if not objective.is_linear:
+        folded = objective.evaluate(optimum.coords)
+        if folded != optimum.value:
+            raise InvariantError(f"folding the segment fill changed the "
+                                 f"value from {optimum.value} to {folded}")
+    return optimum
 
 
 def residual_maxima(instance: Instance,
-                    final: FinalTableau) -> tuple[Fraction, ...]:
-    """max L^{-k} over P for every bidder k, from the recorded solve of max L.
+                    optimum: RelaxedOptimum) -> tuple[Fraction, ...]:
+    """max L^{-k} over P for every bidder k, from an optimum of max L.
 
-    ``final`` holds the optimal tableau of ``solve_relaxation`` over the
-    instance's polytope; its ``slopes`` are L's costs, one per LP column,
-    and ``var`` maps each column to a polytope variable.  L^{-k} is L with
-    bidder k's costs set to zero; zeroed columns add nothing and P is
-    packing, so its maximum equals that of ``residual_objective`` over P.
-    Raises InvariantError if ``final`` was recorded over another polytope
-    than the instance's.
-
-    A bidder whose coordinates of x* are all zero needs no
-    re-optimization: costs are nonnegative, so L^{-k} <= L on P, and
-    L^{-k}(x*) = L(x*) is already the recorded value.
+    Only L, x* and L(x*) are read, so x* may come from any solver; an x*
+    outside the instance's polytope P raises InvariantError.  L^{-k} is
+    ``residual_objective(L, k)``.  A bidder whose coordinates of x* are all
+    zero keeps L(x*): coefficients are nonnegative, so L^{-k} <= L on P.
 
     A linear L over a family whose constructor audited every vertex of P
-    (single-minded auctions) is maximized over that vertex table, since a
-    linear function peaks at a vertex; the table's max L is checked once
-    against the recorded value, so a table missing the optimal vertex
-    raises InvariantError.
+    (single-minded auctions) peaks at a vertex, so it is maximized over
+    that table.  x* must be one of its vertices, and the table's max L
+    must equal L(x*), so a table missing the optimal vertex raises.
 
     Otherwise (gap-toy's curved L, single-item, case-b), two variables
     share a block when some row has nonzero coefficients on both.  P is the
     product of its blocks and L a sum over them, so x* is optimal on each
     block.  Let B(k) be the blocks holding k's variables and F(k) the rest
     of B(k).  Off B(k), L^{-k} = L peaks at x*: L(x*) - L_{B(k)}(x*).  On
-    B(k), k's columns cost nothing and P is downward closed, so x_k = 0
-    loses nothing: max L over P_{F(k)}, P's rows restricted to F(k), by
-    one cold ``maximize_linear`` (0 if F(k) is empty).  Optimal values are
-    unique, so every path returns the same number; x* stays Bland's
-    vertex, whose lottery ``run`` plays even where vertices tie for max L.
+    B(k), k's terms vanish and P is downward closed, so x_k = 0 loses
+    nothing: max L over P_{F(k)}, P's rows restricted to F(k), by one cold
+    solve (0 if F(k) is empty).  Optimal values are unique, so every path
+    returns the same number; x* stays Bland's vertex, whose lottery ``run``
+    plays even where vertices tie for max L.
     """
-    if final.poly != build_polytope(instance):
-        raise InvariantError("the recorded tableau was solved over another "
-                             "polytope than this instance's")
-    owners = [owner for owner, _ in instance.variable_index]
-    winners = {owner for owner, x in zip(owners, final.coords) if x}
+    objective, coords, value = optimum.objective, optimum.coords, optimum.value
+    owners = objective.owners
+    winners = {owner for owner, x in zip(owners, coords) if x}
     if instance.spec.curve is None and instance.vertex_lotteries:
         scale, rows = _vertex_rows(instance)
-        common = lcm(*(c.denominator for c in final.slopes))
-        costs = [0] * instance.num_vars
-        for c, v in zip(final.slopes, final.var):
-            costs[v] = c.numerator * (common // c.denominator)
+        common = lcm(*(c.denominator for c in objective.coeffs))
+        costs = [c.numerator * (common // c.denominator)
+                 for c in objective.coeffs]
 
         def top(k: Optional[int]) -> Fraction:
             residual = [0 if owner == k else c
@@ -258,31 +270,35 @@ def residual_maxima(instance: Instance,
                             common * scale)
 
         best = top(None)  # money families own every variable: max L
-        if best != final.value:
+        if best != value:
             raise InvariantError(f"the vertex table's max L is {best}, but "
-                                 f"the recorded optimum is {final.value}")
+                                 f"the recorded optimum is {value}")
+        if coords not in instance.vertex_lotteries:
+            raise InvariantError(f"x* = {coords} is not a vertex of this "
+                                 "instance's polytope")
     else:
+        poly = build_polytope(instance)
+        if len(coords) != poly.num_vars or not contains(
+                poly, FractionalPoint(coords)):
+            raise InvariantError(f"x* = {coords} lies outside this "
+                                 "instance's polytope")
         faces = _faces(instance)
-        columns = list(zip(final.slopes, final.values, final.var, final.cap))
 
         def top(k: Optional[int]) -> Fraction:
             block, local, face = faces[k]
-            rest = final.value - sum((s * y for s, y, v, _ in columns
-                                      if y and v in block), ZERO)
+            rest = value - objective.restricted(block).evaluate(
+                [coords[v] for v in block])
             if face is None:
                 return rest
-            kept = [(s, local[v], u) for s, _, v, u in columns if v in local]
-            return rest + maximize_linear(
-                [s for s, _, _ in kept], face,
-                ([v for _, v, _ in kept], [u for _, _, u in kept])).value
-    return tuple(top(k) if k in winners else final.value
+            return rest + _maximize(objective.restricted(local), face).value
+    return tuple(top(k) if k in winners else value
                  for k in range(instance.n))
 
 
 def _faces(instance: Instance) -> tuple[
-        tuple[frozenset[int], dict[int, int], Optional[Polytope]], ...]:
-    """Per bidder k: B(k), F(k) as a map from variable to face variable,
-    and P_{F(k)} with each nonzero row once (None if F(k) is empty).
+        tuple[tuple[int, ...], tuple[int, ...], Optional[Polytope]], ...]:
+    """Per bidder k: the variables of B(k) and of F(k), each in increasing
+    order, and P_{F(k)} with each nonzero row once (None if F(k) is empty).
 
     They depend on the instance alone, so they are built once per instance,
     and bidders whose faces are equal share one polytope.
@@ -300,14 +316,14 @@ def _faces(instance: Instance) -> tuple[
         own = {v for v, (owner, _) in enumerate(instance.variable_index)
                if owner == k}
         near = frozenset().union(*(block[v] for v in own))
-        local = {v: i for i, v in enumerate(sorted(near - own))}
+        local = tuple(sorted(near - own))
         rows = tuple(dict.fromkeys((tuple(c[v] for v in local), bound)
                                    for c, bound in poly.constraints
                                    if any(c[v] for v in local)))
         # rows == () iff F(k) is empty: face variables share rows with k's.
         if rows and rows not in shared:
             shared[rows] = Polytope(len(local), rows)
-        faces.append((near, local, shared.get(rows)))
+        faces.append((tuple(sorted(near)), local, shared.get(rows)))
     return instance.derived.setdefault("faces", tuple(faces))
 
 

@@ -179,7 +179,7 @@ class _PipelineCache:
     """Memoizes one check's outcomes per reported instance + profile.
 
     A miss solves one LP and charges what ``run`` charges, every Clarke
-    pivot priced from that solve's own tableau; a ``payment_rule`` charges
+    pivot priced from that solve's own optimum; a ``payment_rule`` charges
     instead when one is given.  No pivot is shared between outcomes, so a
     pivot that read a bidder's own report would show in the sweep.  The
     instances of one check share their family, item count and
@@ -195,9 +195,9 @@ class _PipelineCache:
         key = (tuple(b for _, b in instance.variable_index), profile)
         found = self._store.get(key)
         if found is None:
-            final, dist = allocate(instance, profile)
+            optimum, dist = allocate(instance, profile)
             values = expected_value_per_bidder(dist, profile)
-            charged = (_charge(instance, values, final)
+            charged = (_charge(instance, values, optimum)
                        if self.payment_rule is None
                        else self.payment_rule(instance, profile, dist))
             found = self._store[key] = _Outcome(dist, values, charged)

@@ -55,7 +55,8 @@ def outputs():
                 seed = rng.getrandbits(32)
                 paid = mechanism.realized_payments(instance, profile, seed)
                 rows.append([
-                    [distribution_rows(dist) for dist in seen.pop()],
+                    [distribution_rows(dist, "probability")
+                     for dist in seen.pop()],
                     [format_fraction(p) for p in paid],
                     outcome_to_obj(run(instance, profile, seed))])
     return rows

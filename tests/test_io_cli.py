@@ -134,6 +134,21 @@ class TestInstanceDocuments:
         assert main(["--instance", str(path), "--mode", "run"]) == 2
         assert repr(field) in capsys.readouterr().err
 
+    def test_boolean_value_rejected(self, tmp_path, capsys):
+        """Negative control for parse_fraction's boolean guard: without it,
+        JSON true loads as the bid 1 and the run succeeds."""
+        doc = {"family": "single-item", "n": 1, "m": 1,
+               "valuations": [{"kind": "additive", "values": [True]}]}
+        with pytest.raises(FormatError) as err:
+            load_instance_document(doc)
+        assert err.value.fieldname == "valuations[0].values[0]"
+        path = _write(tmp_path, "bool.json", doc)
+        assert main(["--instance", str(path), "--mode", "run",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: field 'valuations[0].values[0]': expected a "
+            "rational, got a boolean\n")
+
 
 class TestBidderCap:
     def test_huge_n_exits_two_fast(self, tmp_path, capsys):
@@ -276,6 +291,14 @@ class TestCli:
                          "--mode", mode]) == 2
             assert capsys.readouterr().err == (
                 f"input error: mode {mode!r} requires a nonempty --grid\n")
+
+    def test_malformed_grid_exits_two_naming_the_field(self, tmp_path,
+                                                       capsys):
+        path = _write(tmp_path, "si.json", SINGLE_ITEM_DOC)
+        assert main(["--instance", str(path), "--mode", "verify-ratio",
+                     "--grid", "1,x", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: field '--grid': not a rational: 'x'\n")
 
 
 class TestInternalErrors:

@@ -144,24 +144,29 @@ class TestLongStep:
 
     @staticmethod
     def counting(monkeypatch):
-        """Patch lp's step and pivot; returns (moving steps by polytope,
-        pivots)."""
-        moves, pivots = {}, []
-        step, pivot = lp._step, lp._pivot
+        """Patch lp's start, step and pivot; returns ([rows, moving steps]
+        per solve, in order, and pivots)."""
+        solves, pivots = [], []
+        start, step, pivot = lp._slack_start, lp._step, lp._pivot
+
+        def counted_start(width, rows, *args):
+            solves.append([rows, 0])
+            return start(width, rows, *args)
 
         def counted_step(t):
             moved = step(t)
             if moved:
-                moves[id(t.poly)] = moves.get(id(t.poly), 0) + 1
+                solves[-1][1] += 1
             return moved
 
         def counted_pivot(*args):
             pivots.append(args[2:4])  # (row, col)
             pivot(*args)
 
+        monkeypatch.setattr(lp, "_slack_start", counted_start)
         monkeypatch.setattr(lp, "_step", counted_step)
         monkeypatch.setattr(lp, "_pivot", counted_pivot)
-        return moves, pivots
+        return solves, pivots
 
     def test_a_one_row_face_solve_is_one_step(self, monkeypatch):
         # Bidders 0 and 2 share machine 0 and both win, so each is priced
@@ -173,12 +178,13 @@ class TestLongStep:
         final = solve_relaxation(*build_relaxation(
             instance, profile_for(instance, [F(5), F(3), F(4)])))
         assert final.coords[0] and final.coords[2]
-        moves, pivots = self.counting(monkeypatch)
+        solves, pivots = self.counting(monkeypatch)
         residual_maxima(instance, final)
         face = instance.derived["faces"][0][2]
         assert len(face.constraints) == 1
         assert face is instance.derived["faces"][2][2]
-        assert moves == {id(face): 2}  # one step for each of two solves
+        # One step for each of two solves, both over the face's rows.
+        assert solves == [[face.constraints, 1], [face.constraints, 1]]
         assert len(pivots) == 2
 
     def test_main_solves_pivot_as_often_as_one_flip_a_step(self,

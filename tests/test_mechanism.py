@@ -83,9 +83,9 @@ class TestPayments:
         assert payments(inst, profile, dist) == (F(4), ZERO)
 
     def test_another_instances_tableau_is_refused(self):
-        """Negative control: same bids, other packages.  The tableau of
-        [{0},{1},{1}] read as [{0},{0},{1}] would price (2, 4, 5) against
-        cold maxima of (3, 4, 3)."""
+        """Negative control: same bids, other packages.  The optimum of
+        [{0},{1},{1}], x* = (1, 1, 0) with L = 5, lies outside
+        [{0},{0},{1}]'s polytope, whose vertices reach L = 4 at most."""
         bids = [F(3), F(2), F(1)]
         recorded = make_single_minded_ca(2, [{0}, {1}, {1}])
         other, _ = allocate(recorded, profile_for(recorded, bids))
@@ -96,7 +96,22 @@ class TestPayments:
             residual = residual_objective(objective, k)
             assert residual.evaluate(
                 solve_relaxation(residual, poly).coords) == cold
-        with pytest.raises(InvariantError, match="another polytope"):
+        assert other.coords == (1, 1, 0)
+        with pytest.raises(InvariantError, match="vertex table's max L is 4, "
+                           "but the recorded optimum is 5"):
+            residual_maxima(instance, other)
+
+    def test_an_optimum_outside_the_polytope_is_refused_off_the_table(self):
+        """Negative control for the face branch: gap-toy 3x2's optimum
+        puts every bidder on one of two machines; on one machine (3x1)
+        the three shares overfill its row."""
+        bids = [F(4), F(1), F(4)]
+        recorded = make_gap_toy(3, 2)
+        other, _ = allocate(recorded, profile_for(recorded, bids))
+        assert sum(other.coords) > 1
+        instance = make_gap_toy(3, 1)
+        with pytest.raises(InvariantError, match="lies outside this "
+                           "instance's polytope"):
             residual_maxima(instance, other)
 
     def test_payments_when_two_bidders_want_one_item(self):

@@ -191,9 +191,9 @@ def test_half_the_decomposition_scale_breaks_the_calibration(key, bids,
 
 def own_blocks(instance):
     """Faces as if every bidder's variables formed a block of their own."""
-    return tuple((frozenset(v for v, (owner, _)
-                            in enumerate(instance.variable_index)
-                            if owner == k), {}, None)
+    return tuple((tuple(v for v, (owner, _)
+                        in enumerate(instance.variable_index)
+                        if owner == k), (), None)
                  for k in range(instance.n))
 
 

@@ -145,11 +145,15 @@ class TestResidualMaxima:
         monkeypatch.setattr(relaxation, "maximize_linear", counting)
         assert residual_maxima(instance, final) == tuple(cold)
         # Bidders with equal faces share one polytope, so a face solve is
-        # told by bidder order and by its costs, F(k)'s columns of L.
+        # told by bidder order and by its costs: L's coefficients on F(k),
+        # times each curve segment's slope for a curved L.
         faces = instance.derived.get("faces", ())
+        slopes = [[ONE] if objective.curves is None
+                  else [slope for _, slope in objective.curves[v].segments()]
+                  for v in range(objective.num_vars)]
         assert [costs for costs, _ in solved] == [
-            [s for s, v in zip(final.slopes, final.var) if v in faces[k][1]]
-            for k in face_bidders]
+            [objective.coeffs[v] * slope for v in faces[k][1]
+             for slope in slopes[v]] for k in face_bidders]
         assert all(poly is faces[k][2]
                    for (_, poly), k in zip(solved, face_bidders))
 
@@ -174,8 +178,8 @@ class TestFaces:
         faces = relaxation._faces(instance)
         assert relaxation._faces(instance) is faces
         assert instance.derived["faces"] is faces
-        assert sorted(map(sorted, {block for block, _, _ in faces})) == \
-            sorted(map(sorted, blocks))
+        assert sorted({block for block, _, _ in faces}) == \
+            sorted(tuple(sorted(block)) for block in blocks)
         # One face polytope per distinct face, built once and shared by
         # every bidder whose face equals it, each row held once.
         shared = [face for _, _, face in faces if face is not None]
@@ -184,9 +188,8 @@ class TestFaces:
         for k, (block, local, face) in enumerate(faces):
             own = {v for v, (owner, _) in enumerate(instance.variable_index)
                    if owner == k}
-            assert sorted(local) == sorted(block - own)
-            assert list(local.values()) == list(range(len(local)))
-            assert (face is None) == (block == own)
+            assert local == tuple(sorted(set(block) - own))
+            assert (face is None) == (set(block) == own)
             if face is not None:
                 assert len(set(face.constraints)) == len(face.constraints)
                 assert all(any(coeffs) for coeffs, _ in face.constraints)

@@ -9,10 +9,14 @@ instances with at most four items and four bidders:
 - the table's max L^{-k} equals a cold solve of ``residual_objective``;
 - a face solve (``maximize_linear`` over a bidder's face) is never entered.
 
-The negative control removes the optimal vertex from the table: the scan's
-re-check of max L against the recorded value must raise.  An instance
-without a table takes face solves instead; ``tests/test_vertex_lotteries.py``
-compares ``run`` on both.
+The pricing reads only L, x* and L(x*), so an x* taken from the table
+itself, with no simplex run, is priced the same way.
+
+Two negative controls: removing the optimal vertex from the table makes
+the scan's re-check of max L against the recorded value raise, and an
+optimal x* that is not a vertex is refused.  An instance without a table
+takes face solves instead; ``tests/test_vertex_lotteries.py`` compares
+``run`` on both.
 """
 
 from dataclasses import replace
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relaxround import (InvariantError, build_relaxation,
+from relaxround import (InvariantError, RelaxedOptimum, build_relaxation,
                         make_single_minded_ca, profile_for, residual_maxima,
                         residual_objective, solve_relaxation)
 from relaxround import relaxation
@@ -71,6 +75,32 @@ def test_table_maximum_equals_a_cold_residual_solve(market):
         patch.setattr(relaxation, "maximize_linear", no_face_solve)
         assert residual_maxima(instance, final) == cold
     assert "faces" not in instance.derived
+
+
+@EXAMPLES
+@given(markets())
+def test_a_table_argmax_is_priced_without_a_tableau(market):
+    instance, profile = market
+    objective, poly = build_relaxation(instance, profile)
+    x = max(instance.vertex_lotteries, key=objective.evaluate)
+    optimum = RelaxedOptimum(objective, x, objective.evaluate(x))
+    cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relaxation, "maximize_linear", no_face_solve)
+        assert residual_maxima(instance, optimum) == cold
+
+
+def test_an_optimal_point_off_the_vertices_is_refused():
+    """Two bidders tie for one item, so (1/2, 1/2) is optimal, and the
+    table's max L equals its value; only the vertex check can refuse it."""
+    instance = make_single_minded_ca(1, [{0}, {0}])
+    objective, _ = build_relaxation(instance,
+                                    profile_for(instance, [F(2), F(2)]))
+    half = (F(1, 2), F(1, 2))
+    optimum = RelaxedOptimum(objective, half, objective.evaluate(half))
+    assert optimum.value == 2
+    with pytest.raises(InvariantError, match="is not a vertex"):
+        residual_maxima(instance, optimum)
 
 
 @pytest.fixture
