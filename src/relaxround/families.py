@@ -5,9 +5,9 @@ of the package reads the record and the instance, never the family's name.
 Each constructor declares the family's alpha, beta and curve (the
 decomposition scale and the thinning follow from them), then audits the
 guarantees it relies on before handing the instance out: that the polytope
-contains every feasible allocation's indicator, the alpha contract on probe
-profiles, and decomposability at every polytope vertex for the scaled
-families.  The thinned families' calibration depends on the point played,
+contains every feasible allocation's indicator, the alpha contract on every
+nonnegative profile (proved on the n unit profiles), and decomposability at
+every polytope vertex for the scaled families.  The thinned families' calibration depends on the point played,
 so ``mechanism._round_point`` checks it on every lottery it thins.
 """
 
@@ -102,14 +102,10 @@ def unit_gap_curve(segments: int) -> PiecewiseCurve:
 
 
 def _probe_profiles(instance: Instance) -> list[ValuationProfile]:
-    """Deterministic additive probes: unit vectors, all-ones, a ramp."""
-    scalars = []
-    for i in range(instance.n):
-        scalars.append(tuple(ONE if j == i else ZERO
-                             for j in range(instance.n)))
-    scalars.append(tuple(ONE for _ in range(instance.n)))
-    scalars.append(tuple(Fraction(i + 1) for i in range(instance.n)))
-    return [profile_for(instance, values) for values in scalars]
+    """The n unit profiles: bidder i bids 1 on its bundle, the rest 0."""
+    return [profile_for(instance, [ONE if j == i else ZERO
+                                   for j in range(instance.n)])
+            for i in range(instance.n)]
 
 
 def _audit_containment(instance: Instance) -> None:
@@ -127,12 +123,21 @@ def _audit_containment(instance: Instance) -> None:
 
 
 def _audit_alpha_on_probes(instance: Instance) -> None:
+    """L(chi(s)) >= alpha f(s) for every allocation s and every nonnegative
+    profile, and L(chi(s)) = f(s) for a linear L.
+
+    Both sides are linear in the bids, for each s: L is the bids times
+    unit values, and f(s) sums each bidder's bid on the bundle s gives it.
+    A nonnegative profile is a nonnegative combination of the n unit
+    profiles, so the contract on those proves it on all of them.
+    """
     for profile in _probe_profiles(instance):
         objective, _ = build_relaxation(instance, profile)
         audit = audit_alpha(objective, instance, profile)
         if not audit.passed:
             raise FamilyConstructionError(
-                f"alpha audit failed for family {instance.family.name!r}: "
+                f"alpha audit failed for family {instance.family.name!r}, "
+                "so the contract fails on some nonnegative profile: "
                 f"counterexample {audit.counterexample}")
 
 

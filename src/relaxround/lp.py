@@ -18,6 +18,15 @@ whose outcome is known, so the bases visited are those of Bland's rule
 one flip a step (see ``_step``).  Row ratios are compared as integer pairs, without
 a division.  Every answer comes from one cold solve from the slack basis,
 on rows built for that solve alone; no solve resumes or shares a tableau.
+
+A polytope whose every block is one row, a 0/1 row over all of the
+block's variables that implies the block's other rows, has a second
+solver: ``water_fill`` fills each block's LP columns by falling cost, the
+one-row case of Fourer's simplex, and ``certify_fill`` checks the fill by
+one dual price per block, apart from the greedy.  A strict certificate
+proves the fill the only optimum, so it is the vertex Bland's rule ends
+on.  Each polytope reads its blocks, and whether each is one row, from
+its rows once, when it is built.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -36,6 +46,9 @@ MAX_VERTEX_VARS = 8
 MAX_VERTEX_SYSTEMS = 200_000
 
 Row = tuple[tuple[Fraction, ...], Fraction]
+#: (var, cap): LP column c adds to variable var[c], up to cap[c] (None: no
+#: upper bound).
+Columns = tuple[Sequence[int], Sequence[Optional[Fraction]]]
 
 
 class LPInputError(ValueError):
@@ -71,9 +84,46 @@ class Polytope:
                                    "constraint coefficients")
         # Each row's nonzero (index, coefficient) pairs, for ``contains``:
         # family rows are mostly 0/1 with few ones.
-        object.__setattr__(self, "_sparse", tuple(
-            (tuple((j, c) for j, c in enumerate(coeffs) if c), bound)
-            for coeffs, bound in self.constraints))
+        sparse = tuple((tuple((j, c) for j, c in enumerate(coeffs) if c),
+                        bound) for coeffs, bound in self.constraints)
+        blocks = _blocks(self.num_vars, sparse)
+        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_one_row", _one_row_bounds(blocks, sparse))
+
+
+def _blocks(n: int, sparse) -> tuple[tuple[int, ...], ...]:
+    """The polytope's blocks, each in increasing order, by least variable:
+    two variables share a block when some row has nonzero coefficients on
+    both, so the polytope is the product of its blocks."""
+    block = [{v} for v in range(n)]
+    for pairs, _ in sparse:
+        joined = set().union(*(block[j] for j, _ in pairs))
+        for v in joined:
+            block[v] = joined
+    return tuple(dict.fromkeys(tuple(sorted(b)) for b in block))
+
+
+def _one_row_bounds(blocks, sparse) -> Optional[tuple[Fraction, ...]]:
+    """Per block, the bound b of a 0/1 row R over all of its variables,
+    when every other row on the block is implied by R: 0/1 too (so its
+    support lies inside R's) with a bound of at least b.  Each block is
+    then the simplex {x >= 0, sum x <= b}.  None unless every block is."""
+    of = {v: i for i, block in enumerate(blocks) for v in block}
+    touching: list[list[Row]] = [[] for _ in blocks]
+    for pairs, bound in sparse:
+        if pairs:
+            touching[of[pairs[0][0]]].append((pairs, bound))
+    bounds = []
+    for block, rows in zip(blocks, touching):
+        if any(c != 1 for pairs, _ in rows for _, c in pairs):
+            return None
+        b = min((bound for pairs, bound in rows if len(pairs) == len(block)),
+                default=None)
+        if b is None or any(bound < b for _, bound in rows):
+            return None
+        bounds.append(b)
+    return tuple(bounds)
 
 
 @dataclass(frozen=True)
@@ -333,9 +383,7 @@ def _slack_start(width: int, rows: Sequence[Row],
 
 
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
-                    columns: tuple[Sequence[int],
-                                   Sequence[Optional[Fraction]]] | None = None
-                    ) -> FinalTableau:
+                    columns: Optional[Columns] = None) -> FinalTableau:
     """Maximize c.y over the polytope; returns the optimal tableau.
 
     Without ``columns`` there is one LP column per polytope variable.  With
@@ -346,6 +394,17 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     by Bland's rule (lowest-index entering variable), which also
     guarantees termination.
     """
+    var, cap = _lp_columns(objective, poly, columns)
+    t = _slack_start(poly.num_vars, poly.constraints, objective, var, cap)
+    while _step(t):  # Bland's rule to optimality; raises UnboundedError
+        pass
+    return t
+
+
+def _lp_columns(objective: Sequence, poly: Polytope,
+                columns: Optional[Columns]) -> Columns:
+    """The checked (var, cap) of the LP columns; None is one uncapped
+    column per polytope variable."""
     n = poly.num_vars
     if columns is None:
         var: Sequence[int] = range(n)
@@ -356,15 +415,146 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
             raise LPInputError("every LP column needs a variable and a cap")
         if any(not 0 <= v < n for v in var):
             raise LPInputError(f"LP columns must map into {n} variables")
-        if any(u is not None and u < 0 for u in cap):
+        # A rational's sign is its numerator's.
+        if any(u is not None and u.numerator < 0 for u in cap):
             raise LPInputError("column caps must be nonnegative")
     if len(objective) != len(var):
         raise LPInputError(f"objective has length {len(objective)}, "
                            f"expected {len(var)}")
-    t = _slack_start(n, poly.constraints, objective, var, cap)
-    while _step(t):  # Bland's rule to optimality; raises UnboundedError
-        pass
-    return t
+    return var, cap
+
+
+def _one_row_columns(costs: Sequence, poly: Polytope,
+                     columns: Optional[Columns]
+                     ) -> tuple[Columns, list[tuple[Fraction, list[int]]]]:
+    """The checked (var, cap), and per block its row's bound with the LP
+    columns on the block; LPInputError unless every block is one row."""
+    bounds = poly._one_row  # type: ignore[attr-defined]
+    if bounds is None:
+        raise LPInputError("the polytope has a block that is not one row")
+    var, cap = _lp_columns(costs, poly, columns)
+    of = {v: i for i, block in enumerate(poly._blocks)  # type: ignore
+          for v in block}
+    groups: list[list[int]] = [[] for _ in bounds]
+    for c, v in enumerate(var):
+        groups[of[v]].append(c)
+    return (var, cap), list(zip(bounds, groups))
+
+
+@dataclass(frozen=True)
+class Fill:
+    """A solution of ``maximize_linear``'s LP: each LP column's value
+    times ``scale`` (integers), each polytope variable's value (its columns
+    summed) and the objective value."""
+
+    units: tuple[int, ...]
+    scale: int
+    coords: tuple[Fraction, ...]
+    value: Fraction
+
+
+def water_fill(costs: Sequence, poly: Polytope,
+               columns: Optional[Columns]) -> Fill:
+    """Maximize ``maximize_linear``'s LP greedily over a polytope whose
+    every block is one row (see ``_one_row_bounds``).
+
+    On each block, {y >= 0, y_c <= cap[c], sum y <= b}, the columns are
+    filled by falling cost, each to its cap or to what is left of b, until
+    b is used up or the costs stop being positive: the fractional-knapsack
+    greedy, which is Fourer's piecewise-linear simplex on one row.  Ties
+    go to the lower column, so where optima tie this is one of them, not
+    necessarily Bland's; ``certify_fill`` tells.  Costs may be integers
+    over a common denominator, and the value is in their units.  Caps and
+    bounds are counted in integer units of 1/q, one q per solve.
+    """
+    (var, cap), blocks = _one_row_columns(costs, poly, columns)
+    q = lcm(*{u.denominator for u in cap if u is not None},
+            *(b.denominator for b, _ in blocks))
+    units = [0] * len(var)
+    coords = [0] * poly.num_vars
+    value = 0
+    for bound, group in blocks:
+        left = bound.numerator * (q // bound.denominator)
+        for c in sorted(group, key=costs.__getitem__, reverse=True):
+            if not left or costs[c] <= 0:
+                break
+            u = cap[c]
+            y = left if u is None else min(left,
+                                            u.numerator * (q // u.denominator))
+            units[c] = y
+            left -= y
+            coords[var[c]] += y
+            value += costs[c] * y
+    return Fill(tuple(units), q, tuple(Fraction(x, q) if x else ZERO
+                                       for x in coords), Fraction(value, q))
+
+
+def certify_fill(costs: Sequence, poly: Polytope, columns: Optional[Columns],
+                 fill: Fill) -> Optional[bool]:
+    """Check a fill's LP column values optimal for ``water_fill``'s LP,
+    exactly and apart from the greedy, by one dual price lam >= 0 per
+    block: True if the check is strict, False if it only holds, None if
+    it fails.  Only ``fill.units`` and ``fill.scale`` are read.
+
+    It holds when the values are feasible, lam > 0 only if the block's row
+    is tight, and each reduced cost d_c = costs[c] - lam is <= 0 on a
+    column at zero, >= 0 on a column at its cap and 0 on a column strictly
+    between: every feasible y then has sum costs * y <= lam * b + the sum
+    of d_c * cap[c] over d_c > 0, which the values reach.  It is strict
+    when every column is pinned (at zero with d_c < 0, at its cap with
+    d_c > 0) but for at most one column strictly between, and that one
+    only with lam > 0.  An optimum must then take every pinned value and
+    fill the row, so it is the only optimum, and Bland's rule ends on it.
+
+    lam is read from the values: a column strictly between sets it, a
+    slack row makes it 0, and otherwise it is the midpoint between the
+    costs at zero (and 0) below and the costs at cap above.  It is held
+    doubled, so integer costs stay integers.  Values, caps and bounds are
+    compared in integer units of 1/q.
+    """
+    (var, cap), blocks = _one_row_columns(costs, poly, columns)
+    if len(fill.units) != len(var):
+        raise LPInputError("a fill needs one value per LP column")
+    q = lcm(fill.scale, *{u.denominator for u in cap if u is not None},
+            *(b.denominator for b, _ in blocks))
+    k = q // fill.scale
+    strict = True
+    for bound, group in blocks:
+        zero, full, part = [], [], []
+        total = 0
+        for c in group:
+            y, u = fill.units[c] * k, cap[c]
+            top = None if u is None else u.numerator * (q // u.denominator)
+            if y < 0 or (top is not None and y > top):
+                return None
+            total += y
+            if not y:
+                if top != 0:  # a column capped at 0 is fixed
+                    zero.append(costs[c])
+            elif y == top:
+                full.append(costs[c])
+            else:
+                part.append(costs[c])
+        b = bound.numerator * (q // bound.denominator)
+        if total > b:
+            return None
+        tight = total == b
+        low = max([0, *zero])
+        if part:
+            lam = 2 * part[0]
+        elif not tight:
+            lam = 0
+        else:
+            lam = low + min(full) if full else 2 * low + 2
+        if (lam < 0 or (lam and not tight)
+                or any(2 * d > lam for d in zero)
+                or any(2 * d < lam for d in full)
+                or any(2 * d != lam for d in part)):
+            return None
+        strict = (strict and len(part) <= 1 and (not part or lam > 0)
+                  and all(2 * d < lam for d in zero)
+                  and all(2 * d > lam for d in full))
+    return strict
 
 
 def phase_one(equalities: Sequence[Row],

@@ -3,7 +3,11 @@
 The relaxed objective is the bids times 1 (linear) or times the family's
 concave piecewise-linear unit curve, one per variable.  Concave
 maximization is a single exact LP with one bounded column per curve
-segment, so one solver serves both shapes.
+segment, so one LP serves both shapes.  Where every block of the polytope
+is one row (gap-toy, single-item, case-b, single-minded markets of two
+bidders), ``_maximize`` water-fills that LP and keeps the fill on a
+certificate; elsewhere, and where optima may tie, Bland's simplex solves
+it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .lp import (FractionalPoint, LPInputError, Polytope, contains,
-                 maximize_linear)
+from .lp import (FractionalPoint, LPInputError, Polytope, certify_fill,
+                 contains, maximize_linear, water_fill)
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator, social_welfare,
                     value_of, validate_profile)
@@ -24,6 +28,14 @@ from .model import (Allocation, Instance, InvariantError, ValuationProfile,
 
 class UnsupportedFamilyError(ValueError):
     """The instance family has no relaxation recipe."""
+
+
+def _over_one_denominator(values: Sequence[Fraction]
+                          ) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one positive denominator,
+    returned as (numerators, denominator)."""
+    common = lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,9 @@ class PiecewiseCurve:
             (t1 - t0, (v1 - v0) / (t1 - t0))
             for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])))
         object.__setattr__(self, "_ends", tuple(t for t, _ in self.points[1:]))
+        # The slopes as integers over one denominator, for integer costs.
+        object.__setattr__(self, "_int_slopes", _over_one_denominator(
+            [slope for _, slope in self._segs]))
 
     @property
     def domain_end(self) -> Fraction:
@@ -189,21 +204,61 @@ def build_relaxation(instance: Instance,
         curves=None if curve is None else (curve,) * len(bids)), poly
 
 
+def _piece_columns(objective: RelaxedObjective
+                   ) -> tuple[list[int], list[Fraction]]:
+    """Variable and length of every piece of a curved objective."""
+    curves = objective.curves
+    return ([v for v, curve in enumerate(curves) for _ in curve._segs],
+            [length for curve in curves for length, _ in curve._segs])
+
+
 def _segment_columns(objective: RelaxedObjective
                      ) -> tuple[list[int], list[Fraction], list[Fraction]]:
     """Variable, slope and length of every piece of a curved objective."""
-    curves = objective.curves
-    col_var = [v for v, curve in enumerate(curves) for _ in curve._segs]
-    col_obj = [coeff * slope for coeff, curve in zip(objective.coeffs, curves)
+    col_var, col_cap = _piece_columns(objective)
+    col_obj = [coeff * slope for coeff, curve in zip(objective.coeffs,
+                                                     objective.curves)
                for _, slope in curve._segs]
-    col_cap = [length for curve in curves for length, _ in curve._segs]
     return col_var, col_obj, col_cap
 
 
-def _maximize(objective: RelaxedObjective,
-              poly: Polytope) -> RelaxedOptimum:
-    """L's optimum over P by one cold ``maximize_linear``; a curved L has
-    one LP column per linear piece, capped at its length."""
+def _integer_costs(objective: RelaxedObjective) -> tuple[list[int], int]:
+    """The LP columns' costs as integers over one positive denominator,
+    returned as (costs, denominator): the bids, times each piece's slope
+    for a curved L, in ``_segment_columns``' order."""
+    bids, scale = _over_one_denominator(objective.coeffs)
+    if objective.curves is None:
+        return bids, scale
+    unit = lcm(*(curve._int_slopes[1] for curve in objective.curves))
+    costs = []
+    for bid, curve in zip(bids, objective.curves):
+        slopes, den = curve._int_slopes
+        costs += [bid * (unit // den) * slope for slope in slopes]
+    return costs, scale * unit
+
+
+def _maximize(objective: RelaxedObjective, poly: Polytope,
+              unique: bool = True) -> RelaxedOptimum:
+    """L's optimum over P, with one LP column per variable for a linear L
+    and one per linear piece, capped at its length, for a curved one.
+
+    Where every block of P is one row (``lp.water_fill``), the greedy fill
+    is taken if ``lp.certify_fill`` proves it the only optimum, which is
+    then the vertex Bland's rule ends on.  With ``unique`` False only the
+    value is read, so any certificate will do, ties included, and x* is
+    one optimum of possibly several.  Otherwise one cold
+    ``maximize_linear`` solves it.  A certificate that fails raises.
+    """
+    if poly._one_row is not None:  # type: ignore[attr-defined]
+        costs, scale = _integer_costs(objective)
+        columns = None if objective.is_linear else _piece_columns(objective)
+        fill = water_fill(costs, poly, columns)
+        strict = certify_fill(costs, poly, columns, fill)
+        if strict is None:
+            raise InvariantError("the water-fill's optimality certificate "
+                                 f"fails for the fill {fill}")
+        if strict or not unique:
+            return RelaxedOptimum(objective, fill.coords, fill.value / scale)
     if objective.is_linear:
         final = maximize_linear(objective.coeffs, poly)
     else:
@@ -214,8 +269,9 @@ def _maximize(objective: RelaxedObjective,
 
 def solve_relaxation(objective: RelaxedObjective,
                      poly: Polytope) -> RelaxedOptimum:
-    """Exact maximizer x* of L over P and L(x*), deterministic via Bland's
-    rule; ``residual_maxima`` prices every max L^{-k} from them."""
+    """Exact maximizer x* of L over P and L(x*): the vertex Bland's rule
+    ends on, found by the simplex or by a fill certified to be the only
+    optimum.  ``residual_maxima`` prices every max L^{-k} from them."""
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
     optimum = _maximize(objective, poly)
@@ -249,19 +305,19 @@ def residual_maxima(instance: Instance,
     block.  Let B(k) be the blocks holding k's variables and F(k) the rest
     of B(k).  Off B(k), L^{-k} = L peaks at x*: L(x*) - L_{B(k)}(x*).  On
     B(k), k's terms vanish and P is downward closed, so x_k = 0 loses
-    nothing: max L over P_{F(k)}, P's rows restricted to F(k), by one cold
-    solve (0 if F(k) is empty).  Optimal values are unique, so every path
-    returns the same number; x* stays Bland's vertex, whose lottery ``run``
-    plays even where vertices tie for max L.
+    nothing: max L over P_{F(k)}, P's rows restricted to F(k), by one solve
+    of that face (0 if F(k) is empty), whose value alone is read, so a
+    one-row face takes any certified water-fill, ties included.  Optimal
+    values are unique, so every path returns the same number; x* stays
+    Bland's vertex, whose lottery ``run`` plays even where vertices tie for
+    max L.
     """
     objective, coords, value = optimum.objective, optimum.coords, optimum.value
     owners = objective.owners
     winners = {owner for owner, x in zip(owners, coords) if x}
     if instance.spec.curve is None and instance.vertex_lotteries:
         scale, rows = _vertex_rows(instance)
-        common = lcm(*(c.denominator for c in objective.coeffs))
-        costs = [c.numerator * (common // c.denominator)
-                 for c in objective.coeffs]
+        costs, common = _integer_costs(objective)
 
         def top(k: Optional[int]) -> Fraction:
             residual = [0 if owner == k else c
@@ -290,7 +346,8 @@ def residual_maxima(instance: Instance,
                 [coords[v] for v in block])
             if face is None:
                 return rest
-            return rest + _maximize(objective.restricted(local), face).value
+            return rest + _maximize(objective.restricted(local), face,
+                                    unique=False).value
     return tuple(top(k) if k in winners else value
                  for k in range(instance.n))
 
@@ -306,11 +363,7 @@ def _faces(instance: Instance) -> tuple[
     if "faces" in instance.derived:
         return instance.derived["faces"]
     poly = build_polytope(instance)
-    block = [{v} for v in range(poly.num_vars)]  # each variable's block
-    for coeffs, _ in poly.constraints:
-        joined = set().union(*(block[v] for v, c in enumerate(coeffs) if c))
-        for v in joined:
-            block[v] = joined
+    block = {v: b for b in poly._blocks for v in b}  # type: ignore
     faces, shared = [], {}
     for k in range(instance.n):
         own = {v for v, (owner, _) in enumerate(instance.variable_index)

@@ -1,12 +1,14 @@
 """Family constructors and their audits."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from relaxround import (FamilyConstructionError, FamilySpec, InvariantError,
-                        adjust, allocate, brute_force_opt, build_relaxation,
+                        adjust, allocate, audit_alpha, brute_force_opt,
+                        build_relaxation,
                         check_approximation,
                         convex_decompose, expected_welfare,
                         make_case_b_family,
@@ -45,13 +47,36 @@ class TestContainmentAudit:
             build()
 
 
+AUDITED = [
+    lambda: make_single_item(2),
+    lambda: make_case_b_family(2, F(1, 2)),
+    lambda: make_single_minded_ca(2, [{0}, {0, 1}]),
+    lambda: make_gap_toy(2, 1),
+]
+
+
 class TestAlphaAudit:
-    @pytest.mark.parametrize("build", [
-        lambda: make_single_item(2),
-        lambda: make_case_b_family(2, F(1, 2)),
-        lambda: make_single_minded_ca(2, [{0}, {0, 1}]),
-        lambda: make_gap_toy(2, 1),
-    ])
+    @pytest.mark.parametrize("build", AUDITED)
+    def test_the_unit_profiles_prove_every_nonnegative_profile(self, build):
+        """For each allocation both sides are linear in the bids, so the
+        audit runs on the n unit profiles alone, and the contract holds on
+        random nonnegative profiles, with equality for a linear L."""
+        instance = build()
+        probes = families._probe_profiles(instance)
+        assert probes == [profile_for(instance, [ONE if j == i else ZERO
+                                                 for j in range(instance.n)])
+                          for i in range(instance.n)]
+        rng = random.Random(11)
+        for _ in range(30):
+            profile = profile_for(instance, [
+                F(rng.randint(0, 9), rng.randint(1, 4))
+                for _ in range(instance.n)])
+            objective, _ = build_relaxation(instance, profile)
+            audit = audit_alpha(objective, instance, profile)
+            assert audit.passed
+            assert audit.equality_holds or not objective.is_linear
+
+    @pytest.mark.parametrize("build", AUDITED)
     def test_a_relaxation_that_halves_one_bid_fails_construction(
             self, build, monkeypatch):
         exact = families.build_relaxation

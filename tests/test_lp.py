@@ -14,6 +14,7 @@ from relaxround import (FractionalPoint, LPInputError, Polytope,
                         enumerate_vertices, make_gap_toy, maximize_linear,
                         phase_one, profile_for, residual_maxima,
                         solve_relaxation)
+from relaxround.relaxation import _segment_columns
 
 ZERO = F(0)
 ONE = F(1)
@@ -170,19 +171,26 @@ class TestLongStep:
 
     def test_a_one_row_face_solve_is_one_step(self, monkeypatch):
         # Bidders 0 and 2 share machine 0 and both win, so each is priced
-        # by a cold solve of the other's one-row face: 16 segments of 1/16
-        # under x <= 1.  Fifteen flips fit under the ratio 1; the last cap
-        # ties it and loses to the row's slack, so it enters by a pivot.
-        # One flip a step, that solve took 16 steps.
+        # over the other's one-row face: 16 segments of 1/16 under x <= 1.
+        # ``residual_maxima`` water-fills it; the simplex on the same LP
+        # fits fifteen flips under the ratio 1, and the last cap ties it
+        # and loses to the row's slack, so it enters by a pivot.  One flip
+        # a step, that solve took 16 steps.
         instance = make_gap_toy(3, 2)
-        final = solve_relaxation(*build_relaxation(
-            instance, profile_for(instance, [F(5), F(3), F(4)])))
+        objective, poly = build_relaxation(
+            instance, profile_for(instance, [F(5), F(3), F(4)]))
+        final = solve_relaxation(objective, poly)
         assert final.coords[0] and final.coords[2]
-        solves, pivots = self.counting(monkeypatch)
         residual_maxima(instance, final)
-        face = instance.derived["faces"][0][2]
+        faces = instance.derived["faces"]
+        face = faces[0][2]
         assert len(face.constraints) == 1
-        assert face is instance.derived["faces"][2][2]
+        assert face is faces[2][2]
+        solves, pivots = self.counting(monkeypatch)
+        for k in (0, 2):
+            col_var, col_obj, col_cap = _segment_columns(
+                objective.restricted(faces[k][1]))
+            maximize_linear(col_obj, face, (col_var, col_cap))
         # One step for each of two solves, both over the face's rows.
         assert solves == [[face.constraints, 1], [face.constraints, 1]]
         assert len(pivots) == 2
@@ -198,7 +206,8 @@ class TestLongStep:
                        for _ in range(3)])) for _ in range(300)]
         _, pivots = self.counting(monkeypatch)
         for objective, poly in relaxations:
-            solve_relaxation(objective, poly)
+            col_var, col_obj, col_cap = _segment_columns(objective)
+            maximize_linear(col_obj, poly, (col_var, col_cap))
         assert len(pivots) == 8913
 
 

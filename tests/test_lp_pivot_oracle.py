@@ -569,43 +569,54 @@ def test_random_packing_lps_and_residual_costs(monkeypatch):
 
 
 def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
-    """The main solve, residual_maxima's face solves and the cold residual
-    solves pivot as the dense oracle does, and agree.  A bidder on machine
-    0 who wins takes one face solve, the bidder alone on machine 1 none."""
+    """The simplex on the main LP, on residual_maxima's face LPs and on the
+    cold residual LPs pivots as the dense oracle does, and agrees with
+    solve_relaxation and residual_maxima, which water-fill where they can.
+    A bidder on machine 0 who wins takes one face solve, the bidder alone
+    on machine 1 none."""
     instance = make_gap_toy(3, 2)
-    shipped, solved = relaxation.maximize_linear, []
+    shipped, solved = relaxation._maximize, []
 
-    def counting(objective, poly, columns=None):
-        solved.append((list(objective), poly))
-        return shipped(objective, poly, columns)
+    def counting(objective, poly, unique=True):
+        solved.append((objective, poly))
+        return shipped(objective, poly, unique)
+
+    def simplex(objective, poly):
+        col_var, col_obj, col_cap = _segment_columns(objective)
+        return lp.maximize_linear(col_obj, poly, (col_var, col_cap))
 
     for bids in GAP_TOY_BIDS:
         profile = profile_for(instance, bids)
         objective, poly = build_relaxation(instance, profile)
+        final = solve_relaxation(objective, poly)
+        monkeypatch.setattr(relaxation, "_maximize", counting)
+        del solved[:]
+        residuals = list(residual_maxima(instance, final))
+        monkeypatch.setattr(relaxation, "_maximize", shipped)
+        faces = instance.derived["faces"]
+        winners = [k for k in (0, 2) if final.coords[k]]
 
         def scenario():
-            final = solve_relaxation(objective, poly)
-            del solved[:]
-            residuals = list(residual_maxima(instance, final))
+            main = simplex(objective, poly)
+            face_values = [simplex(objective.restricted(faces[k][1]),
+                                   faces[k][2]).value for k in winners]
             cold = [residual_objective(objective, k) for k in range(3)]
-            return final.coords, residuals, [
-                residual.evaluate(solve_relaxation(residual, poly).coords)
+            return main.coords, face_values, [
+                residual.evaluate(simplex(residual, poly).coords)
                 for residual in cold]
 
-        monkeypatch.setattr(relaxation, "maximize_linear", counting)
-        (coords, residuals, cold), pivots = assert_same_path(monkeypatch,
-                                                             scenario)
-        monkeypatch.setattr(relaxation, "maximize_linear", shipped)
+        (coords, face_values, cold), pivots = assert_same_path(monkeypatch,
+                                                               scenario)
         assert pivots > 50
+        assert coords == final.coords
         assert residuals == cold
         # Bidders 0 and 2 share one face polytope, so a face solve is told
-        # by bidder order and by its costs, F(k)'s segment slopes.
-        faces = instance.derived["faces"]
-        col_var, col_obj, _ = _segment_columns(objective)
-        assert [(costs, face) for costs, face in solved
-                if face is not poly] == [
-            ([s for s, v in zip(col_obj, col_var) if v in faces[k][1]],
-             faces[k][2]) for k in (0, 2) if coords[k]]
+        # by bidder order and by its objective, L restricted to F(k); its
+        # value is the simplex's.
+        assert solved == [(objective.restricted(faces[k][1]), faces[k][2])
+                          for k in winners]
+        assert [shipped(face_objective, face, False).value
+                for face_objective, face in solved] == face_values
 
 
 def random_equalities(rng):

@@ -1,5 +1,6 @@
 """Relaxation recipes, exact maximization, residuals, alpha audit."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -97,18 +98,40 @@ class TestSolveRelaxation:
         assert direct == objective.evaluate(optimum.coords)
 
     def test_fold_mismatch_raises(self, monkeypatch):
+        # The bids 3 and 11/7 tie the last segment filled with the first
+        # one left out, so the water-fill is not the only optimum, and the
+        # simplex solves it.
         inst = make_gap_toy(2, 1)
-        objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
-        exact = relaxation.maximize_linear
+        objective, poly = build_relaxation(inst, profile_for(
+            inst, [F(3), F(11, 7)]))
+        exact, solved = relaxation.maximize_linear, []
 
         def off_by_one(objective, poly, columns=None):
             final = exact(objective, poly, columns)
             final.prices[-1] += 1
+            solved.append(final)
             return final
 
         monkeypatch.setattr(relaxation, "maximize_linear", off_by_one)
         with pytest.raises(InvariantError, match="folding"):
             solve_relaxation(objective, poly)
+        assert len(solved) == 1
+
+    def test_fold_mismatch_of_a_water_filled_value_raises(self, monkeypatch):
+        inst = make_gap_toy(2, 1)
+        objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
+        exact, filled = relaxation.water_fill, []
+
+        def off_by_one(costs, poly, columns):
+            fill = exact(costs, poly, columns)
+            filled.append(fill)
+            return replace(fill, value=fill.value + 1)
+
+        monkeypatch.setattr(relaxation, "water_fill", off_by_one)
+        monkeypatch.setattr(relaxation, "maximize_linear", None)
+        with pytest.raises(InvariantError, match="folding"):
+            solve_relaxation(objective, poly)
+        assert len(filled) == 1
 
 
 class TestResidualMaxima:
@@ -136,26 +159,22 @@ class TestResidualMaxima:
             residual = residual_objective(objective, k)
             cold.append(residual.evaluate(
                 solve_relaxation(residual, poly).coords))
-        solve, solved = relaxation.maximize_linear, []
+        solve, solved = relaxation._maximize, []
 
-        def counting(objective, poly, columns=None):
-            solved.append((list(objective), poly))
-            return solve(objective, poly, columns)
+        def counting(objective, poly, unique=True):
+            solved.append((objective, poly, unique))
+            return solve(objective, poly, unique)
 
-        monkeypatch.setattr(relaxation, "maximize_linear", counting)
+        monkeypatch.setattr(relaxation, "_maximize", counting)
         assert residual_maxima(instance, final) == tuple(cold)
         # Bidders with equal faces share one polytope, so a face solve is
-        # told by bidder order and by its costs: L's coefficients on F(k),
-        # times each curve segment's slope for a curved L.
+        # told by bidder order and by its objective: L restricted to F(k),
+        # whose value alone is read.
         faces = instance.derived.get("faces", ())
-        slopes = [[ONE] if objective.curves is None
-                  else [slope for _, slope in objective.curves[v].segments()]
-                  for v in range(objective.num_vars)]
-        assert [costs for costs, _ in solved] == [
-            [objective.coeffs[v] * slope for v in faces[k][1]
-             for slope in slopes[v]] for k in face_bidders]
-        assert all(poly is faces[k][2]
-                   for (_, poly), k in zip(solved, face_bidders))
+        assert [face_objective for face_objective, _, _ in solved] == [
+            objective.restricted(faces[k][1]) for k in face_bidders]
+        assert all(poly is faces[k][2] and not unique
+                   for (_, poly, unique), k in zip(solved, face_bidders))
 
 
 class TestFaces:

@@ -7,7 +7,8 @@ table instead of solving an LP.  Properties, on random single-minded
 instances with at most four items and four bidders:
 
 - the table's max L^{-k} equals a cold solve of ``residual_objective``;
-- a face solve (``maximize_linear`` over a bidder's face) is never entered.
+- a face solve (``relaxation._maximize`` over a bidder's face, water-filled
+  or by the simplex) is never entered.
 
 The pricing reads only L, x* and L(x*), so an x* taken from the table
 itself, with no simplex run, is priced the same way.
@@ -60,7 +61,7 @@ def cold_maximum(objective, poly, k):
     return residual.evaluate(solve_relaxation(residual, poly).coords)
 
 
-def no_face_solve(objective, poly, columns=None):
+def no_face_solve(objective, poly, unique=True):
     raise AssertionError("a tabled instance entered a face solve")
 
 
@@ -72,7 +73,7 @@ def test_table_maximum_equals_a_cold_residual_solve(market):
     final = solve_relaxation(objective, poly)
     cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relaxation, "maximize_linear", no_face_solve)
+        patch.setattr(relaxation, "_maximize", no_face_solve)
         assert residual_maxima(instance, final) == cold
     assert "faces" not in instance.derived
 
@@ -86,7 +87,7 @@ def test_a_table_argmax_is_priced_without_a_tableau(market):
     optimum = RelaxedOptimum(objective, x, objective.evaluate(x))
     cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relaxation, "maximize_linear", no_face_solve)
+        patch.setattr(relaxation, "_maximize", no_face_solve)
         assert residual_maxima(instance, optimum) == cold
 
 
