@@ -7,8 +7,9 @@ decomposition scale and the thinning follow from them), then audits the
 guarantees it relies on before handing the instance out: that the polytope
 contains every feasible allocation's indicator, the alpha contract on every
 nonnegative profile (proved on the n unit profiles), and decomposability at
-every polytope vertex for the scaled families.  The thinned families' calibration depends on the point played,
-so ``mechanism._round_point`` checks it on every lottery it thins.
+every polytope vertex for the scaled families.  The thinned families'
+calibration depends on the point played, so ``mechanism._round_point``
+checks it on every lottery it thins.
 """
 
 from __future__ import annotations

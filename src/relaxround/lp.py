@@ -110,7 +110,7 @@ def _one_row_bounds(blocks, sparse) -> Optional[tuple[Fraction, ...]]:
     support lies inside R's) with a bound of at least b.  Each block is
     then the simplex {x >= 0, sum x <= b}.  None unless every block is."""
     of = {v: i for i, block in enumerate(blocks) for v in block}
-    touching: list[list[Row]] = [[] for _ in blocks]
+    touching: list[list[tuple]] = [[] for _ in blocks]
     for pairs, bound in sparse:
         if pairs:
             touching[of[pairs[0][0]]].append((pairs, bound))
