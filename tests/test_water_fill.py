@@ -8,7 +8,8 @@ a face solve takes the value on any certificate.  Here:
 
 - which polytopes are one row, read from their rows alone;
 - equivalence with the simplex on seeded profiles of every money family
-  whose polytope is one row, each showing acceptances and fallbacks;
+  whose polytope is one row, each showing acceptances and fallbacks, and
+  on random one-row LPs;
 - negative controls: a greedy that breaks a marginal tie the other way is
   never taken for x*, a wrong fill raises, and a face at a marginal tie
   is taken for its value;
@@ -247,6 +248,50 @@ class TestCertificate:
         assert (fill.units, fill.scale) == ((1, 0, 1), 2)
         assert fill.coords == (F(1, 2), F(1, 2))
         assert fill.value == F(5, 2)
+
+
+def random_one_row_lp(rng):
+    """A random one-row polytope with capped and uncapped LP columns whose
+    costs tie often, some of them zero or negative."""
+    n = rng.randint(1, 5)
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = []
+    while order:
+        block = order[:rng.randint(1, len(order))]
+        del order[:len(block)]
+        bound = F(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2]))
+        support = [block] + [rng.sample(block, rng.randint(1, len(block)))
+                             for _ in range(rng.randint(0, 2))]
+        for i, part in enumerate(support):
+            rows.append((tuple(ONE if v in part else ZERO for v in range(n)),
+                         bound if i == 0 else bound + rng.randint(0, 1)))
+    rng.shuffle(rows)
+    var = [v for v in range(n) for _ in range(rng.randint(1, 3))]
+    cap = [rng.choice([None, F(1, 2), F(1, 3), ONE, F(3, 2)]) for _ in var]
+    costs = [rng.choice([-1, 0, 1, 2, 2, 3, 5]) for _ in var]
+    return Polytope(n, tuple(rows)), costs, (var, cap)
+
+
+def test_random_one_row_lps_agree_with_the_simplex():
+    """The fill is always certified and optimal; where the certificate is
+    strict it is the simplex's point, column by column."""
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        poly, costs, columns = random_one_row_lp(rng)
+        assert poly._one_row is not None
+        fill = lp.water_fill(costs, poly, columns)
+        strict = lp.certify_fill(costs, poly, columns, fill)
+        cold = lp.maximize_linear([F(c) for c in costs], poly, columns)
+        assert strict is not None
+        verdicts[strict] += 1
+        assert fill.value == cold.value
+        if strict:
+            assert fill.coords == cold.coords
+            assert [F(y, fill.scale) for y in fill.units] == \
+                list(cold.values)
+    assert min(verdicts.values()) > 50, verdicts
 
 
 def higher_index_first(costs, poly, columns):
