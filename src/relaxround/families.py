@@ -10,20 +10,25 @@ nonnegative profile (proved on the n unit profiles), and decomposability at
 every polytope vertex for the scaled families.  The thinned families'
 calibration depends on the point played, so ``mechanism._round_point``
 checks it on every lottery it thins.
+
+A single-minded instance's audits read its conflict structure alone (see
+``conflict_structure``), so ``with_desires`` hands a rebind with the
+source's structure the source's audited vertex lotteries, relabelled, and
+audits afresh only when the structure differs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .lp import FractionalPoint, contains, enumerate_vertices
 from .mechanism import _round_point
 from .model import (AdditiveValuation, Family, FamilySpec, Instance,
-                    SingleMindedValuation, SinglePeakedValuation,
-                    ValuationProfile, ZERO, ONE, enumerate_feasible,
-                    indicator)
+                    InvariantError, SingleMindedValuation,
+                    SinglePeakedValuation, ValuationProfile, ZERO, ONE,
+                    enumerate_feasible, indicator)
 from .relaxation import (PiecewiseCurve, audit_alpha, build_polytope,
                          build_relaxation)
 from .rounding import AllocationDistribution, DecompositionInfeasibleError
@@ -179,16 +184,9 @@ def make_single_item(n: int) -> Instance:
     return instance
 
 
-def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
-                          alpha: Fraction = DEFAULT_SINGLE_MINDED_ALPHA
-                          ) -> Instance:
-    """Single-minded combinatorial auction with scaled-down decomposition.
-
-    ``desires`` lists each bidder's package (items by index).  The declared
-    alpha doubles as the decomposition scale; feasibility of the scaled
-    decomposition is audited at every polytope vertex, so a successful
-    construction covers the full polytope.
-    """
+def _single_minded(m: int, desires: Sequence[Iterable[int]],
+                   alpha: Fraction) -> Instance:
+    """The single-minded instance of validated ``desires``, not audited."""
     if m < 1 or m > SINGLE_MINDED_CA.max_m:
         raise InputError("desk-scale single-minded auctions use "
                          f"1..{SINGLE_MINDED_CA.max_m} items")
@@ -202,7 +200,20 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
             raise InputError("desired bundle references an unknown item")
     variables = tuple((i, b) for i, b in enumerate(bundles))
     spec = FamilySpec(alpha=alpha)
-    instance = Instance(SINGLE_MINDED_CA, len(bundles), m, variables, spec)
+    return Instance(SINGLE_MINDED_CA, len(bundles), m, variables, spec)
+
+
+def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
+                          alpha: Fraction = DEFAULT_SINGLE_MINDED_ALPHA
+                          ) -> Instance:
+    """Single-minded combinatorial auction with scaled-down decomposition.
+
+    ``desires`` lists each bidder's package (items by index).  The declared
+    alpha doubles as the decomposition scale; feasibility of the scaled
+    decomposition is audited at every polytope vertex, so a successful
+    construction covers the full polytope.
+    """
+    instance = _single_minded(m, desires, alpha)
     _audit_containment(instance)
     _audit_alpha_on_probes(instance)
     instance.derived["vertex_lotteries"] = MappingProxyType(
@@ -210,12 +221,73 @@ def make_single_minded_ca(m: int, desires: Sequence[Iterable[int]],
     return instance
 
 
+def conflict_structure(bundles: Sequence[frozenset[int]],
+                       alpha: Fraction) -> tuple:
+    """n, alpha and the maximal item-row supports of single-minded
+    ``bundles``: the bidders that want each item, any set contained in
+    another dropped.
+
+    Each support S is the row sum_{i in S} x_i <= 1, and x >= 0 implies a
+    contained support's row and each bidder row, so the maximal supports
+    fix the polytope as a point set, hence its sorted vertices.  Two
+    bidders can win together iff no support holds both, so they fix the
+    feasible winner sets too.  A winner's mask is nonzero and a loser's
+    zero, so ``Allocation.sort_key`` orders allocations by their winners,
+    whatever the masks: every phase-one input of the vertex audit is
+    fixed.  Every construction audit is a function of this key.
+    """
+    supports = {frozenset(i for i, b in enumerate(bundles) if j in b)
+                for j in frozenset().union(*bundles)}
+    return len(bundles), alpha, frozenset(
+        s for s in supports if not any(s < t for t in supports))
+
+
+def _relabel(lotteries: Mapping[tuple[Fraction, ...], AllocationDistribution],
+             target: Instance) -> Mapping[tuple[Fraction, ...],
+                                          AllocationDistribution]:
+    """``lotteries`` with each allocation replaced by the allocation of
+    ``target`` that has its winners, keys and entry order kept."""
+    by_winners = {a.winners(): a for a in enumerate_feasible(target)}
+    relabelled = {}
+    for coords, dist in lotteries.items():
+        entries = []
+        for alloc, p in dist.entries:
+            found = by_winners.get(alloc.winners())
+            if found is None:
+                raise InvariantError(
+                    f"winners {alloc.winners()} of a source lottery are not "
+                    "feasible in the rebound instance; its conflict "
+                    "structure differs")
+            entries.append((found, p))
+        relabelled[coords] = AllocationDistribution(tuple(entries))
+    return MappingProxyType(relabelled)
+
+
 def with_desires(instance: Instance,
                  desires: Sequence[Iterable[int]]) -> Instance:
-    """Same family parameters, different reported packages."""
+    """Same family parameters, different reported packages.
+
+    ``desires`` is validated as ``make_single_minded_ca`` validates it.
+    Where the new packages have ``instance``'s conflict structure, every
+    construction audit would read the same facts and pass, and each
+    vertex lottery is ``instance``'s with its allocations relabelled by
+    their winners (see ``conflict_structure``), so the rebound instance
+    takes those and no audit runs again.  Otherwise, or if ``instance``
+    carries no audited lotteries, it is constructed and audited in full.
+    """
     if instance.family is not SINGLE_MINDED_CA:
         raise InputError("only single-minded instances rebind desires")
-    return make_single_minded_ca(instance.m, desires, instance.spec.alpha)
+    alpha = instance.spec.alpha
+    rebound = _single_minded(instance.m, desires, alpha)
+    # An instance built without its audits has no lotteries to hand on.
+    if not instance.vertex_lotteries or (
+            conflict_structure([b for _, b in rebound.variable_index], alpha)
+            != conflict_structure([b for _, b in instance.variable_index],
+                                  alpha)):
+        return make_single_minded_ca(instance.m, desires, alpha)
+    rebound.derived["vertex_lotteries"] = _relabel(
+        instance.vertex_lotteries, rebound)
+    return rebound
 
 
 def make_gap_toy(bidders: int, machines: int,

@@ -26,7 +26,7 @@ from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
 from . import mechanism
 from .mechanism import _charge, _round_point, allocate, run_without_money
-from .families import profile_for, with_desires
+from .families import conflict_structure, profile_for, with_desires
 
 #: The most pipeline runs one verification sweep may take.
 VERIFICATION_BUDGET = 1_000_000
@@ -205,9 +205,15 @@ class _PipelineCache:
 
 
 def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
-              misreport: _Misreport,
-              instance_cache: dict) -> tuple[Instance, ValuationProfile]:
-    """Instance and profile as seen by the mechanism after one deviation."""
+              misreport: _Misreport, instance_cache: dict,
+              sources: dict) -> tuple[Instance, ValuationProfile]:
+    """Instance and profile as seen by the mechanism after one deviation.
+
+    ``instance_cache`` holds each reported package tuple's instance, and
+    ``sources`` the first one rebound for each conflict structure, which
+    ``with_desires`` rebinds without auditing again; a structure not yet
+    seen is rebound from ``instance``, which is audited as well.
+    """
     if misreport.bundle is None:
         scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
         scalars[bidder] = misreport.value
@@ -216,7 +222,10 @@ def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
     desires = tuple(misreport.bundle if i == bidder else b
                     for i, (_, b) in enumerate(instance.variable_index))
     if desires not in instance_cache:
-        instance_cache[desires] = with_desires(instance, desires)
+        structure = conflict_structure(desires, instance.spec.alpha)
+        rebound = with_desires(sources.get(structure, instance), desires)
+        instance_cache[desires] = rebound
+        sources.setdefault(structure, rebound)
     valuations[bidder] = SingleMindedValuation(misreport.bundle,
                                                misreport.value)
     return instance_cache[desires], ValuationProfile(tuple(valuations))
@@ -244,6 +253,7 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
     profiles = grid_profiles(instance, value_grid)
     cache = _PipelineCache(payment_rule)
     instance_cache = {tuple(b for _, b in instance.variable_index): instance}
+    sources: dict = {}
     witnesses = []
     cases = 0
     for truth in profiles:
@@ -253,8 +263,8 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1
-                rep_instance, rep_profile = _reported(instance, truth, k, mis,
-                                                      instance_cache)
+                rep_instance, rep_profile = _reported(
+                    instance, truth, k, mis, instance_cache, sources)
                 at_mis = cache.outcome(rep_instance, rep_profile)
                 true_value = sum((p * value_of(truth, k, a)
                                   for a, p in at_mis.dist.entries), ZERO)

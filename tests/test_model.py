@@ -51,6 +51,11 @@ class TestValueOf:
         assert value_of(profile, 0, bundles({3})) == 0
         assert value_of(profile, 0, bundles({5})) == -2
 
+    def test_an_unknown_valuation_type_is_refused(self):
+        profile = ValuationProfile((object(),))
+        with pytest.raises(TypeError, match="unknown valuation type object"):
+            value_of(profile, 0, bundles({0}))
+
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             AdditiveValuation((F(-1),))
@@ -272,6 +277,13 @@ class TestInstanceInvariants:
     def test_variable_index_is_a_bijection(self):
         inst = make_single_minded_ca(2, [{0, 1}, {0, 1}])
         assert len(set(inst.variable_index)) == inst.num_vars
+
+    def test_a_bundle_must_name_known_items(self):
+        """The instance refuses an item past m, whoever built it."""
+        from relaxround.families import SINGLE_MINDED_CA
+        with pytest.raises(ValueError, match="unknown item"):
+            model.Instance(SINGLE_MINDED_CA, 1, 2, ((0, frozenset({2})),),
+                           model.FamilySpec(alpha=F(1, 2)))
 
     def test_profile_must_match_family(self):
         from relaxround.model import validate_profile
