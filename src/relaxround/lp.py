@@ -26,7 +26,8 @@ one-row case of Fourer's simplex, and ``certify_fill`` checks the fill by
 one dual price per block, apart from the greedy.  A strict certificate
 proves the fill the only optimum, so it is the vertex Bland's rule ends
 on.  Each polytope reads its blocks, and whether each is one row, from
-its rows once, when it is built.
+its rows once, when it is built; a ``Layout`` groups a set of LP columns
+by those blocks once, for every fill over them.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class Polytope:
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_one_row", _one_row_bounds(blocks, sparse))
+        # Callers' column layouts over this polytope, by keys of their own.
+        object.__setattr__(self, "_layouts", {})
 
 
 def _blocks(n: int, sparse) -> tuple[tuple[int, ...], ...]:
@@ -394,51 +397,67 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     by Bland's rule (lowest-index entering variable), which also
     guarantees termination.
     """
-    var, cap = _lp_columns(objective, poly, columns)
+    var, cap = _lp_columns(poly, columns)
+    _one_cost_per_column(objective, var)
     t = _slack_start(poly.num_vars, poly.constraints, objective, var, cap)
     while _step(t):  # Bland's rule to optimality; raises UnboundedError
         pass
     return t
 
 
-def _lp_columns(objective: Sequence, poly: Polytope,
-                columns: Optional[Columns]) -> Columns:
+def _lp_columns(poly: Polytope, columns: Optional[Columns]) -> Columns:
     """The checked (var, cap) of the LP columns; None is one uncapped
     column per polytope variable."""
     n = poly.num_vars
     if columns is None:
-        var: Sequence[int] = range(n)
-        cap: Sequence[Optional[Fraction]] = (None,) * n
-    else:
-        var, cap = columns
-        if len(var) != len(cap):
-            raise LPInputError("every LP column needs a variable and a cap")
-        if any(not 0 <= v < n for v in var):
-            raise LPInputError(f"LP columns must map into {n} variables")
-        # A rational's sign is its numerator's.
-        if any(u is not None and u.numerator < 0 for u in cap):
-            raise LPInputError("column caps must be nonnegative")
-    if len(objective) != len(var):
-        raise LPInputError(f"objective has length {len(objective)}, "
-                           f"expected {len(var)}")
+        return range(n), (None,) * n
+    var, cap = columns
+    if len(var) != len(cap):
+        raise LPInputError("every LP column needs a variable and a cap")
+    if any(not 0 <= v < n for v in var):
+        raise LPInputError(f"LP columns must map into {n} variables")
+    # A rational's sign is its numerator's.
+    if any(u is not None and u.numerator < 0 for u in cap):
+        raise LPInputError("column caps must be nonnegative")
     return var, cap
 
 
-def _one_row_columns(costs: Sequence, poly: Polytope,
-                     columns: Optional[Columns]
-                     ) -> tuple[Columns, list[tuple[Fraction, list[int]]]]:
-    """The checked (var, cap), and per block its row's bound with the LP
-    columns on the block; LPInputError unless every block is one row."""
+def _one_cost_per_column(costs: Sequence, var: Sequence[int]) -> None:
+    if len(costs) != len(var):
+        raise LPInputError(f"objective has length {len(costs)}, "
+                           f"expected {len(var)}")
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """LP columns checked against a polytope, as ``maximize_linear`` takes
+    them, and, where every block of the polytope is one row, grouped by
+    block: per block its row's bound with the LP columns on the block
+    (``blocks``, None otherwise).  ``column_layout`` makes one."""
+
+    poly: Polytope
+    columns: Columns
+    blocks: Optional[tuple[tuple[Fraction, tuple[int, ...]], ...]]
+
+
+def column_layout(poly: Polytope, columns: Optional[Columns]) -> Layout:
+    """The ``Layout`` of ``columns`` (as ``maximize_linear`` takes them)
+    over ``poly``."""
+    var, cap = _lp_columns(poly, columns)
     bounds = poly._one_row  # type: ignore[attr-defined]
-    if bounds is None:
+    return Layout(poly, (var, cap), None if bounds is None else tuple(
+        (bound, tuple(c for c, v in enumerate(var) if v in block))
+        for bound, block in zip(bounds, poly._blocks)))  # type: ignore
+
+
+def _one_row_blocks(costs: Sequence, layout: Layout
+                    ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """The layout's blocks; LPInputError unless every block is one row and
+    there is one cost per LP column."""
+    if layout.blocks is None:
         raise LPInputError("the polytope has a block that is not one row")
-    var, cap = _lp_columns(costs, poly, columns)
-    of = {v: i for i, block in enumerate(poly._blocks)  # type: ignore
-          for v in block}
-    groups: list[list[int]] = [[] for _ in bounds]
-    for c, v in enumerate(var):
-        groups[of[v]].append(c)
-    return (var, cap), list(zip(bounds, groups))
+    _one_cost_per_column(costs, layout.columns[0])
+    return layout.blocks
 
 
 @dataclass(frozen=True)
@@ -453,10 +472,9 @@ class Fill:
     value: Fraction
 
 
-def water_fill(costs: Sequence, poly: Polytope,
-               columns: Optional[Columns]) -> Fill:
-    """Maximize ``maximize_linear``'s LP greedily over a polytope whose
-    every block is one row (see ``_one_row_bounds``).
+def water_fill(costs: Sequence, layout: Layout) -> Fill:
+    """Maximize ``maximize_linear``'s LP on ``layout``'s columns greedily
+    over a polytope whose every block is one row (see ``_one_row_bounds``).
 
     On each block, {y >= 0, y_c <= cap[c], sum y <= b}, the columns are
     filled by falling cost, each to its cap or to what is left of b, until
@@ -467,11 +485,12 @@ def water_fill(costs: Sequence, poly: Polytope,
     over a common denominator, and the value is in their units.  Caps and
     bounds are counted in integer units of 1/q, one q per solve.
     """
-    (var, cap), blocks = _one_row_columns(costs, poly, columns)
+    blocks = _one_row_blocks(costs, layout)
+    var, cap = layout.columns
     q = lcm(*{u.denominator for u in cap if u is not None},
             *(b.denominator for b, _ in blocks))
     units = [0] * len(var)
-    coords = [0] * poly.num_vars
+    coords = [0] * layout.poly.num_vars
     value = 0
     for bound, group in blocks:
         left = bound.numerator * (q // bound.denominator)
@@ -489,7 +508,7 @@ def water_fill(costs: Sequence, poly: Polytope,
                                        for x in coords), Fraction(value, q))
 
 
-def certify_fill(costs: Sequence, poly: Polytope, columns: Optional[Columns],
+def certify_fill(costs: Sequence, layout: Layout,
                  fill: Fill) -> Optional[bool]:
     """Check a fill's LP column values optimal for ``water_fill``'s LP,
     exactly and apart from the greedy, by one dual price lam >= 0 per
@@ -512,7 +531,8 @@ def certify_fill(costs: Sequence, poly: Polytope, columns: Optional[Columns],
     doubled, so integer costs stay integers.  Values, caps and bounds are
     compared in integer units of 1/q.
     """
-    (var, cap), blocks = _one_row_columns(costs, poly, columns)
+    blocks = _one_row_blocks(costs, layout)
+    var, cap = layout.columns
     if len(fill.units) != len(var):
         raise LPInputError("a fill needs one value per LP column")
     q = lcm(fill.scale, *{u.denominator for u in cap if u is not None},

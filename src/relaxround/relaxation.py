@@ -19,8 +19,9 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .lp import (FractionalPoint, LPInputError, Polytope, certify_fill,
-                 contains, maximize_linear, water_fill)
+from .lp import (FractionalPoint, Layout, LPInputError, Polytope,
+                 certify_fill, column_layout, contains, maximize_linear,
+                 water_fill)
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
                     ZERO, ONE, enumerate_feasible, indicator, social_welfare,
                     value_of, validate_profile)
@@ -68,6 +69,11 @@ class PiecewiseCurve:
         # The slopes as integers over one denominator, for integer costs.
         object.__setattr__(self, "_int_slopes", _over_one_denominator(
             [slope for _, slope in self._segs]))
+        # Layouts are held per curve tuple, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash(self.points))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def domain_end(self) -> Fraction:
@@ -133,14 +139,6 @@ class RelaxedObjective:
         return sum((c * curve.value_at(x) for c, curve, x
                     in zip(self.coeffs, self.curves, coords)), ZERO)
 
-    def restricted(self, variables: Sequence[int]) -> RelaxedObjective:
-        """L's terms of ``variables`` only, in that order."""
-        return RelaxedObjective(
-            self.alpha, tuple(self.owners[v] for v in variables),
-            tuple(self.coeffs[v] for v in variables),
-            None if self.curves is None
-            else tuple(self.curves[v] for v in variables))
-
 
 @dataclass(frozen=True)
 class RelaxedOptimum:
@@ -204,28 +202,23 @@ def build_relaxation(instance: Instance,
         curves=None if curve is None else (curve,) * len(bids)), poly
 
 
-def _piece_columns(objective: RelaxedObjective
-                   ) -> tuple[list[int], list[Fraction]]:
-    """Variable and length of every piece of a curved objective."""
+def _layout(objective: RelaxedObjective, poly: Polytope) -> Layout:
+    """L's LP columns over P: one per variable for a linear L, and one per
+    linear piece, capped at its length, for a curved one.  They depend on
+    P and L's curves alone, so P holds one layout per curve tuple."""
+    layouts = poly._layouts  # type: ignore[attr-defined]
     curves = objective.curves
-    return ([v for v, curve in enumerate(curves) for _ in curve._segs],
-            [length for curve in curves for length, _ in curve._segs])
-
-
-def _segment_columns(objective: RelaxedObjective
-                     ) -> tuple[list[int], list[Fraction], list[Fraction]]:
-    """Variable, slope and length of every piece of a curved objective."""
-    col_var, col_cap = _piece_columns(objective)
-    col_obj = [coeff * slope for coeff, curve in zip(objective.coeffs,
-                                                     objective.curves)
-               for _, slope in curve._segs]
-    return col_var, col_obj, col_cap
+    if curves not in layouts:
+        layouts[curves] = column_layout(poly, None if curves is None else (
+            [v for v, curve in enumerate(curves) for _ in curve._segs],
+            [length for curve in curves for length, _ in curve._segs]))
+    return layouts[curves]
 
 
 def _integer_costs(objective: RelaxedObjective) -> tuple[list[int], int]:
     """The LP columns' costs as integers over one positive denominator,
     returned as (costs, denominator): the bids, times each piece's slope
-    for a curved L, in ``_segment_columns``' order."""
+    for a curved L, in ``_layout``'s order."""
     bids, scale = _over_one_denominator(objective.coeffs)
     if objective.curves is None:
         return bids, scale
@@ -237,34 +230,30 @@ def _integer_costs(objective: RelaxedObjective) -> tuple[list[int], int]:
     return costs, scale * unit
 
 
-def _maximize(objective: RelaxedObjective, poly: Polytope,
-              unique: bool = True) -> RelaxedOptimum:
-    """L's optimum over P, with one LP column per variable for a linear L
-    and one per linear piece, capped at its length, for a curved one.
+def _maximize(costs: Sequence[int], scale: int, layout: Layout,
+              unique: bool = True) -> tuple[tuple[Fraction, ...], Fraction]:
+    """An optimum of the LP of ``layout``'s columns at the integer
+    ``costs`` over ``scale`` (``_integer_costs``), with its value.
 
     Where every block of P is one row (``lp.water_fill``), the greedy fill
     is taken if ``lp.certify_fill`` proves it the only optimum, which is
     then the vertex Bland's rule ends on.  With ``unique`` False only the
-    value is read, so any certificate will do, ties included, and x* is
-    one optimum of possibly several.  Otherwise one cold
-    ``maximize_linear`` solves it.  A certificate that fails raises.
+    value is read, so any certificate will do, ties included, and the
+    point is one optimum of possibly several.  Otherwise one cold
+    ``maximize_linear`` solves it on the same integer costs: a positive
+    factor on every cost leaves Bland's path unchanged and scales the
+    value.  A certificate that fails raises.
     """
-    if poly._one_row is not None:  # type: ignore[attr-defined]
-        costs, scale = _integer_costs(objective)
-        columns = None if objective.is_linear else _piece_columns(objective)
-        fill = water_fill(costs, poly, columns)
-        strict = certify_fill(costs, poly, columns, fill)
+    if layout.blocks is not None:
+        fill = water_fill(costs, layout)
+        strict = certify_fill(costs, layout, fill)
         if strict is None:
             raise InvariantError("the water-fill's optimality certificate "
                                  f"fails for the fill {fill}")
         if strict or not unique:
-            return RelaxedOptimum(objective, fill.coords, fill.value / scale)
-    if objective.is_linear:
-        final = maximize_linear(objective.coeffs, poly)
-    else:
-        col_var, col_obj, col_cap = _segment_columns(objective)
-        final = maximize_linear(col_obj, poly, (col_var, col_cap))
-    return RelaxedOptimum(objective, final.coords, final.value)
+            return fill.coords, fill.value / scale
+    final = maximize_linear(costs, layout.poly, layout.columns)
+    return final.coords, final.value / scale
 
 
 def solve_relaxation(objective: RelaxedObjective,
@@ -274,56 +263,52 @@ def solve_relaxation(objective: RelaxedObjective,
     optimum.  ``residual_maxima`` prices every max L^{-k} from them."""
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
-    optimum = _maximize(objective, poly)
+    coords, value = _maximize(*_integer_costs(objective),
+                              _layout(objective, poly))
     # Concavity (nonincreasing slopes) orders any optimal fill up to slope
     # ties, so folding it into x* is lossless.
     if not objective.is_linear:
-        folded = objective.evaluate(optimum.coords)
-        if folded != optimum.value:
+        folded = objective.evaluate(coords)
+        if folded != value:
             raise InvariantError(f"folding the segment fill changed the "
-                                 f"value from {optimum.value} to {folded}")
-    return optimum
+                                 f"value from {value} to {folded}")
+    return RelaxedOptimum(objective, coords, value)
 
 
 def residual_maxima(instance: Instance,
                     optimum: RelaxedOptimum) -> tuple[Fraction, ...]:
     """max L^{-k} over P for every bidder k, from an optimum of max L.
 
-    Only L, x* and L(x*) are read, so x* may come from any solver; an x*
-    outside the instance's polytope P raises InvariantError.  L^{-k} is
-    ``residual_objective(L, k)``.  A bidder whose coordinates of x* are all
-    zero keeps L(x*): coefficients are nonnegative, so L^{-k} <= L on P.
+    Only L, x* and L(x*) are read, so x* may come from any solver.  L^{-k}
+    is ``residual_objective(L, k)``: L's integer LP costs with bidder k's
+    columns zeroed.  A bidder whose coordinates of x* are all zero keeps
+    L(x*): coefficients are nonnegative, so L^{-k} <= L on P.
 
     A linear L over a family whose constructor audited every vertex of P
     (single-minded auctions) peaks at a vertex, so it is maximized over
     that table.  x* must be one of its vertices, and the table's max L
     must equal L(x*), so a table missing the optimal vertex raises.
-
-    Otherwise (gap-toy's curved L, single-item, case-b), two variables
-    share a block when some row has nonzero coefficients on both.  P is the
-    product of its blocks and L a sum over them, so x* is optimal on each
-    block.  Let B(k) be the blocks holding k's variables and F(k) the rest
-    of B(k).  Off B(k), L^{-k} = L peaks at x*: L(x*) - L_{B(k)}(x*).  On
-    B(k), k's terms vanish and P is downward closed, so x_k = 0 loses
-    nothing: max L over P_{F(k)}, P's rows restricted to F(k), by one solve
-    of that face (0 if F(k) is empty), whose value alone is read, so a
-    one-row face takes any certified water-fill, ties included.  Optimal
-    values are unique, so every path returns the same number; x* stays
+    Otherwise (gap-toy's curved L, single-item, case-b) x* must lie in P,
+    and L^{-k} is maximized over P by ``_maximize``, whose value alone is
+    read, so a one-row P takes any certified water-fill, ties included.
+    Optimal values are unique, so both ways give the same number; x* stays
     Bland's vertex, whose lottery ``run`` plays even where vertices tie for
     max L.
     """
     objective, coords, value = optimum.objective, optimum.coords, optimum.value
     owners = objective.owners
     winners = {owner for owner, x in zip(owners, coords) if x}
+    poly = build_polytope(instance)
+    layout = _layout(objective, poly)
+    costs, scale = _integer_costs(objective)
+    column_owners = [owners[v] for v in layout.columns[0]]
     if instance.spec.curve is None and instance.vertex_lotteries:
-        scale, rows = _vertex_rows(instance)
-        costs, common = _integer_costs(objective)
+        common, rows = _vertex_rows(instance)
 
         def top(k: Optional[int]) -> Fraction:
-            residual = [0 if owner == k else c
-                        for c, owner in zip(costs, owners)]
-            return Fraction(max(sum(map(mul, residual, row)) for row in rows),
-                            common * scale)
+            residual = _zeroed(costs, column_owners, k)
+            return Fraction(max(sum(map(mul, residual, row))
+                                for row in rows), scale * common)
 
         best = top(None)  # money families own every variable: max L
         if best != value:
@@ -333,51 +318,23 @@ def residual_maxima(instance: Instance,
             raise InvariantError(f"x* = {coords} is not a vertex of this "
                                  "instance's polytope")
     else:
-        poly = build_polytope(instance)
         if len(coords) != poly.num_vars or not contains(
                 poly, FractionalPoint(coords)):
             raise InvariantError(f"x* = {coords} lies outside this "
                                  "instance's polytope")
-        faces = _faces(instance)
 
         def top(k: Optional[int]) -> Fraction:
-            block, local, face = faces[k]
-            rest = value - objective.restricted(block).evaluate(
-                [coords[v] for v in block])
-            if face is None:
-                return rest
-            return rest + _maximize(objective.restricted(local), face,
-                                    unique=False).value
+            return _maximize(_zeroed(costs, column_owners, k), scale, layout,
+                             unique=False)[1]
     return tuple(top(k) if k in winners else value
                  for k in range(instance.n))
 
 
-def _faces(instance: Instance) -> tuple[
-        tuple[tuple[int, ...], tuple[int, ...], Optional[Polytope]], ...]:
-    """Per bidder k: the variables of B(k) and of F(k), each in increasing
-    order, and P_{F(k)} with each nonzero row once (None if F(k) is empty).
-
-    They depend on the instance alone, so they are built once per instance,
-    and bidders whose faces are equal share one polytope.
-    """
-    if "faces" in instance.derived:
-        return instance.derived["faces"]
-    poly = build_polytope(instance)
-    block = {v: b for b in poly._blocks for v in b}  # type: ignore
-    faces, shared = [], {}
-    for k in range(instance.n):
-        own = {v for v, (owner, _) in enumerate(instance.variable_index)
-               if owner == k}
-        near = frozenset().union(*(block[v] for v in own))
-        local = tuple(sorted(near - own))
-        rows = tuple(dict.fromkeys((tuple(c[v] for v in local), bound)
-                                   for c, bound in poly.constraints
-                                   if any(c[v] for v in local)))
-        # rows == () iff F(k) is empty: face variables share rows with k's.
-        if rows and rows not in shared:
-            shared[rows] = Polytope(len(local), rows)
-        faces.append((tuple(sorted(near)), local, shared.get(rows)))
-    return instance.derived.setdefault("faces", tuple(faces))
+def _zeroed(costs: Sequence[int], owners: Sequence[Optional[int]],
+            k: Optional[int]) -> list[int]:
+    """L^{-k}'s integer LP costs: L's, with the columns that bidder k owns
+    (``owners``, one per LP column) zeroed."""
+    return [0 if owner == k else c for c, owner in zip(costs, owners)]
 
 
 def _vertex_rows(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -204,20 +204,22 @@ class _PipelineCache:
         return found
 
 
-def _reported(instance: Instance, truth: ValuationProfile, bidder: int,
+def _reported(instance: Instance, truth: ValuationProfile,
+              scalars: Sequence[Fraction], bidder: int,
               misreport: _Misreport, instance_cache: dict,
               sources: dict) -> tuple[Instance, ValuationProfile]:
     """Instance and profile as seen by the mechanism after one deviation.
 
-    ``instance_cache`` holds each reported package tuple's instance, and
+    ``scalars`` are the truth's values of each bidder's own bundle, read
+    once per truth profile.  ``instance_cache`` holds each reported package tuple's instance, and
     ``sources`` the first one rebound for each conflict structure, which
     ``with_desires`` rebinds without auditing again; a structure not yet
     seen is rebound from ``instance``, which is audited as well.
     """
     if misreport.bundle is None:
-        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
-        scalars[bidder] = misreport.value
-        return instance, profile_for(instance, scalars)
+        reported = list(scalars)
+        reported[bidder] = misreport.value
+        return instance, profile_for(instance, reported)
     valuations = list(truth.valuations)
     desires = tuple(misreport.bundle if i == bidder else b
                     for i, (_, b) in enumerate(instance.variable_index))
@@ -260,11 +262,12 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
         at_truth = cache.outcome(instance, truth)
         utility_truth = [value - paid for value, paid
                          in zip(at_truth.values, at_truth.charged)]
+        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1
                 rep_instance, rep_profile = _reported(
-                    instance, truth, k, mis, instance_cache, sources)
+                    instance, truth, scalars, k, mis, instance_cache, sources)
                 at_mis = cache.outcome(rep_instance, rep_profile)
                 true_value = sum((p * value_of(truth, k, a)
                                   for a, p in at_mis.dist.entries), ZERO)

@@ -81,6 +81,21 @@ class TestInstanceDocuments:
         instance, profile, _ = load_instance_document(doc)
         assert instance.n == 2
 
+    def test_a_valuation_of_the_wrong_kind_exits_two(self, tmp_path, capsys):
+        """Negative control for the valuation-kind guard: without it, the
+        single-minded constructor reads bidder 0's bundle and crashes with
+        an AttributeError traceback instead."""
+        doc = {"family": "single-minded-ca", "n": 2, "m": 2,
+               "valuations": [
+                   {"kind": "additive", "values": ["1", "2"]},
+                   {"kind": "single-minded", "bundle": [1], "value": "3"}]}
+        path = _write(tmp_path, "kind.json", doc)
+        assert main(["--instance", str(path), "--mode", "run",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: field 'valuations[0].kind': single-minded-ca "
+            "documents need a SingleMindedValuation\n")
+
     def test_missing_field_is_named(self):
         with pytest.raises(FormatError, match="family"):
             load_instance_document({"n": 1, "m": 1, "valuations": []})

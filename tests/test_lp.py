@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from relaxround import lp
 from relaxround import (FractionalPoint, LPInputError, Polytope,
                         UnboundedError, build_relaxation, contains,
-                        enumerate_vertices, make_gap_toy, maximize_linear,
-                        phase_one, profile_for, residual_maxima,
-                        solve_relaxation)
-from relaxround.relaxation import _segment_columns
+                        enumerate_vertices, make_gap_toy,
+                        make_single_minded_ca, maximize_linear, phase_one,
+                        profile_for, residual_maxima, solve_relaxation)
+from relaxround.relaxation import _integer_costs, _layout, _zeroed
 
 ZERO = F(0)
 ONE = F(1)
@@ -169,31 +169,31 @@ class TestLongStep:
         monkeypatch.setattr(lp, "_pivot", counted_pivot)
         return solves, pivots
 
-    def test_a_one_row_face_solve_is_one_step(self, monkeypatch):
+    def test_a_refill_of_p_is_one_step_per_machine(self, monkeypatch):
         # Bidders 0 and 2 share machine 0 and both win, so each is priced
-        # over the other's one-row face: 16 segments of 1/16 under x <= 1.
-        # ``residual_maxima`` water-fills it; the simplex on the same LP
-        # fits fifteen flips under the ratio 1, and the last cap ties it
-        # and loses to the row's slack, so it enters by a pivot.  One flip
-        # a step, that solve took 16 steps.
+        # by a refill of P with its own columns zeroed: the other's 16
+        # segments of 1/16 under machine 0's row, and bidder 1's under
+        # machine 1's.  ``residual_maxima`` water-fills it; the simplex on
+        # the same LP fits fifteen flips under the ratio 1 on each
+        # machine, and the last cap ties it and loses to the row's slack,
+        # so it enters by a pivot.  One flip a step, each took 16 steps.
         instance = make_gap_toy(3, 2)
         objective, poly = build_relaxation(
             instance, profile_for(instance, [F(5), F(3), F(4)]))
         final = solve_relaxation(objective, poly)
         assert final.coords[0] and final.coords[2]
-        residual_maxima(instance, final)
-        faces = instance.derived["faces"]
-        face = faces[0][2]
-        assert len(face.constraints) == 1
-        assert face is faces[2][2]
+        maxima = residual_maxima(instance, final)
+        costs, scale = _integer_costs(objective)
+        layout = _layout(objective, poly)
+        owners = [objective.owners[v] for v in layout.columns[0]]
         solves, pivots = self.counting(monkeypatch)
         for k in (0, 2):
-            col_var, col_obj, col_cap = _segment_columns(
-                objective.restricted(faces[k][1]))
-            maximize_linear(col_obj, face, (col_var, col_cap))
-        # One step for each of two solves, both over the face's rows.
-        assert solves == [[face.constraints, 1], [face.constraints, 1]]
-        assert len(pivots) == 2
+            refill = maximize_linear(_zeroed(costs, owners, k), poly,
+                                     layout.columns)
+            assert refill.value / scale == maxima[k]
+        # Two steps for each of two solves, both over P's rows.
+        assert solves == [[poly.constraints, 2], [poly.constraints, 2]]
+        assert len(pivots) == 4
 
     def test_main_solves_pivot_as_often_as_one_flip_a_step(self,
                                                           monkeypatch):
@@ -206,9 +206,60 @@ class TestLongStep:
                        for _ in range(3)])) for _ in range(300)]
         _, pivots = self.counting(monkeypatch)
         for objective, poly in relaxations:
-            col_var, col_obj, col_cap = _segment_columns(objective)
-            maximize_linear(col_obj, poly, (col_var, col_cap))
+            costs, _ = _integer_costs(objective)
+            maximize_linear(costs, poly, _layout(objective, poly).columns)
         assert len(pivots) == 8913
+
+
+class TestIntegerCosts:
+    """``relaxation._maximize`` hands the simplex L's integer costs
+    (``_integer_costs``): the Fraction costs times one positive scale.
+    Entering reads only the signs of reduced costs, the long step compares
+    costs with prices, and ratios do not read costs, so Bland's rule takes
+    the same path and the value is scaled."""
+
+    @staticmethod
+    def path(monkeypatch, costs, poly, columns):
+        states, step = [], lp._step
+
+        def recording(t):
+            moved = step(t)
+            states.append((tuple(t.basis), tuple(t.at_cap)))
+            return moved
+
+        monkeypatch.setattr(lp, "_step", recording)
+        final = maximize_linear(costs, poly, columns)
+        monkeypatch.setattr(lp, "_step", step)
+        return final, states
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_gap_toy(3, 2),
+        lambda: make_gap_toy(4, 2),
+        lambda: make_single_minded_ca(4, [{0}, {1, 2}, {0, 3}, {2, 3},
+                                          {1}, {3}]),
+    ])
+    def test_the_same_path_as_fraction_costs(self, build, monkeypatch):
+        instance = build()
+        rng = random.Random(29)
+        moves = 0
+        for _ in range(200):
+            objective, poly = build_relaxation(instance, profile_for(
+                instance, [F(rng.randint(0, 20), rng.randint(1, 6))
+                           for _ in range(instance.n)]))
+            fractions = list(objective.coeffs) if objective.is_linear else [
+                coeff * slope for coeff, curve in zip(objective.coeffs,
+                                                      objective.curves)
+                for _, slope in curve.segments()]
+            costs, scale = _integer_costs(objective)
+            columns = _layout(objective, poly).columns
+            want, want_path = self.path(monkeypatch, fractions, poly,
+                                        columns)
+            got, got_path = self.path(monkeypatch, costs, poly, columns)
+            assert got_path == want_path
+            assert got.coords == want.coords
+            assert got.value / scale == want.value
+            moves += len(got_path)
+        assert moves > 1000
 
 
 class TestContains:

@@ -30,7 +30,6 @@ from relaxround import (FamilySpec, FractionalPoint, Instance, LPInputError,
                         residual_maxima, residual_objective, solve_relaxation)
 from relaxround import lp, relaxation
 from relaxround.families import GAP_TOY, unit_gap_curve
-from relaxround.relaxation import _segment_columns
 
 ZERO = F(0)
 ONE = F(1)
@@ -499,15 +498,17 @@ def seeded_bids(seed, n, count):
 def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
                                            segments):
     objective, poly = gap_toy_lp(bids, machines, segments)
-    col_var, col_obj, col_cap = _segment_columns(objective)
+    costs, scale = relaxation._integer_costs(objective)
+    col_obj = [F(c, scale) for c in costs]
+    col_var, col_cap = relaxation._layout(objective, poly).columns
     n = len(bids)
     residual = [[ZERO if col_var[c] == k else s
                  for c, s in enumerate(col_obj)] for k in range(n)]
     (values, value, maxima), steps = assert_explicit_path(
         monkeypatch, col_obj, poly, col_var, col_cap, residual)
     assert sum(map(len, steps)) > segments
-    # solve_relaxation folds the same vertex, and residual_maxima's face
-    # solves give the same maxima as the explicit LP's cold solves.
+    # solve_relaxation folds the same vertex, and residual_maxima's refills
+    # of P give the same maxima as the explicit LP's cold solves.
     final = solve_relaxation(objective, poly)
     want = [ZERO] * n
     for c, d in enumerate(values):
@@ -569,21 +570,20 @@ def test_random_packing_lps_and_residual_costs(monkeypatch):
 
 
 def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
-    """The simplex on the main LP, on residual_maxima's face LPs and on the
-    cold residual LPs pivots as the dense oracle does, and agrees with
+    """The simplex on the main LP, on residual_maxima's refills of P and on
+    the cold residual LPs pivots as the dense oracle does, and agrees with
     solve_relaxation and residual_maxima, which water-fill where they can.
-    A bidder on machine 0 who wins takes one face solve, the bidder alone
-    on machine 1 none."""
+    Every winner takes one refill of P: L's integer costs with its own
+    columns zeroed."""
     instance = make_gap_toy(3, 2)
     shipped, solved = relaxation._maximize, []
 
-    def counting(objective, poly, unique=True):
-        solved.append((objective, poly))
-        return shipped(objective, poly, unique)
+    def counting(costs, scale, layout, unique=True):
+        solved.append((costs, scale, layout, unique))
+        return shipped(costs, scale, layout, unique)
 
-    def simplex(objective, poly):
-        col_var, col_obj, col_cap = _segment_columns(objective)
-        return lp.maximize_linear(col_obj, poly, (col_var, col_cap))
+    def simplex(costs, layout):
+        return lp.maximize_linear(costs, layout.poly, layout.columns)
 
     for bids in GAP_TOY_BIDS:
         profile = profile_for(instance, bids)
@@ -593,30 +593,34 @@ def test_gap_toy_segment_expanded_lp_and_residuals(monkeypatch):
         del solved[:]
         residuals = list(residual_maxima(instance, final))
         monkeypatch.setattr(relaxation, "_maximize", shipped)
-        faces = instance.derived["faces"]
-        winners = [k for k in (0, 2) if final.coords[k]]
+        costs, scale = relaxation._integer_costs(objective)
+        layout = relaxation._layout(objective, poly)
+        owners = [objective.owners[v] for v in layout.columns[0]]
+        refills = [relaxation._zeroed(costs, owners, k)
+                   for k in range(3) if final.coords[k]]
 
         def scenario():
-            main = simplex(objective, poly)
-            face_values = [simplex(objective.restricted(faces[k][1]),
-                                   faces[k][2]).value for k in winners]
-            cold = [residual_objective(objective, k) for k in range(3)]
-            return main.coords, face_values, [
-                residual.evaluate(simplex(residual, poly).coords)
-                for residual in cold]
+            main = simplex(costs, layout)
+            refilled = [simplex(refill, layout).value / scale
+                        for refill in refills]
+            cold = []
+            for k in range(3):
+                residual = residual_objective(objective, k)
+                cold_costs, _ = relaxation._integer_costs(residual)
+                cold.append(residual.evaluate(simplex(
+                    cold_costs, relaxation._layout(residual, poly)).coords))
+            return main.coords, refilled, cold
 
-        (coords, face_values, cold), pivots = assert_same_path(monkeypatch,
-                                                               scenario)
+        (coords, refilled, cold), pivots = assert_same_path(monkeypatch,
+                                                            scenario)
         assert pivots > 50
         assert coords == final.coords
         assert residuals == cold
-        # Bidders 0 and 2 share one face polytope, so a face solve is told
-        # by bidder order and by its objective, L restricted to F(k); its
-        # value is the simplex's.
-        assert solved == [(objective.restricted(faces[k][1]), faces[k][2])
-                          for k in winners]
-        assert [shipped(face_objective, face, False).value
-                for face_objective, face in solved] == face_values
+        # One refill of P per winner, in bidder order, whose value alone is
+        # read; it is the simplex's.
+        assert solved == [(refill, scale, layout, False)
+                          for refill in refills]
+        assert [shipped(*args)[1] for args in solved] == refilled
 
 
 def random_equalities(rng):

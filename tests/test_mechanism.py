@@ -102,7 +102,7 @@ class TestPayments:
             residual_maxima(instance, other)
 
     def test_an_optimum_outside_the_polytope_is_refused_off_the_table(self):
-        """Negative control for the face branch: gap-toy 3x2's optimum
+        """Negative control for the refill branch: gap-toy 3x2's optimum
         puts every bidder on one of two machines; on one machine (3x1)
         the three shares overfill its row."""
         bids = [F(4), F(1), F(4)]

@@ -17,8 +17,8 @@ examples pay for runs, not for construction audits.  Properties:
 
 The negative controls show that first-price payments break the utility
 identity, a decomposition at half the scale breaks the calibration, and
-faces that split every bidder off into a block of its own break the
-residual maxima.
+residual costs that zero nobody's columns, or the wrong bidder's, break
+the residual maxima.
 """
 
 from fractions import Fraction as F
@@ -189,24 +189,29 @@ def test_half_the_decomposition_scale_breaks_the_calibration(key, bids,
     assert not calibrated(instance, profile_for(instance, bids))
 
 
-def own_blocks(instance):
-    """Faces as if every bidder's variables formed a block of their own."""
-    return tuple((tuple(v for v, (owner, _)
-                        in enumerate(instance.variable_index)
-                        if owner == k), (), None)
-                 for k in range(instance.n))
+def zeroes_nobody(costs, owners, k):
+    return list(costs)
 
 
+def zeroes_the_next_bidder(costs, owners, k, zeroed=relaxation._zeroed):
+    return zeroed(costs, owners, None if k is None
+                  else (k + 1) % (max(owners) + 1))
+
+
+@pytest.mark.parametrize("plant", [zeroes_nobody, zeroes_the_next_bidder])
 @pytest.mark.parametrize("key, bids", [
     (("gap-toy", 3, 2, 16), [F(4), F(1), F(4)]),
-    (("single-item", 3), [F(5), F(5), F(2)]),
+    # Not (5, 5, 2): bidder 1's bid ties winner 0's, so max L^{-0} = L(x*)
+    # = 5 whichever of bidders 1 and 2 keeps its columns, and neither
+    # plant shows.
+    (("single-item", 3), [F(5), F(3), F(2)]),
 ])
-def test_faces_that_isolate_every_bidder_break_the_residual_maxima(
-        key, bids, monkeypatch):
+def test_residual_costs_that_zero_the_wrong_columns_break_the_maxima(
+        key, bids, plant, monkeypatch):
     instance = shape(*key)
     profile = profile_for(instance, bids)
     final, _ = allocate(instance, profile)
     cold = cold_residual_maxima(instance, profile)
     assert residual_maxima(instance, final) == cold
-    monkeypatch.setattr(relaxation, "_faces", own_blocks)
+    monkeypatch.setattr(relaxation, "_zeroed", plant)
     assert residual_maxima(instance, final) != cold

@@ -55,8 +55,11 @@ def test_a_misreport_leaves_the_bidders_own_pivot_unchanged(case, data):
     bundle = data.draw(st.one_of(st.none(), st.frozensets(
         st.integers(0, instance.m - 1), min_size=1)))
     value = F(data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4)))
+    scalars = [verify._bundle_value(profile, instance, i)
+               for i in range(instance.n)]
     rep_instance, rep_profile = verify._reported(
-        instance, profile, k, verify._Misreport(value, bundle), {}, {})
+        instance, profile, scalars, k, verify._Misreport(value, bundle), {},
+        {})
     truth, _ = allocate(instance, profile)
     lied, _ = allocate(rep_instance, rep_profile)
     assert (residual_maxima(instance, truth)[k]

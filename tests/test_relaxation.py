@@ -122,8 +122,8 @@ class TestSolveRelaxation:
         objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
         exact, filled = relaxation.water_fill, []
 
-        def off_by_one(costs, poly, columns):
-            fill = exact(costs, poly, columns)
+        def off_by_one(costs, layout):
+            fill = exact(costs, layout)
             filled.append(fill)
             return replace(fill, value=fill.value + 1)
 
@@ -139,14 +139,16 @@ class TestResidualMaxima:
         lambda: (make_single_item(3), [F(5), F(5), F(2)], [0], [0]),
         lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
                  [F(3), F(2), ZERO], [0], []),
-        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2], [0, 2]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(1), F(4)], [0, 1, 2],
+                 [0, 1, 2]),
         lambda: (make_gap_toy(3, 2), [F(4), ZERO, F(1)], [0, 2], [0, 2]),
     ])
     def test_matches_the_cold_residual_solve(self, build, monkeypatch):
-        """Only a bidder who wins part of x* is re-optimized, and by a face
-        solve only where the family has no vertex table or L is curved and
-        the winner shares a block with another bidder."""
-        instance, scalars, winners, face_bidders = build()
+        """Only a bidder who wins part of x* is re-optimized, and by a
+        refill of P only where the family has no vertex table: one
+        ``_maximize`` over P's layout at L's integer costs with that
+        bidder's columns zeroed, whose value alone is read."""
+        instance, scalars, winners, refilled = build()
         objective, poly = build_relaxation(instance,
                                            profile_for(instance, scalars))
         final = solve_relaxation(objective, poly)
@@ -161,66 +163,61 @@ class TestResidualMaxima:
                 solve_relaxation(residual, poly).coords))
         solve, solved = relaxation._maximize, []
 
-        def counting(objective, poly, unique=True):
-            solved.append((objective, poly, unique))
-            return solve(objective, poly, unique)
+        def counting(costs, scale, layout, unique=True):
+            solved.append((costs, scale, layout, unique))
+            return solve(costs, scale, layout, unique)
 
         monkeypatch.setattr(relaxation, "_maximize", counting)
         assert residual_maxima(instance, final) == tuple(cold)
-        # Bidders with equal faces share one polytope, so a face solve is
-        # told by bidder order and by its objective: L restricted to F(k),
-        # whose value alone is read.
-        faces = instance.derived.get("faces", ())
-        assert [face_objective for face_objective, _, _ in solved] == [
-            objective.restricted(faces[k][1]) for k in face_bidders]
-        assert all(poly is faces[k][2] and not unique
-                   for (_, poly, unique), k in zip(solved, face_bidders))
+        costs, scale = relaxation._integer_costs(objective)
+        layout = relaxation._layout(objective, poly)
+        owners = [objective.owners[v] for v in layout.columns[0]]
+        assert solved == [([0 if owner == k else c
+                            for c, owner in zip(costs, owners)],
+                           scale, layout, False) for k in refilled]
+        assert all(layout.poly is poly for _, _, layout, _ in solved)
 
 
-class TestFaces:
+class TestBlocksAndLayouts:
     @pytest.mark.parametrize("instance, blocks", [
         (make_gap_toy(3, 2), [{0, 2}, {1}]),
         (make_gap_toy(2, 2), [{0}, {1}]),
         (make_single_item(3), [{0, 1, 2}]),
         (make_single_minded_ca(3, [{0}, {1, 2}]), [{0}, {1}]),
     ])
-    def test_blocks_are_built_once_per_instance(self, instance, blocks,
-                                                monkeypatch):
-        built = []
-        shipped = relaxation.Polytope
+    def test_blocks_are_read_once_per_instance(self, instance, blocks):
+        poly = build_polytope(instance)
+        assert build_polytope(instance) is poly
+        assert instance.derived["polytope"] is poly
+        assert sorted(poly._blocks) == sorted(tuple(sorted(block))
+                                              for block in blocks)
 
-        def counting(*args):
-            built.append(args)
-            return shipped(*args)
+    @pytest.mark.parametrize("build", [
+        lambda: make_gap_toy(3, 2),
+        lambda: make_single_item(3),
+        lambda: make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
+    ])
+    def test_the_column_layout_is_made_once_per_instance(self, build,
+                                                         monkeypatch):
+        """Every solve of the instance, the main one and each refill of
+        P, on every profile, reads one layout of P's LP columns."""
+        instance = build()
+        shipped, made = relaxation.column_layout, []
 
-        monkeypatch.setattr(relaxation, "Polytope", counting)
-        faces = relaxation._faces(instance)
-        assert relaxation._faces(instance) is faces
-        assert instance.derived["faces"] is faces
-        assert sorted({block for block, _, _ in faces}) == \
-            sorted(tuple(sorted(block)) for block in blocks)
-        # One face polytope per distinct face, built once and shared by
-        # every bidder whose face equals it, each row held once.
-        shared = [face for _, _, face in faces if face is not None]
-        assert len(built) == len({id(face) for face in shared}) == \
-            len(set(shared))
-        for k, (block, local, face) in enumerate(faces):
-            own = {v for v, (owner, _) in enumerate(instance.variable_index)
-                   if owner == k}
-            assert local == tuple(sorted(set(block) - own))
-            assert (face is None) == (set(block) == own)
-            if face is not None:
-                assert len(set(face.constraints)) == len(face.constraints)
-                assert all(any(coeffs) for coeffs, _ in face.constraints)
+        def counting(poly, columns):
+            made.append(columns)
+            return shipped(poly, columns)
 
-    def test_equal_faces_are_one_polytope_with_each_row_once(self):
-        """On gap-toy 3x2 bidders 0 and 2 share machine 0, so each one's
-        face is the other's variable, where the other's bidder row and
-        machine 0's row restrict to the same unit row, held once."""
-        faces = relaxation._faces(make_gap_toy(3, 2))
-        assert faces[0][2] is faces[2][2]
-        assert faces[0][2].constraints == (((ONE,), ONE),)
-        assert faces[1][2] is None
+        monkeypatch.setattr(relaxation, "column_layout", counting)
+        layouts = set()
+        for bids in ([F(4), F(1), F(4)], [F(5), F(3), F(2)]):
+            objective, poly = build_relaxation(instance,
+                                               profile_for(instance, bids))
+            residual_maxima(instance, solve_relaxation(objective, poly))
+            layouts.add(relaxation._layout(objective, poly))
+            layouts.add(relaxation._layout(residual_objective(objective, 0),
+                                           poly))
+        assert len(layouts) == len(made) == 1
 
 
 class TestResidualObjective:

@@ -7,8 +7,8 @@ table instead of solving an LP.  Properties, on random single-minded
 instances with at most four items and four bidders:
 
 - the table's max L^{-k} equals a cold solve of ``residual_objective``;
-- a face solve (``relaxation._maximize`` over a bidder's face, water-filled
-  or by the simplex) is never entered.
+- a refill of P (``relaxation._maximize``, water-filled or by the
+  simplex) is never entered.
 
 The pricing reads only L, x* and L(x*), so an x* taken from the table
 itself, with no simplex run, is priced the same way.
@@ -16,8 +16,8 @@ itself, with no simplex run, is priced the same way.
 Two negative controls: removing the optimal vertex from the table makes
 the scan's re-check of max L against the recorded value raise, and an
 optimal x* that is not a vertex is refused.  An instance without a table
-takes face solves instead; ``tests/test_vertex_lotteries.py`` compares
-``run`` on both.
+refills P instead; ``tests/test_vertex_lotteries.py`` compares ``run`` on
+both.
 """
 
 from dataclasses import replace
@@ -61,8 +61,8 @@ def cold_maximum(objective, poly, k):
     return residual.evaluate(solve_relaxation(residual, poly).coords)
 
 
-def no_face_solve(objective, poly, unique=True):
-    raise AssertionError("a tabled instance entered a face solve")
+def no_refill(costs, scale, layout, unique=True):
+    raise AssertionError("a tabled instance entered a refill of P")
 
 
 @EXAMPLES
@@ -73,9 +73,8 @@ def test_table_maximum_equals_a_cold_residual_solve(market):
     final = solve_relaxation(objective, poly)
     cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relaxation, "_maximize", no_face_solve)
+        patch.setattr(relaxation, "_maximize", no_refill)
         assert residual_maxima(instance, final) == cold
-    assert "faces" not in instance.derived
 
 
 @EXAMPLES
@@ -87,7 +86,7 @@ def test_a_table_argmax_is_priced_without_a_tableau(market):
     optimum = RelaxedOptimum(objective, x, objective.evaluate(x))
     cold = tuple(cold_maximum(objective, poly, k) for k in range(instance.n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relaxation, "_maximize", no_face_solve)
+        patch.setattr(relaxation, "_maximize", no_refill)
         assert residual_maxima(instance, optimum) == cold
 
 

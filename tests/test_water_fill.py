@@ -4,15 +4,16 @@
 and ``lp.certify_fill`` checks the fill with one dual price per block.
 ``relaxation._maximize`` takes the fill's x* only on a strict certificate,
 which proves it the only optimum and so the vertex Bland's rule ends on;
-a face solve takes the value on any certificate.  Here:
+a refill of P for a Clarke pivot takes the value on any certificate.
+Here:
 
 - which polytopes are one row, read from their rows alone;
 - equivalence with the simplex on seeded profiles of every money family
   whose polytope is one row, each showing acceptances and fallbacks, and
   on random one-row LPs;
 - negative controls: a greedy that breaks a marginal tie the other way is
-  never taken for x*, a wrong fill raises, and a face at a marginal tie
-  is taken for its value;
+  never taken for x*, a wrong fill raises, and a refill at a marginal
+  tie is taken for its value;
 - the guards the greedy relies on, each with a test that fails without
   it.
 """
@@ -32,7 +33,6 @@ from relaxround import (InvariantError, LPInputError, PiecewiseCurve,
                         solve_relaxation)
 from relaxround import lp, relaxation
 from relaxround.lp import FractionalPoint
-from relaxround.relaxation import _segment_columns
 
 ZERO = F(0)
 ONE = F(1)
@@ -46,20 +46,29 @@ def run_ca_market():
 
 
 def simplex(objective, poly):
-    """The cold solve ``_maximize`` falls back to."""
-    if objective.is_linear:
-        return lp.maximize_linear(objective.coeffs, poly)
-    col_var, col_obj, col_cap = _segment_columns(objective)
-    return lp.maximize_linear(col_obj, poly, (col_var, col_cap))
+    """A cold ``maximize_linear`` of L's Fraction costs on its layout."""
+    costs = list(objective.coeffs) if objective.is_linear else [
+        coeff * slope for coeff, curve in zip(objective.coeffs,
+                                              objective.curves)
+        for _, slope in curve.segments()]
+    return lp.maximize_linear(costs, poly,
+                              relaxation._layout(objective, poly).columns)
 
 
 def certified(objective, poly):
     """The water-fill of (L, P) and its certificate's verdict."""
     costs, _ = relaxation._integer_costs(objective)
-    columns = None if objective.is_linear else relaxation._piece_columns(
-        objective)
-    fill = lp.water_fill(costs, poly, columns)
-    return fill, lp.certify_fill(costs, poly, columns, fill)
+    layout = relaxation._layout(objective, poly)
+    fill = lp.water_fill(costs, layout)
+    return fill, lp.certify_fill(costs, layout, fill)
+
+
+def refill_costs(objective, poly, k):
+    """L^{-k}'s integer costs as ``residual_maxima`` hands them to
+    ``_maximize``: L's, with bidder k's columns zeroed."""
+    costs, _ = relaxation._integer_costs(objective)
+    var, _ = relaxation._layout(objective, poly).columns
+    return relaxation._zeroed(costs, [objective.owners[v] for v in var], k)
 
 
 class TestOneRow:
@@ -142,12 +151,11 @@ FAMILIES = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_certified_fills_equal_the_simplex(family):
     """Every strictly certified x* is the simplex's folded vertex; every
-    face value, ties included, is the simplex's; and solve_relaxation and
-    residual_maxima agree with the cold solves whichever path they take."""
+    winner's refill of P, ties included, is worth a cold solve of
+    residual_objective(L, k); and solve_relaxation and residual_maxima
+    agree with the cold solves whichever path they take."""
     build, choices = FAMILIES[family]
     instance = build()
-    faces = (() if instance.vertex_lotteries
-             else relaxation._faces(instance))
     rng = random.Random(family)
     verdicts = {True: 0, False: 0}
     for _ in range(24):
@@ -165,11 +173,13 @@ def test_certified_fills_equal_the_simplex(family):
         optimum = solve_relaxation(objective, poly)
         assert optimum.coords == cold.coords
         assert optimum.value == cold.value
-        for _, local, face in faces:
-            if face is not None:
-                restricted = objective.restricted(local)
-                assert relaxation._maximize(restricted, face, False).value \
-                    == simplex(restricted, face).value
+        layout = relaxation._layout(objective, poly)
+        for k in {objective.owners[v] for v, x in enumerate(optimum.coords)
+                  if x}:
+            refill = relaxation._maximize(refill_costs(objective, poly, k),
+                                          scale, layout, False)
+            assert refill[1] == simplex(residual_objective(objective, k),
+                                        poly).value
         assert residual_maxima(instance, optimum) == tuple(
             residual.evaluate(simplex(residual, poly).coords)
             for residual in (residual_objective(objective, k)
@@ -181,6 +191,7 @@ def test_certified_fills_equal_the_simplex(family):
 #: 1/2 and one of x1 capped at 1.  Values are in units of 1/4.
 ROW = Polytope(2, (((ONE, ONE), ONE),))
 COLUMNS = ([0, 0, 1], [F(1, 2), F(1, 2), ONE])
+LAYOUT = lp.column_layout(ROW, COLUMNS)
 
 
 class TestCertificate:
@@ -218,33 +229,33 @@ class TestCertificate:
     ])
     def test_verdicts(self, costs, units, verdict):
         fill = lp.Fill(units, 4, (), ZERO)
-        assert lp.certify_fill(costs, ROW, COLUMNS, fill) is verdict
+        assert lp.certify_fill(costs, LAYOUT, fill) is verdict
 
     def test_a_column_capped_at_zero_is_fixed(self):
         fill = lp.Fill((0, 4), 4, (), ZERO)
-        assert lp.certify_fill([5, 1], ROW, ([0, 1], [ZERO, ONE]),
-                               fill) is True
+        layout = lp.column_layout(ROW, ([0, 1], [ZERO, ONE]))
+        assert lp.certify_fill([5, 1], layout, fill) is True
 
     def test_a_polytope_that_is_not_one_row_is_refused(self):
-        poly = Polytope(2, (((ONE, ZERO), ONE),))
+        layout = lp.column_layout(Polytope(2, (((ONE, ZERO), ONE),)), None)
         with pytest.raises(LPInputError, match="not one row"):
-            lp.water_fill([1, 1], poly, None)
+            lp.water_fill([1, 1], layout)
         with pytest.raises(LPInputError, match="not one row"):
-            lp.certify_fill([1, 1], poly, None, lp.Fill((0, 0), 1, (), ZERO))
+            lp.certify_fill([1, 1], layout, lp.Fill((0, 0), 1, (), ZERO))
 
     def test_a_fill_needs_one_value_per_column(self):
         with pytest.raises(LPInputError, match="one value per LP column"):
-            lp.certify_fill([3, 1, 2], ROW, COLUMNS,
-                            lp.Fill((0, 0), 4, (), ZERO))
+            lp.certify_fill([3, 1, 2], LAYOUT, lp.Fill((0, 0), 4, (), ZERO))
 
     def test_a_row_fixed_at_zero_is_strict(self):
-        row = Polytope(2, (((ONE, ONE), ZERO),))
-        fill = lp.water_fill([3, 1, 2], row, COLUMNS)
+        layout = lp.column_layout(Polytope(2, (((ONE, ONE), ZERO),)),
+                                  COLUMNS)
+        fill = lp.water_fill([3, 1, 2], layout)
         assert fill.units == (0, 0, 0)
-        assert lp.certify_fill([3, 1, 2], row, COLUMNS, fill) is True
+        assert lp.certify_fill([3, 1, 2], layout, fill) is True
 
     def test_the_greedy_fill_is_the_strict_one(self):
-        fill = lp.water_fill([3, 1, 2], ROW, COLUMNS)
+        fill = lp.water_fill([3, 1, 2], LAYOUT)
         assert (fill.units, fill.scale) == ((1, 0, 1), 2)
         assert fill.coords == (F(1, 2), F(1, 2))
         assert fill.value == F(5, 2)
@@ -281,8 +292,9 @@ def test_random_one_row_lps_agree_with_the_simplex():
     for _ in range(400):
         poly, costs, columns = random_one_row_lp(rng)
         assert poly._one_row is not None
-        fill = lp.water_fill(costs, poly, columns)
-        strict = lp.certify_fill(costs, poly, columns, fill)
+        layout = lp.column_layout(poly, columns)
+        fill = lp.water_fill(costs, layout)
+        strict = lp.certify_fill(costs, layout, fill)
         cold = lp.maximize_linear([F(c) for c in costs], poly, columns)
         assert strict is not None
         verdicts[strict] += 1
@@ -294,11 +306,11 @@ def test_random_one_row_lps_agree_with_the_simplex():
     assert min(verdicts.values()) > 50, verdicts
 
 
-def higher_index_first(costs, poly, columns):
+def higher_index_first(costs, layout):
     """A greedy that breaks cost ties toward the higher LP column."""
-    var, cap = columns or (range(poly.num_vars), (None,) * poly.num_vars)
-    fill = lp.water_fill(costs[::-1], poly, (list(var)[::-1],
-                                              list(cap)[::-1]))
+    var, cap = layout.columns
+    fill = lp.water_fill(costs[::-1], lp.column_layout(
+        layout.poly, (list(var)[::-1], list(cap)[::-1])))
     return replace(fill, units=fill.units[::-1])
 
 
@@ -315,11 +327,10 @@ class TestNegativeControls:
                                            profile_for(instance, bids))
         bland = simplex(objective, poly).coords
         costs, _ = relaxation._integer_costs(objective)
-        columns = None if objective.is_linear else \
-            relaxation._piece_columns(objective)
-        planted = higher_index_first(costs, poly, columns)
+        layout = relaxation._layout(objective, poly)
+        planted = higher_index_first(costs, layout)
         assert planted.coords != bland
-        assert lp.certify_fill(costs, poly, columns, planted) is False
+        assert lp.certify_fill(costs, layout, planted) is False
         monkeypatch.setattr(relaxation, "water_fill", higher_index_first)
         assert solve_relaxation(objective, poly).coords == bland
 
@@ -331,8 +342,8 @@ class TestNegativeControls:
             instance, profile_for(instance, [F(4), ONE]))
         shipped = relaxation.water_fill
 
-        def moved(costs, poly, columns):
-            fill = shipped(costs, poly, columns)
+        def moved(costs, layout):
+            fill = shipped(costs, layout)
             units = list(fill.units)
             high = max((c for c, y in enumerate(units) if y),
                        key=costs.__getitem__)
@@ -347,23 +358,27 @@ class TestNegativeControls:
         with pytest.raises(InvariantError, match="certificate"):
             solve_relaxation(objective, poly)
 
-    def test_a_face_at_a_marginal_tie_is_taken_for_its_value(
+    def test_a_refill_at_a_marginal_tie_is_taken_for_its_value(
             self, monkeypatch):
-        """Bidder 0's face on gap-toy 3x1 is bidders 1 and 2 under one
-        machine row, where the bids 3 and 11/7 tie at the margin."""
+        """Bidder 0's refill of P on gap-toy 3x1 leaves bidders 1 and 2
+        under one machine row, where the bids 3 and 11/7 tie at the
+        margin."""
         instance = make_gap_toy(3, 1)
         objective, poly = build_relaxation(
             instance, profile_for(instance, [F(5), F(3), F(11, 7)]))
         optimum = solve_relaxation(objective, poly)
-        _, local, face = relaxation._faces(instance)[0]
-        restricted = objective.restricted(local)
-        assert certified(restricted, face)[1] is False
-        cold = simplex(restricted, face).value
+        assert optimum.coords[0]
+        refill = refill_costs(objective, poly, 0)
+        layout = relaxation._layout(objective, poly)
+        fill = lp.water_fill(refill, layout)
+        assert lp.certify_fill(refill, layout, fill) is False
+        cold = simplex(residual_objective(objective, 0), poly).value
         want = tuple(residual.evaluate(simplex(residual, poly).coords)
                      for residual in (residual_objective(objective, k)
                                       for k in range(3)))
+        scale = relaxation._integer_costs(objective)[1]
         monkeypatch.setattr(relaxation, "maximize_linear", None)
-        assert relaxation._maximize(restricted, face, False).value == cold
+        assert relaxation._maximize(refill, scale, layout, False)[1] == cold
         assert residual_maxima(instance, optimum) == want
 
 
