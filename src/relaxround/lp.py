@@ -398,7 +398,9 @@ def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
     guarantees termination.
     """
     var, cap = _lp_columns(poly, columns)
-    _one_cost_per_column(objective, var)
+    if len(objective) != len(var):
+        raise LPInputError(f"objective has length {len(objective)}, "
+                           f"expected {len(var)}")
     t = _slack_start(poly.num_vars, poly.constraints, objective, var, cap)
     while _step(t):  # Bland's rule to optimality; raises UnboundedError
         pass
@@ -420,12 +422,6 @@ def _lp_columns(poly: Polytope, columns: Optional[Columns]) -> Columns:
     if any(u is not None and u.numerator < 0 for u in cap):
         raise LPInputError("column caps must be nonnegative")
     return var, cap
-
-
-def _one_cost_per_column(costs: Sequence, var: Sequence[int]) -> None:
-    if len(costs) != len(var):
-        raise LPInputError(f"objective has length {len(costs)}, "
-                           f"expected {len(var)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +452,8 @@ def _one_row_blocks(costs: Sequence, layout: Layout
     there is one cost per LP column."""
     if layout.blocks is None:
         raise LPInputError("the polytope has a block that is not one row")
-    _one_cost_per_column(costs, layout.columns[0])
+    if len(costs) != len(layout.columns[0]):
+        raise LPInputError("a fill needs one cost per LP column")
     return layout.blocks
 
 

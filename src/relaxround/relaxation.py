@@ -279,18 +279,20 @@ def residual_maxima(instance: Instance,
                     optimum: RelaxedOptimum) -> tuple[Fraction, ...]:
     """max L^{-k} over P for every bidder k, from an optimum of max L.
 
-    Only L, x* and L(x*) are read, so x* may come from any solver.  L^{-k}
-    is ``residual_objective(L, k)``: L's integer LP costs with bidder k's
-    columns zeroed.  A bidder whose coordinates of x* are all zero keeps
-    L(x*): coefficients are nonnegative, so L^{-k} <= L on P.
+    Only L, x* and L(x*) are read, so x* may come from any solver; an x*
+    outside the instance's polytope P raises InvariantError.  L^{-k} is
+    ``residual_objective(L, k)``, and its LP costs are L's integer costs
+    with bidder k's columns zeroed (``_zeroed``).  A bidder whose
+    coordinates of x* are all zero keeps L(x*): coefficients are
+    nonnegative, so L^{-k} <= L on P.
 
     A linear L over a family whose constructor audited every vertex of P
     (single-minded auctions) peaks at a vertex, so it is maximized over
     that table.  x* must be one of its vertices, and the table's max L
     must equal L(x*), so a table missing the optimal vertex raises.
-    Otherwise (gap-toy's curved L, single-item, case-b) x* must lie in P,
-    and L^{-k} is maximized over P by ``_maximize``, whose value alone is
-    read, so a one-row P takes any certified water-fill, ties included.
+    Otherwise (gap-toy's curved L, single-item, case-b) L^{-k} is
+    maximized over P by ``_maximize``, whose value alone is read, so a
+    one-row P takes any certified water-fill, ties included.
     Optimal values are unique, so both ways give the same number; x* stays
     Bland's vertex, whose lottery ``run`` plays even where vertices tie for
     max L.
@@ -299,10 +301,16 @@ def residual_maxima(instance: Instance,
     owners = objective.owners
     winners = {owner for owner, x in zip(owners, coords) if x}
     poly = build_polytope(instance)
+    tabled = instance.spec.curve is None and instance.vertex_lotteries
+    # The table's checks below refuse an x* that is none of its vertices.
+    if len(coords) != poly.num_vars or not (
+            tabled or contains(poly, FractionalPoint(coords))):
+        raise InvariantError(f"x* = {coords} lies outside this "
+                             "instance's polytope")
     layout = _layout(objective, poly)
     costs, scale = _integer_costs(objective)
     column_owners = [owners[v] for v in layout.columns[0]]
-    if instance.spec.curve is None and instance.vertex_lotteries:
+    if tabled:
         common, rows = _vertex_rows(instance)
 
         def top(k: Optional[int]) -> Fraction:
@@ -318,11 +326,6 @@ def residual_maxima(instance: Instance,
             raise InvariantError(f"x* = {coords} is not a vertex of this "
                                  "instance's polytope")
     else:
-        if len(coords) != poly.num_vars or not contains(
-                poly, FractionalPoint(coords)):
-            raise InvariantError(f"x* = {coords} lies outside this "
-                                 "instance's polytope")
-
         def top(k: Optional[int]) -> Fraction:
             return _maximize(_zeroed(costs, column_owners, k), scale, layout,
                              unique=False)[1]

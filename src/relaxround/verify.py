@@ -211,10 +211,11 @@ def _reported(instance: Instance, truth: ValuationProfile,
     """Instance and profile as seen by the mechanism after one deviation.
 
     ``scalars`` are the truth's values of each bidder's own bundle, read
-    once per truth profile.  ``instance_cache`` holds each reported package tuple's instance, and
-    ``sources`` the first one rebound for each conflict structure, which
-    ``with_desires`` rebinds without auditing again; a structure not yet
-    seen is rebound from ``instance``, which is audited as well.
+    once per truth profile.  ``instance_cache`` holds each reported
+    package tuple's instance, and ``sources`` the first one rebound for
+    each conflict structure, which ``with_desires`` rebinds without
+    auditing again; a structure not yet seen is rebound from
+    ``instance``, which is audited as well.
     """
     if misreport.bundle is None:
         reported = list(scalars)
@@ -262,7 +263,8 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
         at_truth = cache.outcome(instance, truth)
         utility_truth = [value - paid for value, paid
                          in zip(at_truth.values, at_truth.charged)]
-        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
+        scalars = [_bundle_value(truth, instance, i)
+                   for i in range(instance.n)]
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1

@@ -246,6 +246,8 @@ class TestCertificate:
     def test_a_fill_needs_one_value_per_column(self):
         with pytest.raises(LPInputError, match="one value per LP column"):
             lp.certify_fill([3, 1, 2], LAYOUT, lp.Fill((0, 0), 4, (), ZERO))
+        with pytest.raises(LPInputError, match="one cost per LP column"):
+            lp.water_fill([3, 1], LAYOUT)
 
     def test_a_row_fixed_at_zero_is_strict(self):
         layout = lp.column_layout(Polytope(2, (((ONE, ONE), ZERO),)),
