@@ -9,25 +9,24 @@ no presolve; exactness and determinism are the product.  Tableau rows stay
 dense lists, changed in place, but a pivot only touches the pivot row's
 nonzero columns, which leaves every entry exactly as a dense pivot would.
 
-Pricing is indexed by breakpoints, as in Fourer's piecewise-linear simplex
-held to Bland's path: the entering scan skips concave runs of segments
-that cannot enter, and one long step passes every breakpoint of a run
-that the ratio allows, flipping those columns to their caps together
-before the next column enters.  Each shortcut leaves out only comparisons
-whose outcome is known, so the bases visited are those of Bland's rule
-one flip a step (see ``_step``).  Row ratios are compared as integer pairs, without
-a division.  Every answer comes from one cold solve from the slack basis,
-on rows built for that solve alone; no solve resumes or shares a tableau.
+Each step is one pivot or one bound flip, the step Bland's rule takes on
+the same LP with an explicit row per cap (see ``_step``).  The entering
+scan skips concave runs of segments that cannot enter, which leaves out
+only comparisons whose outcome is known.  Row ratios are compared as
+integer pairs, without a division.  Every answer comes from one cold
+solve from the slack basis, on rows built for that solve alone; no solve
+resumes or shares a tableau.
 
 A polytope whose every block is one row, a 0/1 row over all of the
 block's variables that implies the block's other rows, has a second
 solver: ``water_fill`` fills each block's LP columns by falling cost, the
 one-row case of Fourer's simplex, and ``certify_fill`` checks the fill by
 one dual price per block, apart from the greedy.  A strict certificate
-proves the fill the only optimum, so it is the vertex Bland's rule ends
-on.  Each polytope reads its blocks, and whether each is one row, from
-its rows once, when it is built; a ``Layout`` groups a set of LP columns
-by those blocks once, for every fill over them.
+proves the fill the vertex Bland's rule ends on: zero on each block whose
+costs are all zero, where Bland's rule never moves, and the only optimum
+on every other block.  Each polytope reads its blocks, and whether each
+is one row, from its rows once, when it is built; a ``Layout`` groups a
+set of LP columns by those blocks once, for every fill over them.
 """
 
 from __future__ import annotations
@@ -259,26 +258,20 @@ def _run_ends(slopes: Sequence[Fraction], var: Sequence[int]) -> list[int]:
 
 
 def _step(t: FinalTableau) -> bool:
-    """One step of Bland's rule: a pivot, a run of bound flips to the cap
-    that may end in a pivot, or one flip back from a cap; False at optimum.
+    """One step of Bland's rule: a pivot, or one bound flip to or from a
+    cap; False at optimum.
 
     Bland's rule chooses in the numbering of the same LP with one explicit
     row y_c + s_c = cap[c] per capped column: LP column c, slack n + i,
     cap slack n + k + c, for n LP columns and k rows.  Ratio ties go to the
-    lowest such leaving id, so the bases visited are the explicit LP's.
+    lowest such leaving id, so the bases visited are the explicit LP's: an
+    entering column whose own cap row wins the ratio test flips to its
+    cap, and one at its cap whose cap row wins flips back to zero.
 
     A column below its cap whose cost does not beat its variable's price
     has no later column of its run (``ends``) beating it, so the entering
     scan jumps past the run.  Row ratios are compared as integer pairs,
     and only the winner becomes a ``Fraction``.
-
-    The long step: a column entering from zero whose cap fits under the
-    ratio goes to its cap, and so does each next column of its run (same
-    variable, below its cap, cost above the price) while the caps summed
-    still fit.  A flip moves no price and lowers every row's ratio on the
-    shared tableau column by its cap, ties kept in order, so these are the
-    flips that Bland's rule makes one step at a time, and the first column
-    that does not fit enters on the ratio left over, in the same step.
     """
     rows, basis, at_cap, prices = t.rows, t.basis, t.at_cap, t.prices
     slopes, var, cap, ends = t.slopes, t.var, t.cap, t.ends
@@ -328,34 +321,16 @@ def _step(t: FinalTableau) -> bool:
                                               and out < leave):
             num, den, leave, leave_row = p, q, out, i
     best = None if leave < 0 else Fraction(num, den)
+    # The entering column's own cap row leaves as the column itself (it
+    # falls to zero) or as its cap slack (it rises to its cap).
+    if enter < n and cap[enter] is not None and (
+            best is None or cap[enter] < best
+            or (cap[enter] == best and (enter if up else n + k + enter)
+                < leave)):
+        _flip(t, enter, not up)
+        return True
     if up:
-        _flip(t, enter, False)
-        if best is None or cap[enter] < best or (cap[enter] == best
-                                                 and enter < leave):
-            return True  # it falls back to zero
-    elif enter < n:
-        price, total, gain, c = prices[col], ZERO, ZERO, enter
-        while cap[c] is not None:
-            fill = total + cap[c]
-            if best is not None and (fill > best or (fill == best
-                                                     and leave < n + k + c)):
-                break
-            total, gain = fill, gain + cap[c] * slopes[c]
-            at_cap[c] = True
-            c += 1
-            if (c == n or var[c] != col or at_cap[c]
-                    or slopes[c] <= price):
-                c = n  # the run is over
-                break
-        if c > enter:
-            for row in rows:
-                if row[col]:
-                    row[-1] -= total * row[col]
-            prices[-1] += gain - total * price
-            # Past an uncapped column no row bounds, the next step raises.
-            if c == n or best is None:
-                return True
-            enter = c
+        _flip(t, enter, False)  # the pivot below takes it from zero
     if best is None:
         raise UnboundedError("objective is unbounded in the entering "
                              f"direction of variable {enter}")
@@ -386,15 +361,15 @@ def _slack_start(width: int, rows: Sequence[Row],
 
 
 def maximize_linear(objective: Sequence[Fraction], poly: Polytope,
-                    columns: Optional[Columns] = None) -> FinalTableau:
+                    columns: Optional[Columns]) -> FinalTableau:
     """Maximize c.y over the polytope; returns the optimal tableau.
 
-    Without ``columns`` there is one LP column per polytope variable.  With
-    ``columns = (var, cap)``, LP column c adds y_c to variable ``var[c]``,
-    is bounded by 0 <= y_c <= ``cap[c]`` (None: unbounded) and costs
-    ``objective[c]``.  The tableau's ``coords`` is an exact optimal point
-    of the polytope and ``value`` its objective value.  Ties are resolved
-    by Bland's rule (lowest-index entering variable), which also
+    With ``columns`` None there is one LP column per polytope variable.
+    With ``columns = (var, cap)``, LP column c adds y_c to variable
+    ``var[c]``, is bounded by 0 <= y_c <= ``cap[c]`` (None: unbounded) and
+    costs ``objective[c]``.  The tableau's ``coords`` is an exact optimal
+    point of the polytope and ``value`` its objective value.  Ties are
+    resolved by Bland's rule (lowest-index entering variable), which also
     guarantees termination.
     """
     var, cap = _lp_columns(poly, columns)
@@ -520,7 +495,12 @@ def certify_fill(costs: Sequence, layout: Layout,
     when every column is pinned (at zero with d_c < 0, at its cap with
     d_c > 0) but for at most one column strictly between, and that one
     only with lam > 0.  An optimum must then take every pinned value and
-    fill the row, so it is the only optimum, and Bland's rule ends on it.
+    fill the row, so it is the block's only optimum.  A block whose costs
+    and values are all zero is pinned too.  P is the product of its
+    blocks, so no pivot, flip or price update elsewhere touches that
+    block's rows or prices: its prices stay 0, none of its columns ever
+    beats them, and Bland's rule ends with the block at zero.  So a strict
+    fill is the vertex Bland's rule ends on.
 
     lam is read from the values: a column strictly between sets it, a
     slack row makes it 0, and otherwise it is the midpoint between the
@@ -537,6 +517,8 @@ def certify_fill(costs: Sequence, layout: Layout,
     k = q // fill.scale
     strict = True
     for bound, group in blocks:
+        if not any(costs[c] or fill.units[c] for c in group):
+            continue  # pinned at zero
         zero, full, part = [], [], []
         total = 0
         for c in group:

@@ -245,8 +245,11 @@ def value_of(profile: ValuationProfile, bidder: int, alloc: Allocation) -> Fract
     """Exact value of ``bidder`` for its bundle under ``alloc``."""
     if not (0 <= bidder < profile.n):
         raise ValueError(f"bidder index {bidder} out of range")
-    bundle = alloc.bundles[bidder]
-    v = profile.valuations[bidder]
+    return _worth(profile.valuations[bidder], alloc.bundles[bidder])
+
+
+def _worth(v: Valuation, bundle: frozenset[int]) -> Fraction:
+    """Exact value of valuation ``v`` for holding ``bundle``."""
     if isinstance(v, AdditiveValuation):
         return sum((v.item_values[j] for j in bundle), ZERO)
     if isinstance(v, SingleMindedValuation):
@@ -259,6 +262,20 @@ def value_of(profile: ValuationProfile, bidder: int, alloc: Allocation) -> Fract
         (p,) = bundle
         return -abs(Fraction(p) - v.peak)
     raise TypeError(f"unknown valuation type {type(v).__name__}")
+
+
+def bids(instance: Instance,
+         profile: ValuationProfile) -> tuple[Fraction, ...]:
+    """Each bidder's value for its own variable's bundle, in bidder order:
+    on money families, the scalars ``families.profile_for`` reads.  Every
+    variable i must be bidder i's bundle."""
+    found = []
+    for i, (owner, bundle) in enumerate(instance.variable_index):
+        if owner != i:
+            raise InvariantError(f"variable {i} is not bidder {i}'s bundle "
+                                 f"(its owner is {owner})")
+        found.append(_worth(profile.valuations[i], bundle))
+    return tuple(found)
 
 
 def social_welfare(profile: ValuationProfile, alloc: Allocation) -> Fraction:

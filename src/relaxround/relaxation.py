@@ -23,8 +23,8 @@ from .lp import (FractionalPoint, Layout, LPInputError, Polytope,
                  certify_fill, column_layout, contains, maximize_linear,
                  water_fill)
 from .model import (Allocation, Instance, InvariantError, ValuationProfile,
-                    ZERO, ONE, enumerate_feasible, indicator, social_welfare,
-                    value_of, validate_profile)
+                    ZERO, ONE, bids, enumerate_feasible, indicator,
+                    social_welfare, validate_profile)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -114,7 +114,7 @@ class RelaxedObjective:
     alpha: Fraction
     owners: tuple[int | None, ...]
     coeffs: tuple[Fraction, ...]
-    curves: tuple[PiecewiseCurve, ...] | None = None
+    curves: tuple[PiecewiseCurve, ...] | None
 
     def __post_init__(self):
         if not (ZERO < self.alpha <= ONE):
@@ -173,16 +173,6 @@ def build_polytope(instance: Instance) -> Polytope:
     return instance.derived.setdefault("polytope", Polytope(nv, tuple(rows)))
 
 
-def _bundle_value(profile: ValuationProfile, instance: Instance,
-                  var: int) -> Fraction:
-    owner, bundle = instance.variable_index[var]
-    if owner is None:
-        raise InvariantError(f"variable {var} has no owner to value it")
-    probe = Allocation(tuple(bundle if i == owner else frozenset()
-                             for i in range(instance.n)))
-    return value_of(profile, owner, probe)
-
-
 def build_relaxation(instance: Instance,
                      profile: ValuationProfile) -> tuple[RelaxedObjective, Polytope]:
     """Assemble (L, P) for the reported profile: L is the bids times 1
@@ -194,12 +184,11 @@ def build_relaxation(instance: Instance,
     validate_profile(instance, profile)
     poly = build_polytope(instance)
     owners = tuple(owner for owner, _ in instance.variable_index)
-    bids = tuple(_bundle_value(profile, instance, v)
-                 for v in range(instance.num_vars))
     curve = instance.spec.curve
     return RelaxedObjective(
-        alpha=instance.spec.alpha, owners=owners, coeffs=bids,
-        curves=None if curve is None else (curve,) * len(bids)), poly
+        alpha=instance.spec.alpha, owners=owners,
+        coeffs=bids(instance, profile),
+        curves=None if curve is None else (curve,) * len(owners)), poly
 
 
 def _layout(objective: RelaxedObjective, poly: Polytope) -> Layout:
@@ -236,8 +225,12 @@ def _maximize(costs: Sequence[int], scale: int, layout: Layout,
     ``costs`` over ``scale`` (``_integer_costs``), with its value.
 
     Where every block of P is one row (``lp.water_fill``), the greedy fill
-    is taken if ``lp.certify_fill`` proves it the only optimum, which is
-    then the vertex Bland's rule ends on.  With ``unique`` False only the
+    is taken if ``lp.certify_fill`` proves it the vertex Bland's rule ends
+    on: the only optimum on each block with a nonzero cost, and zero on
+    each block whose costs are all zero.  P is the product of its blocks,
+    so no pivot, flip or price update elsewhere touches such a block's
+    rows or prices; its prices stay 0, which none of its costs beats, and
+    Bland's rule ends with it at zero.  With ``unique`` False only the
     value is read, so any certificate will do, ties included, and the
     point is one optimum of possibly several.  Otherwise one cold
     ``maximize_linear`` solves it on the same integer costs: a positive

@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 from .lp import FractionalPoint
 from .model import (AdditiveValuation, Allocation, Instance, InvariantError,
                     SingleMindedValuation, Valuation, ValuationProfile, ZERO,
-                    ONE, enumerate_feasible, fractional_value, social_welfare,
-                    value_of)
+                    ONE, bids, enumerate_feasible, fractional_value,
+                    social_welfare, value_of)
 # build_relaxation is bound, not called: bench/tests/test_tracer.py wants it.
-from .relaxation import (_bundle_value, build_polytope,  # noqa: F401
-                         build_relaxation)
+from .relaxation import build_polytope, build_relaxation  # noqa: F401
 from .rounding import (AllocationDistribution, expected_value_per_bidder,
                        expected_welfare)
 from . import mechanism
@@ -263,8 +262,7 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
         at_truth = cache.outcome(instance, truth)
         utility_truth = [value - paid for value, paid
                          in zip(at_truth.values, at_truth.charged)]
-        scalars = [_bundle_value(truth, instance, i)
-                   for i in range(instance.n)]
+        scalars = bids(instance, truth)
         for k in range(instance.n):
             for mis in misreports:
                 cases += 1
@@ -371,8 +369,8 @@ def adversarial_rounder(instance: Instance) -> Rounder:
     """
     def rounder(x: FractionalPoint,
                 profile: ValuationProfile) -> AllocationDistribution:
-        bids = [_bundle_value(profile, instance, i) for i in range(instance.n)]
-        loser = min(range(instance.n), key=lambda i: (bids[i], i))
+        reported = bids(instance, profile)
+        loser = min(range(instance.n), key=lambda i: (reported[i], i))
         _, bundle = instance.variable_index[loser]
         alloc = Allocation(tuple(bundle if i == loser else frozenset()
                                  for i in range(instance.n)))
@@ -395,7 +393,7 @@ def check_nonoblivious_condition(rounder: Rounder, instance: Instance,
     cases = 0
     for truth in grid_profiles(instance, value_grid):
         baseline = expected_welfare(rounder(x, truth), truth)
-        scalars = [_bundle_value(truth, instance, i) for i in range(instance.n)]
+        scalars = bids(instance, truth)
         for k in range(instance.n):
             for value in value_grid:
                 cases += 1

@@ -13,6 +13,7 @@ import pytest
 from relaxround import (FamilySpec, FractionalPoint, Instance,
                         InvariantError, brute_force_opt, make_no_money,
                         make_single_item, profile_for)
+from relaxround.model import bids
 from relaxround import families, relaxation, verify
 from relaxround.mechanism import keep_probabilities
 
@@ -26,11 +27,11 @@ def test_brute_force_opt_with_an_empty_feasible_set(monkeypatch):
         brute_force_opt(instance, profile_for(instance, [F(5), F(3)]))
 
 
-def test_bundle_value_of_an_ownerless_variable():
+def test_bids_of_an_ownerless_variable():
     instance = make_no_money(2, "single_peaked", positions=3)
     profile = profile_for(instance, [F(0), F(2)])
-    with pytest.raises(InvariantError, match="no owner"):
-        relaxation._bundle_value(profile, instance, 0)
+    with pytest.raises(InvariantError, match="owner is None"):
+        bids(instance, profile)
 
 
 def test_curve_ratio_keep_with_an_ownerless_variable():
@@ -149,8 +150,6 @@ PUBLIC_DEFAULTS = {
     "io.write_instance.payment_rule": "the document's payment_rule",
     "io.write_report_files.stem":
         "report files; write_witness_file writes the witness stem",
-    "lp.maximize_linear.columns":
-        "curved objectives pass segment columns; linear ones pass none",
     "model.Family.extra": "the families whose documents carry extra fields",
     "model.Family.m": "the families with a fixed item count",
     "model.Family.max_n": "the families with a bidder cap",
@@ -159,8 +158,6 @@ PUBLIC_DEFAULTS = {
     "model.FamilySpec.beta": "the case-b document's beta; others keep 1",
     "model.FamilySpec.curve": "gap-toy's curve; linear families have none",
     "relaxation.AlphaAudit.counterexample": "None on a passing audit",
-    "relaxation.RelaxedObjective.curves":
-        "curved objectives; linear ones have none",
     "verify.check_obliviousness.rounder":
         "the negative controls pass adversarial_rounder",
     "verify.check_truthfulness.include_bundle_misreports":

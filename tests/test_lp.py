@@ -29,38 +29,38 @@ def box(n):
 
 class TestMaximizeLinear:
     def test_box_maximum(self):
-        final = maximize_linear([F(1), F(2)], box(2))
+        final = maximize_linear([F(1), F(2)], box(2), None)
         assert final.coords == (F(1), F(1))
         assert final.value == 3
 
     def test_single_item_lp_highest_coefficient_wins(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        final = maximize_linear([F(5), F(3)], poly)
+        final = maximize_linear([F(5), F(3)], poly, None)
         assert final.coords == (F(1), F(0))
         assert final.value == 5
 
     def test_zero_objective_stays_at_origin(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        final = maximize_linear([ZERO, ZERO], poly)
+        final = maximize_linear([ZERO, ZERO], poly, None)
         assert final.coords == (ZERO, ZERO)
         assert final.value == 0
 
     def test_tie_breaks_to_lowest_index(self):
         poly = Polytope(2, (((ONE, ONE), ONE),))
-        assert maximize_linear([F(4), F(4)], poly).coords == (F(1), F(0))
+        assert maximize_linear([F(4), F(4)], poly, None).coords == (F(1), F(0))
 
     def test_unbounded_direction_raises(self):
         poly = Polytope(2, (((ONE, ZERO), ONE),))  # x2 unconstrained
         with pytest.raises(UnboundedError):
-            maximize_linear([ZERO, ONE], poly)
+            maximize_linear([ZERO, ONE], poly, None)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(LPInputError):
-            maximize_linear([ONE], box(2))
+            maximize_linear([ONE], box(2), None)
 
     def test_deterministic_bit_identical(self):
         poly = Polytope(3, (((ONE, ONE, ZERO), ONE), ((ZERO, ONE, ONE), ONE)))
-        first, second = (maximize_linear([F(2), F(3), F(2)], poly)
+        first, second = (maximize_linear([F(2), F(3), F(2)], poly, None)
                          for _ in range(2))
         assert ((first.rows, first.basis, first.prices)
                 == (second.rows, second.basis, second.prices))
@@ -81,7 +81,7 @@ class TestMaximizeLinear:
                              F(rng.randint(1, 3))))
             poly = Polytope(n, tuple(rows))
             objective = [F(rng.randint(0, 6)) for _ in range(n)]
-            final = maximize_linear(objective, poly)
+            final = maximize_linear(objective, poly, None)
             assert contains(poly, FractionalPoint(final.coords))
             oracle = max(sum((c * v for c, v in zip(objective, vert.coords)), ZERO)
                          for vert in enumerate_vertices(poly))
@@ -139,9 +139,9 @@ class TestFreshRows:
         assert second.value == F(11, 4)
 
 
-class TestLongStep:
-    """A run of curve breakpoints is one step, and the pivots stay those
-    of Bland's rule one flip a step."""
+class TestOneFlipAStep:
+    """Every step is one pivot or one bound flip, and the pivots are those
+    of Bland's rule on the explicit-cap-row LP."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -169,14 +169,14 @@ class TestLongStep:
         monkeypatch.setattr(lp, "_pivot", counted_pivot)
         return solves, pivots
 
-    def test_a_refill_of_p_is_one_step_per_machine(self, monkeypatch):
+    def test_a_refill_of_p_flips_one_cap_a_step(self, monkeypatch):
         # Bidders 0 and 2 share machine 0 and both win, so each is priced
         # by a refill of P with its own columns zeroed: the other's 16
         # segments of 1/16 under machine 0's row, and bidder 1's under
         # machine 1's.  ``residual_maxima`` water-fills it; the simplex on
-        # the same LP fits fifteen flips under the ratio 1 on each
-        # machine, and the last cap ties it and loses to the row's slack,
-        # so it enters by a pivot.  One flip a step, each took 16 steps.
+        # the same LP flips fifteen caps under the ratio 1 on each
+        # machine, one a step, and the last cap ties it and loses to the
+        # row's slack, so it enters by a pivot: 16 steps per machine.
         instance = make_gap_toy(3, 2)
         objective, poly = build_relaxation(
             instance, profile_for(instance, [F(5), F(3), F(4)]))
@@ -191,14 +191,14 @@ class TestLongStep:
             refill = maximize_linear(_zeroed(costs, owners, k), poly,
                                      layout.columns)
             assert refill.value / scale == maxima[k]
-        # Two steps for each of two solves, both over P's rows.
-        assert solves == [[poly.constraints, 2], [poly.constraints, 2]]
+        # 32 steps for each of two solves, both over P's rows.
+        assert solves == [[poly.constraints, 32], [poly.constraints, 32]]
         assert len(pivots) == 4
 
     def test_main_solves_pivot_as_often_as_one_flip_a_step(self,
                                                           monkeypatch):
-        # 300 seeded gap-toy 3x2 profiles.  8913 is the total of the loop
-        # that made one bound flip per step, on the same profiles.
+        # 300 seeded gap-toy 3x2 profiles: Bland's rule pivots 8913 times
+        # over them, and its bound flips are steps but no pivots.
         instance = make_gap_toy(3, 2)
         rng = random.Random(19)
         relaxations = [build_relaxation(instance, profile_for(
@@ -214,9 +214,8 @@ class TestLongStep:
 class TestIntegerCosts:
     """``relaxation._maximize`` hands the simplex L's integer costs
     (``_integer_costs``): the Fraction costs times one positive scale.
-    Entering reads only the signs of reduced costs, the long step compares
-    costs with prices, and ratios do not read costs, so Bland's rule takes
-    the same path and the value is scaled."""
+    Entering reads only the signs of reduced costs and ratios do not read
+    costs, so Bland's rule takes the same path and the value is scaled."""
 
     @staticmethod
     def path(monkeypatch, costs, poly, columns):

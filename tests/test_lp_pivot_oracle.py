@@ -209,13 +209,12 @@ def explicit_path(monkeypatch, scenario, ncols, nrows, col_cap):
 
 def bounded_path(monkeypatch, scenario):
     """Run scenario on the bounded loop; its (entering, leaving) ids, one
-    list per step.
+    pair per step.
 
     After every step the basis of the explicit LP is read off the grouped
     state: the basic columns and slacks, the columns at cap, and the cap
-    slacks of the capped columns below their cap.  A step is read as its
-    flips to the cap, (c, n + k + c) in column order, then at most one
-    more pair: a pivot or a flip back from a cap.
+    slacks of the capped columns below their cap.  Each step must change
+    it by one pair: a pivot, or a flip to or from a cap.
     """
     steps = []
 
@@ -226,18 +225,12 @@ def bounded_path(monkeypatch, scenario):
                    if t.cap[c] is not None and not t.at_cap[c]})
 
     def recorder(t):
-        n, k = len(t.slopes), len(t.rows)
         before = explicit_basis(t)
         moved = shipped_step(t)
         after = explicit_basis(t)
         if moved:
-            entering, leaving = after - before, before - after
-            flips = [(c, n + k + c) for c in sorted(entering)
-                     if n + k + c in leaving]
-            entering -= {c for c, _ in flips}
-            leaving -= {s for _, s in flips}
-            assert len(entering) == len(leaving) <= 1
-            steps.append(flips + list(zip(entering, leaving)))
+            (entering,), (leaving,) = after - before, before - after
+            steps.append((entering, leaving))
         return moved
 
     shipped_step = lp._step
@@ -327,8 +320,7 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
     rng = random.Random(17)
     seen = dict.fromkeys(("unbounded", "uncapped", "zero rhs", "tied slopes",
                           "equal caps", "flip", "cap slack enters",
-                          "leaves at cap", "residual", "flip run",
-                          "run then pivot"), 0)
+                          "leaves at cap", "residual"), 0)
     for _ in range(240):
         poly, objective, col_var, col_cap = random_bounded_lp(rng)
         n, top = len(col_var), len(col_var) + len(poly.constraints)
@@ -346,15 +338,11 @@ def test_random_bounded_lps_follow_the_explicit_path(monkeypatch):
                      for _ in col_var]]
         result, steps = assert_explicit_path(monkeypatch, objective, poly,
                                              col_var, col_cap, residual)
-        for step in steps:
-            flips = sum(leaving == entering + top for entering, leaving in step)
-            seen["flip run"] += flips >= 2
-            seen["run then pivot"] += 0 < flips < len(step)
         if result == "unbounded":
             seen["unbounded"] += 1
             continue
         seen["residual"] += 1
-        for entering, leaving in (pair for step in steps for pair in step):
+        for entering, leaving in steps:
             seen["flip"] += entering in (leaving - top, leaving + top)
             seen["cap slack enters"] += entering >= top
             seen["leaves at cap"] += (leaving >= top
@@ -412,7 +400,7 @@ def test_random_concave_lps_follow_the_explicit_path(monkeypatch):
         result, steps = assert_explicit_path(monkeypatch, objective, poly,
                                              col_var, col_cap, residual)
         assert result != "unbounded"  # every column is capped
-        for entering, leaving in (pair for step in steps for pair in step):
+        for entering, leaving in steps:
             seen["flip"] += entering in (leaving - top, leaving + top)
             c = entering - top  # a cap slack enters: column c leaves its cap
             seen["middle released"] += (0 < c < n - 1 and col_var[c - 1]
@@ -424,7 +412,7 @@ def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
                          residual_costs):
     """Both solvers agree on the path, vertex and value of the main solve
     and then of a cold solve of each residual cost vector; returns the
-    bounded loop's result and its path, one list of pairs per step."""
+    bounded loop's result and its path, one pair per step."""
     expanded = explicit_lp(poly, col_var, col_cap)
 
     def explicit():
@@ -442,7 +430,7 @@ def assert_explicit_path(monkeypatch, objective, poly, col_var, col_cap,
     want, want_path = explicit_path(monkeypatch, explicit, len(col_var),
                                     len(poly.constraints), col_cap)
     got, got_steps = bounded_path(monkeypatch, bounded)
-    assert [pair for step in got_steps for pair in step] == want_path
+    assert got_steps == want_path
     assert got == want
     return got, got_steps
 
@@ -506,7 +494,7 @@ def test_gap_toy_follows_the_explicit_path(monkeypatch, bids, machines,
                  for c, s in enumerate(col_obj)] for k in range(n)]
     (values, value, maxima), steps = assert_explicit_path(
         monkeypatch, col_obj, poly, col_var, col_cap, residual)
-    assert sum(map(len, steps)) > segments
+    assert len(steps) > segments
     # solve_relaxation folds the same vertex, and residual_maxima's refills
     # of P give the same maxima as the explicit LP's cold solves.
     final = solve_relaxation(objective, poly)
@@ -549,7 +537,7 @@ def test_random_packing_lps_and_residual_costs(monkeypatch):
             outcomes["tied"] += 1
 
         def solve(costs):
-            final = lp.maximize_linear(costs, poly)
+            final = lp.maximize_linear(costs, poly, None)
             return final.coords, final.value
 
         result, _ = assert_same_path(monkeypatch, lambda: solve(objective))

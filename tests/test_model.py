@@ -13,10 +13,12 @@ import pytest
 from relaxround import (AdditiveValuation, Allocation, EnumerationTooLargeError,
                         Polytope, SingleMindedValuation,
                         SinglePeakedValuation, ValuationProfile, build_polytope, enumerate_feasible,
-                        make_no_money,
+                        make_case_b_family, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, profile_for,
                         social_welfare, value_of)
 from relaxround import model, relaxation
+from relaxround.families import FAMILIES
+from relaxround.io import load_instance_document
 
 
 def bundles(*sets):
@@ -61,6 +63,41 @@ class TestValueOf:
             AdditiveValuation((F(-1),))
         with pytest.raises(ValueError):
             SingleMindedValuation(frozenset({0}), F(-2))
+
+
+#: A builder per money family, for ``model.bids``.
+MONEY_FAMILIES = {
+    "single-item": lambda: make_single_item(3),
+    "case-b": lambda: make_case_b_family(3, F(1, 2)),
+    "single-minded-ca": lambda: make_single_minded_ca(
+        3, [{0, 1}, {1, 2}, {2}]),
+    "gap-toy": lambda: make_gap_toy(3, 2),
+}
+
+
+class TestBids:
+    def test_every_money_family_is_covered(self):
+        assert set(MONEY_FAMILIES) == {
+            name for name, family in FAMILIES.items() if family.money}
+
+    @pytest.mark.parametrize("family", MONEY_FAMILIES)
+    def test_bids_invert_profile_for(self, family):
+        instance = MONEY_FAMILIES[family]()
+        profile = profile_for(instance, [F(5, 2), F(0), F(7)])
+        assert model.bids(instance, profile) == (F(5, 2), F(0), F(7))
+        assert profile_for(instance, model.bids(instance, profile)) == profile
+
+    def test_a_gap_toy_bid_is_the_value_on_its_own_machine(self):
+        # Bidders 0 and 2 sit on machine 0 and bidder 1 on machine 1; the
+        # document gives bidders 0 and 1 a value on the other machine too.
+        instance, profile, _ = load_instance_document({
+            "family": "gap-toy", "n": 3, "m": 2, "segments": 4,
+            "valuations": [{"kind": "additive", "values": [v, w]}
+                           for v, w in (("5", "2"), ("1", "3"), ("5", "0"))]})
+        assert model.bids(instance, profile) == (F(5), F(3), F(5)) == tuple(
+            value_of(profile, i, Allocation(tuple(
+                bundle if j == i else frozenset() for j in range(3))))
+            for i, (_, bundle) in enumerate(instance.variable_index))
 
 
 class TestSocialWelfare:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from relaxround import (allocate, check_truthfulness, make_single_minded_ca,
                         payments, profile_for, residual_maxima, run)
 from relaxround import relaxation, verify
+from relaxround.model import bids
 
 EXAMPLES = settings(deadline=2000, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -55,8 +56,7 @@ def test_a_misreport_leaves_the_bidders_own_pivot_unchanged(case, data):
     bundle = data.draw(st.one_of(st.none(), st.frozensets(
         st.integers(0, instance.m - 1), min_size=1)))
     value = F(data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4)))
-    scalars = [verify._bundle_value(profile, instance, i)
-               for i in range(instance.n)]
+    scalars = bids(instance, profile)
     rep_instance, rep_profile = verify._reported(
         instance, profile, scalars, k, verify._Misreport(value, bundle), {},
         {})

@@ -286,7 +286,7 @@ class TestAuditAlpha:
         objective, _ = build_relaxation(inst, profile)
         halved = RelaxedObjective(alpha=objective.alpha,
                                   owners=objective.owners,
-                                  coeffs=(F(5, 2), F(3)))
+                                  coeffs=(F(5, 2), F(3)), curves=None)
         audit = audit_alpha(halved, inst, profile)
         assert not audit.passed
         alloc, lval, fval = audit.counterexample

@@ -110,7 +110,7 @@ class TestLookup:
     def test_every_simplex_optimum_is_a_key(self, run_ca, run_ca_profiles):
         for profile in run_ca_profiles:
             objective, poly = build_relaxation(run_ca, profile)
-            optimum = maximize_linear(objective.coeffs, poly)
+            optimum = maximize_linear(objective.coeffs, poly, None)
             assert optimum.coords in run_ca.vertex_lotteries
 
     def test_run_matches_the_untabled_pipeline(self, run_ca,
@@ -126,7 +126,7 @@ class TestLookup:
         profile = next(p for p in run_ca_profiles
                        if any(v.value for v in p.valuations))
         objective, poly = build_relaxation(run_ca, profile)
-        optimum = maximize_linear(objective.coeffs, poly)
+        optimum = maximize_linear(objective.coeffs, poly, None)
         table = dict(run_ca.vertex_lotteries)
         other = next(c for c in table if table[c] != table[optimum.coords])
         table[optimum.coords], table[other] = (table[other],
