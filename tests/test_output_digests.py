@@ -14,7 +14,13 @@ checked on more than one input each:
   ordered bundle pairs of 2 single-minded bidders over 3 items, on the
   value grid {0, 1, 2};
 - ``gap-toy-realized-payments``: ``realized_payments`` and
-  ``expected_realized_payments`` on 10 gap-toy bid vectors.
+  ``expected_realized_payments`` on 10 gap-toy bid vectors;
+- ``one-and-two-block``: ``run``'s outcome and the ``decompose`` mode's
+  lottery of x* on polytopes of one or two one-row blocks, 24 bid vectors
+  each (half of them on a small grid, so zero bids and ties are common):
+  single-item with 1-4 bidders, case-b with 2-4 at beta 1/2, gap-toy
+  2x2x4, 4x1x4 and 4x2x2, and single-minded ``[{0},{0},{1}]`` and
+  ``[{0},{1,2}]``.
 
 Inputs come from this file's own seeded generator.  After a change that is
 meant to alter outputs, rewrite the file with
@@ -27,11 +33,14 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-from relaxround import (check_approximation, check_truthfulness,
-                        expected_realized_payments, make_gap_toy,
+from relaxround import (FractionalPoint, build_relaxation,
+                        check_approximation, check_truthfulness,
+                        convex_decompose, expected_realized_payments,
+                        make_case_b_family, make_gap_toy, make_single_item,
                         make_single_minded_ca, profile_for, realized_payments,
-                        run)
-from relaxround.io import format_fraction, outcome_to_obj, report_to_obj
+                        run, solve_relaxation)
+from relaxround.io import (distribution_rows, format_fraction, outcome_to_obj,
+                           report_to_obj)
 from relaxround.verify import grid_profiles
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -47,6 +56,34 @@ def seeded_runs(rng, instance, count):
     return [(profile_for(instance, [F(rng.randint(0, 20), rng.randint(1, 6))
                                     for _ in range(instance.n)]),
              rng.getrandbits(32)) for _ in range(count)]
+
+
+def small_grid_runs(rng, instance, count):
+    """``count`` (profile, draw seed) pairs; bids p/q, p <= 3, q <= 2."""
+    return [(profile_for(instance, [F(rng.randint(0, 3), rng.randint(1, 2))
+                                    for _ in range(instance.n)]),
+             rng.getrandbits(32)) for _ in range(count)]
+
+
+def one_and_two_block_instances():
+    """Instances whose polytope has one or two blocks, each one row."""
+    return ([make_single_item(n) for n in range(1, 5)]
+            + [make_case_b_family(n, F(1, 2)) for n in range(2, 5)]
+            + [make_gap_toy(n, m, s) for n, m, s in
+               ((2, 2, 4), (4, 1, 4), (4, 2, 2))]
+            + [make_single_minded_ca(2, [{0}, {0}, {1}]),
+               make_single_minded_ca(3, [{0}, {1, 2}])])
+
+
+def run_and_decompose(instance, profile, seed):
+    """``run``'s outcome, then x* and its lottery as ``decompose`` writes
+    them."""
+    optimum = FractionalPoint(solve_relaxation(
+        *build_relaxation(instance, profile)).coords)
+    lottery = convex_decompose(optimum, instance.spec.decomposition_scale,
+                               instance)
+    return [outcome_to_obj(run(instance, profile, seed)),
+            fractions(optimum.coords), distribution_rows(lottery, "weight")]
 
 
 def digest(obj):
@@ -82,7 +119,16 @@ def outputs():
             [fractions(realized_payments(gap_toy, profile, seed)),
              fractions(expected_realized_payments(gap_toy, profile))]
             for profile, seed in seeded_runs(rng, gap_toy, 10)],
+        "one-and-two-block": one_and_two_block(),
     }
+
+
+def one_and_two_block():
+    rng = random.Random(20261021)
+    return [[run_and_decompose(instance, profile, seed)
+             for profile, seed in (seeded_runs(rng, instance, 12)
+                                   + small_grid_runs(rng, instance, 12))]
+            for instance in one_and_two_block_instances()]
 
 
 def test_outputs_match_the_recorded_digests():
