@@ -141,9 +141,9 @@ class Instance:
     ``variable_index`` is a bijection between relaxation variables and
     (bidder, bundle) pairs; the owner is None for shared-outcome families
     where every bidder consumes the same point.  ``derived`` keeps facts
-    of the instance alone (its polytope, feasible set, vertex lotteries
-    and their integer vertex rows), each computed once and never changed
-    after; it is a cache, so it takes no part in equality or hashing.
+    of the instance alone (its polytope, feasible set, coupling, vertex
+    lotteries and their integer vertex rows), each computed once and never
+    changed after; it is a cache, so it takes no part in equality or hashing.
     """
 
     family: Family

@@ -2,8 +2,9 @@
 
 The decomposition writes a scaled fractional point as an exact lottery over
 feasible allocations; it never reads a valuation profile, and neither does
-the thinning step.  The exact distribution is the one lottery type;
-sampling is a convenience layer on top of it.
+the thinning step.  One or two one-row blocks take a closed-form coupling,
+any other polytope phase-one simplex.  The exact distribution is the one
+lottery type; sampling is a convenience layer on top of it.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ def convex_decompose(x: FractionalPoint, scale: Fraction,
                      instance: Instance) -> AllocationDistribution:
     """Exact lottery with sum(weight_j * chi(z_j)) = scale * x.
 
-    The weights solve an equality system over the enumerated feasible set
-    via phase-one simplex; the empty allocation absorbs slack.  That set
-    is sorted and duplicate-free, so the weights are the distribution's
-    entries as they stand.  Output is deterministic and its support obeys
-    the basic-solution bound num_vars + 1.
+    ``_coupling`` builds it where it applies; elsewhere the weights solve
+    an equality system over the enumerated feasible set via phase-one
+    simplex, the empty allocation absorbing slack.  That set is sorted and
+    duplicate-free, so the weights are the distribution's entries as they
+    stand.  Output is deterministic; its support is at most num_vars + 1.
     """
     if not (ZERO < scale <= ONE):
         raise ValueError("scale must lie in (0, 1]")
@@ -91,18 +92,57 @@ def convex_decompose(x: FractionalPoint, scale: Fraction,
                          f"instance's {instance.num_vars} variables")
     if instance.family.money and not contains(build_polytope(instance), x):
         raise ValueError("point lies outside the family polytope")
+    if instance.family.money and _coupling(instance) is not None:
+        return _coupled(x, scale, *instance.derived["coupling"])
     allocs = enumerate_feasible(instance)
     columns = [indicator(instance, a) for a in allocs]
-    equalities = []
-    for v in range(instance.num_vars):
-        row = tuple(col[v] for col in columns)
-        equalities.append((row, scale * x.coords[v]))
+    equalities = [(tuple(col[v] for col in columns), scale * x.coords[v])
+                  for v in range(instance.num_vars)]
     equalities.append((tuple(ONE for _ in columns), ONE))
     weights, residual = phase_one(equalities, len(columns))
     if weights is None:
         raise DecompositionInfeasibleError(residual)
     return AllocationDistribution(tuple(
         (a, w) for a, w in zip(allocs, weights) if w > 0))
+
+
+def _coupling(instance: Instance):
+    """Where P has one or two blocks, each one row {x >= 0, sum x <= 1}:
+    the outcome orders [none, block 0 ascending] and [block 1 descending,
+    none] (or [none]), and each pair's allocation with its sort key; else
+    None.  Once per instance.  One block's lottery is unique, so it is
+    phase one's by proof; with two, phase one's equals the coupling by
+    measurement only (``tests/test_forced_lotteries.py``)."""
+    if "coupling" in instance.derived:
+        return instance.derived["coupling"]
+    poly = build_polytope(instance)
+    blocks, coupling = poly._blocks, None  # type: ignore[attr-defined]
+    if set(poly._one_row or ()) == {ONE} and len(blocks) <= 2:  # type: ignore
+        first = (None, *blocks[0])
+        second = (*reversed(blocks[1]), None) if blocks[1:] else (None,)
+        won = {frozenset(v for v, c in enumerate(indicator(instance, a))
+                         if c): a for a in enumerate_feasible(instance)}
+        coupling = first, second, [[(a.sort_key(), a) for a in (
+            won[frozenset({u, w} - {None})] for w in second)] for u in first]
+    return instance.derived.setdefault("coupling", coupling)
+
+
+def _coupled(x: FractionalPoint, scale: Fraction, first, second,
+             cells) -> AllocationDistribution:
+    """The orders' north-west-corner coupling, s = ``scale``: s * x_v on
+    each variable's outcome and the rest on none."""
+    top = [scale * x.coords[v] for v in first[1:]]
+    side = [scale * x.coords[v] for v in second[:-1]]
+    top, side = [ONE - sum(top), *top], [*side, ONE - sum(side)]
+    entries, i, j = [], 0, 0
+    while i < len(top) and j < len(side):
+        w = min(top[i], side[j])
+        if w:
+            entries.append((*cells[i][j], w))
+        top[i], side[j] = top[i] - w, side[j] - w
+        i, j = i + (not top[i]), j + (not side[j])  # past used-up outcomes
+    entries.sort(key=lambda e: e[0])
+    return AllocationDistribution(tuple((alloc, w) for _, alloc, w in entries))
 
 
 def adjust(dist: AllocationDistribution,
