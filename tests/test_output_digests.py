@@ -20,7 +20,14 @@ checked on more than one input each:
   each (half of them on a small grid, so zero bids and ties are common):
   single-item with 1-4 bidders, case-b with 2-4 at beta 1/2, gap-toy
   2x2x4, 4x1x4 and 4x2x2, and single-minded ``[{0},{0},{1}]`` and
-  ``[{0},{1,2}]``.
+  ``[{0},{1,2}]``;
+- ``charge-shapes``: ``run``'s outcome and ``payments`` of its lottery on
+  shapes the entries above miss, 24 bid vectors each (12 seeded, 12 on
+  the small grid): gap-toy 3x3x4 and 4x3x2 (three blocks, so phase-one
+  lotteries) and the odd cycle ``[{0,1},{1,2},{0,2}]`` (a fractional
+  vertex); then gap-toy 3x2x16 on 12 small-grid and 12 margin-tie bid
+  vectors, where the solve goes to the bounded-variable simplex and flips
+  caps.
 
 Inputs come from this file's own seeded generator.  After a change that is
 meant to alter outputs, rewrite the file with
@@ -37,8 +44,9 @@ from relaxround import (FractionalPoint, build_relaxation,
                         check_approximation, check_truthfulness,
                         convex_decompose, expected_realized_payments,
                         make_case_b_family, make_gap_toy, make_single_item,
-                        make_single_minded_ca, profile_for, realized_payments,
-                        run, solve_relaxation)
+                        make_single_minded_ca, payments, profile_for,
+                        realized_payments, run, solve_relaxation)
+from relaxround import lp
 from relaxround.io import (distribution_rows, format_fraction, outcome_to_obj,
                            report_to_obj)
 from relaxround.verify import grid_profiles
@@ -63,6 +71,48 @@ def small_grid_runs(rng, instance, count):
     return [(profile_for(instance, [F(rng.randint(0, 3), rng.randint(1, 2))
                                     for _ in range(instance.n)]),
              rng.getrandbits(32)) for _ in range(count)]
+
+
+def margin_tie_runs(rng, instance, count):
+    """``count`` (profile, draw seed) pairs on gap-toy with 3 bidders and 2
+    machines whose machine-0 bids tie two LP columns at the fill's margin.
+
+    Bidder 0's piece a costs bid_0 * slope_a and bidder 2's piece b costs
+    bid_2 * slope_b; with a + b one less than the segment count the two
+    pieces compete for the last unit of machine 0.  Bids slope_b * t and
+    slope_a * t make those costs equal and positive, so no fill is the
+    strict optimum and the simplex decides.
+    """
+    slopes = [slope for _, slope in instance.spec.curve.segments()]
+    runs = []
+    for _ in range(count):
+        b = rng.randrange(len(slopes))
+        a = len(slopes) - 1 - b
+        t = F(rng.randint(1, 20), rng.randint(1, 6))
+        bids = [slopes[b] * t, F(rng.randint(0, 3), rng.randint(1, 2)),
+                slopes[a] * t]
+        runs.append((profile_for(instance, bids), rng.getrandbits(32)))
+    return runs
+
+
+def charge_shape_runs():
+    """(instance, runs) per ``charge-shapes`` shape, in a fixed order."""
+    rng = random.Random(20261022)
+    shapes = [(instance, seeded_runs(rng, instance, 12)
+               + small_grid_runs(rng, instance, 12))
+              for instance in (make_gap_toy(3, 3, 4), make_gap_toy(4, 3, 2),
+                               make_single_minded_ca(
+                                   3, [{0, 1}, {1, 2}, {0, 2}]))]
+    ties = make_gap_toy(3, 2, 16)
+    return shapes + [(ties, small_grid_runs(rng, ties, 12)
+                      + margin_tie_runs(rng, ties, 12))]
+
+
+def run_and_charge(instance, profile, seed):
+    """``run``'s outcome, then ``payments`` of its lottery."""
+    outcome = run(instance, profile, seed)
+    return [outcome_to_obj(outcome),
+            fractions(payments(instance, profile, outcome.distribution))]
 
 
 def one_and_two_block_instances():
@@ -120,6 +170,9 @@ def outputs():
              fractions(expected_realized_payments(gap_toy, profile))]
             for profile, seed in seeded_runs(rng, gap_toy, 10)],
         "one-and-two-block": one_and_two_block(),
+        "charge-shapes": [[run_and_charge(instance, profile, seed)
+                           for profile, seed in runs]
+                          for instance, runs in charge_shape_runs()],
     }
 
 
@@ -129,6 +182,18 @@ def one_and_two_block():
              for profile, seed in (seeded_runs(rng, instance, 12)
                                    + small_grid_runs(rng, instance, 12))]
             for instance in one_and_two_block_instances()]
+
+
+def test_margin_ties_reach_the_cap_flips(monkeypatch):
+    """The gap-toy 3x2x16 shape of ``charge-shapes`` reaches ``lp._flip``,
+    so the digest pins the bounded-variable simplex's outputs."""
+    flips = []
+    flip = lp._flip
+    monkeypatch.setattr(lp, "_flip", lambda *a: flips.append(a) or flip(*a))
+    instance, runs = charge_shape_runs()[-1]
+    for profile, seed in runs:
+        run(instance, profile, seed)
+    assert flips
 
 
 def test_outputs_match_the_recorded_digests():
