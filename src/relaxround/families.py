@@ -7,9 +7,9 @@ decomposition scale and the thinning follow from them), then audits the
 guarantees it relies on before handing the instance out: that the polytope
 contains every feasible allocation's indicator, the alpha contract on every
 nonnegative profile (proved on the n unit profiles), and decomposability at
-every polytope vertex for the scaled families.  The thinned families'
-calibration depends on the point played, so ``mechanism._round_point``
-checks it on every lottery it thins.
+every polytope vertex for the scaled families.  Calibration depends on
+the point played, so ``mechanism._round_point`` checks it on every lottery
+it builds: each vertex table's at construction, every other one per run.
 
 A single-minded instance's audits read its conflict structure alone (see
 ``conflict_structure``), so ``with_desires`` hands a rebind with the

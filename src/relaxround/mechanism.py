@@ -2,8 +2,8 @@
 
 The allocation rule maximizes the relaxed objective exactly, decomposes the
 (scaled) optimum into an exact lottery and applies the family's thinning
-case.  Payments charge each bidder the externality measured on the same
-calibrated scale, which makes the expected-utility identity exact.
+case.  Payments charge each bidder the relaxation's externality on the
+same calibrated scale, which makes the expected-utility identity exact.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ def _round_point(instance: Instance,
                  x: FractionalPoint) -> AllocationDistribution:
     """The oblivious part of the pipeline: decompose, then thin.
 
-    A vertex the family constructor already rounded is read back from
-    ``instance.vertex_lotteries`` as it is.  A thinned lottery must give
-    each variable v the marginal calibration * curve(x_v) (calibration *
-    x_v for a linear L), the curve read from the spec, not from the keep
-    formula.  L is the bids times these unit values, so this is
-    E[f(X')] = calibration * L(x) for every additive profile.
+    A vertex the family constructor already rounded here is read back
+    from ``instance.vertex_lotteries``.  Every lottery built must give each
+    variable v the marginal calibration * curve(x_v) (calibration * x_v for
+    a linear L), the curve read from the spec, not the keep formula; so
+    each bidder's expected value is calibration times its term of L at x,
+    the premise ``_charge`` rests on.
     """
     cached = instance.vertex_lotteries.get(x.coords)
     if cached is not None:
@@ -82,8 +82,6 @@ def _round_point(instance: Instance,
     spec = instance.spec
     dist = adjust(convex_decompose(x, spec.decomposition_scale, instance),
                   keep_probabilities(instance, x))
-    if spec.curve is None and spec.beta == ONE:
-        return dist
     want = [spec.calibration * (t if spec.curve is None
                                 else spec.curve.value_at(t))
             for t in x.coords]
@@ -94,38 +92,39 @@ def _round_point(instance: Instance,
     return dist
 
 
-def _charge(instance: Instance, expectations: Sequence[Fraction],
+def _charge(instance: Instance,
             optimum: RelaxedOptimum) -> tuple[Fraction, ...]:
     """Expected externality payments, the one payment formula: bidder k
-    pays calibration * max L^{-k}, every residual maximum priced from
-    ``optimum``, less the others' expected values ``expectations``."""
-    total = sum(expectations, ZERO)
-    gamma = instance.spec.calibration
-    return tuple(gamma * top - (total - own) for top, own
-                 in zip(residual_maxima(instance, optimum), expectations))
+    pays calibration * (max L^{-k} - L(x*) + k's term of L at x*), every
+    residual maximum priced from ``optimum``.  No lottery is read.
+
+    It equals calibration * max L^{-k} less the others' expected values
+    under x*'s lottery X'.  Variable k is bidder k's bundle, and X' gives k
+    that bundle or nothing, so E[v_k(X')] = bid_k * P(k wins), which
+    ``_round_point`` proves is calibration * (k's term of L at x*).  The
+    others' values sum to calibration * (L(x*) - k's term).
+    """
+    gamma, value = instance.spec.calibration, optimum.value
+    return tuple(gamma * (top - value + own) for top, own
+                 in zip(residual_maxima(instance, optimum), optimum.terms))
 
 
 def allocate(instance: Instance, profile: ValuationProfile
              ) -> tuple[RelaxedOptimum, AllocationDistribution]:
     """Relax, maximize, decompose, thin; deterministic end to end.  Returns
     the optimum of max L, which prices the payments, and the lottery."""
-    objective, poly = build_relaxation(instance, profile)
-    optimum = solve_relaxation(objective, poly)
+    optimum = solve_relaxation(*build_relaxation(instance, profile))
     return optimum, _round_point(instance, FractionalPoint(optimum.coords))
 
 
 def payments(instance: Instance, profile: ValuationProfile,
              dist: AllocationDistribution) -> tuple[Fraction, ...]:
-    """Expected externality payments on the calibrated scale.
-
-    p_k = calibration * max L^{-k} - E[sum of the others' values], the
-    charge ``run`` makes.  Every residual maximum is priced from one solve
-    of max L, on the same LP, so both terms live on the same scale.
-    Nothing is rounded.
+    """Expected externality payments on the calibrated scale: the charge
+    ``run`` makes, priced from one solve of max L (``_charge``).  It reads
+    no lottery, so ``dist`` is ignored; it is kept for ``PaymentRule``.
     """
-    objective, poly = build_relaxation(instance, profile)
-    return _charge(instance, expected_value_per_bidder(dist, profile),
-                   solve_relaxation(objective, poly))
+    return _charge(instance, solve_relaxation(
+        *build_relaxation(instance, profile)))
 
 
 def run(instance: Instance, profile: ValuationProfile,
@@ -136,13 +135,12 @@ def run(instance: Instance, profile: ValuationProfile,
     optimum x*, and the relaxed value is L(x*).
     """
     optimum, dist = allocate(instance, profile)
-    pay = _charge(instance, expected_value_per_bidder(dist, profile), optimum)
     realized = sample(dist, seed)
     if realized not in dist.support():
         raise InvariantError(f"sampled allocation {realized.bitmasks()} "
                              "is outside the distribution's support")
     return MechanismOutcome(distribution=dist, realized=realized,
-                            expected_payments=pay,
+                            expected_payments=_charge(instance, optimum),
                             relaxed_value=optimum.value,
                             calibration=instance.spec.calibration, seed=seed)
 

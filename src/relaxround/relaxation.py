@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -107,8 +108,8 @@ class PiecewiseCurve:
 class RelaxedObjective:
     """L with its guarantee factor and the per-bidder variable split.
 
-    L(x) = sum of coeffs[v] * x_v for a linear L (``curves`` is None), and
-    sum of coeffs[v] * curves[v](x_v) for a separable concave one.
+    L(x) is the sum of ``terms(x)``: coeffs[v] * x_v for a linear L
+    (``curves`` is None), and coeffs[v] * curves[v](x_v) for a concave one.
     """
 
     alpha: Fraction
@@ -131,23 +132,29 @@ class RelaxedObjective:
     def num_vars(self) -> int:
         return len(self.owners)
 
-    def evaluate(self, coords: Sequence[Fraction]) -> Fraction:
+    def terms(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(coords) != self.num_vars:
             raise LPInputError("point dimension does not match objective")
-        if self.curves is None:
-            return sum((c * x for c, x in zip(self.coeffs, coords)), ZERO)
-        return sum((c * curve.value_at(x) for c, curve, x
-                    in zip(self.coeffs, self.curves, coords)), ZERO)
+        units = coords if self.curves is None else map(
+            PiecewiseCurve.value_at, self.curves, coords)
+        return tuple(map(mul, self.coeffs, units))
+
+    def evaluate(self, coords: Sequence[Fraction]) -> Fraction:
+        return sum(self.terms(coords), ZERO)
 
 
 @dataclass(frozen=True)
 class RelaxedOptimum:
-    """x*, a maximizer of L over P, and L(x*): all that the Clarke pivots
-    read, however x* was found."""
+    """x*, a maximizer of L over P, L(x*) and L's terms at x*: all that
+    the Clarke pivots and the charge read, however x* was found."""
 
     objective: RelaxedObjective
     coords: tuple[Fraction, ...]
     value: Fraction
+
+    @cached_property
+    def terms(self) -> tuple[Fraction, ...]:
+        return self.objective.terms(self.coords)
 
 
 def build_polytope(instance: Instance) -> Polytope:
@@ -256,16 +263,14 @@ def solve_relaxation(objective: RelaxedObjective,
     optimum.  ``residual_maxima`` prices every max L^{-k} from them."""
     if objective.num_vars != poly.num_vars:
         raise LPInputError("objective and polytope dimensions differ")
-    coords, value = _maximize(*_integer_costs(objective),
-                              _layout(objective, poly))
-    # Concavity (nonincreasing slopes) orders any optimal fill up to slope
-    # ties, so folding it into x* is lossless.
-    if not objective.is_linear:
-        folded = objective.evaluate(coords)
-        if folded != value:
-            raise InvariantError(f"folding the segment fill changed the "
-                                 f"value from {value} to {folded}")
-    return RelaxedOptimum(objective, coords, value)
+    optimum = RelaxedOptimum(objective, *_maximize(
+        *_integer_costs(objective), _layout(objective, poly)))
+    # L's terms at x* must sum to the LP's value: concavity (nonincreasing
+    # slopes) orders any optimal fill up to slope ties, so folding is lossless.
+    if sum(optimum.terms, ZERO) != optimum.value:
+        raise InvariantError(f"folding the fill changed the value from "
+                             f"{optimum.value} to {sum(optimum.terms, ZERO)}")
+    return optimum
 
 
 def residual_maxima(instance: Instance,

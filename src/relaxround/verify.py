@@ -152,37 +152,35 @@ def _misreports(instance: Instance, misreport_grid: Sequence[Fraction],
     """The misreports to try, and a note naming any that were left out."""
     values = [Fraction(g) for g in misreport_grid]
     reports = [_Misreport(v) for v in values]
-    if (instance.family.valuation is not SingleMindedValuation
-            or not include_bundle_misreports):
+    if instance.family.valuation is not SingleMindedValuation:
         return reports, ""
+    if not include_bundle_misreports:
+        return reports, "bundle misreports omitted (not requested)"
     if instance.m > 3:
         return reports, f"bundle misreports omitted (m={instance.m} > 3)"
-    bundles = []
-    for mask in range(1, 2 ** instance.m):
-        bundles.append(frozenset(j for j in range(instance.m)
-                                 if mask & (1 << j)))
+    bundles = [frozenset(j for j in range(instance.m) if mask >> j & 1)
+               for mask in range(1, 2 ** instance.m)]
     return [_Misreport(v, b) for b in bundles for v in values], ""
 
 
 @dataclass(frozen=True)
 class _Outcome:
-    """One pipeline run as the verifier keeps it: the lottery, the reported
-    expected values, and the expected payments charged."""
+    """One pipeline run as the verifier keeps it: the lottery and the
+    expected payments charged."""
 
     dist: AllocationDistribution
-    values: tuple[Fraction, ...]
     charged: tuple[Fraction, ...]
 
 
 class _PipelineCache:
     """Memoizes one check's outcomes per reported instance + profile.
 
-    A miss solves one LP and charges what ``run`` charges, every Clarke
-    pivot priced from that solve's own optimum; a ``payment_rule`` charges
-    instead when one is given.  No pivot is shared between outcomes, so a
-    pivot that read a bidder's own report would show in the sweep.  The
-    instances of one check share their family, item count and
-    calibration, so packages and profile name an outcome.
+    A miss keeps the lottery and charges what ``run`` charges, from that
+    solve's optimum alone (or ``payment_rule``'s charge).  No pivot is
+    shared, so a pivot that read a bidder's own report shows in the sweep;
+    values come from the lotteries, so a lottery that moves probability
+    between bidders shows too.  The instances of one check share family,
+    item count and calibration, so packages and profile name an outcome.
     """
 
     def __init__(self, payment_rule: Optional[PaymentRule]):
@@ -195,11 +193,9 @@ class _PipelineCache:
         found = self._store.get(key)
         if found is None:
             optimum, dist = allocate(instance, profile)
-            values = expected_value_per_bidder(dist, profile)
-            charged = (_charge(instance, values, optimum)
-                       if self.payment_rule is None
+            charged = (_charge(instance, optimum) if self.payment_rule is None
                        else self.payment_rule(instance, profile, dist))
-            found = self._store[key] = _Outcome(dist, values, charged)
+            found = self._store[key] = _Outcome(dist, charged)
         return found
 
 
@@ -252,16 +248,15 @@ def check_truthfulness(instance: Instance, value_grid: Sequence[Fraction],
                                       include_bundle_misreports)
     require_budget(len(value_grid) ** instance.n
                    * (1 + instance.n * len(misreports)))
-    profiles = grid_profiles(instance, value_grid)
     cache = _PipelineCache(payment_rule)
     instance_cache = {tuple(b for _, b in instance.variable_index): instance}
     sources: dict = {}
     witnesses = []
     cases = 0
-    for truth in profiles:
+    for truth in grid_profiles(instance, value_grid):
         at_truth = cache.outcome(instance, truth)
-        utility_truth = [value - paid for value, paid
-                         in zip(at_truth.values, at_truth.charged)]
+        utility_truth = [value - paid for value, paid in zip(
+            expected_value_per_bidder(at_truth.dist, truth), at_truth.charged)]
         scalars = bids(instance, truth)
         for k in range(instance.n):
             for mis in misreports:
@@ -388,6 +383,8 @@ def check_nonoblivious_condition(rounder: Rounder, instance: Instance,
     """
     if not value_grid:
         raise ValueError("value grid must be nonempty")
+    require_budget(len(value_grid) ** instance.n
+                   * (1 + instance.n * len(value_grid)))
     x = default_probe_point(instance)
     witnesses = []
     cases = 0

@@ -7,6 +7,7 @@ import pytest
 from relaxround import (Allocation, AllocationDistribution,
                         FractionalPoint, allocate, build_relaxation,
                         expected_realized_payments, expected_value_per_bidder,
+                        expected_welfare,
                         make_case_b_family, make_gap_toy, make_no_money,
                         make_single_item, make_single_minded_ca, payments,
                         profile_for, range_contains, realized_payments,
@@ -178,6 +179,63 @@ class TestRun:
             inst, profile, 3)
         # With a point-mass distribution the realized and expected coincide.
         assert realized_payments(inst, profile, 3) == (F(3), ZERO)
+
+
+def swap_first_two(decompose):
+    """A planted decomposition: ``decompose``'s lottery with bidders 0 and
+    1 trading bundles, so bidder 0's mass goes to bidder 1 and back."""
+    def planted(x, scale, instance):
+        return AllocationDistribution.from_pairs(
+            (Allocation((a.bundles[1], a.bundles[0]) + a.bundles[2:]), p)
+            for a, p in decompose(x, scale, instance).entries)
+    return planted
+
+
+class TestChargeReadsNoLottery:
+    """Payments read L and x* alone; every lottery built proves the
+    per-variable calibration the formula rests on."""
+
+    def test_a_tied_winners_mass_handed_over_fails_calibration(
+            self, monkeypatch):
+        inst = make_single_item(2)
+        profile = profile_for(inst, [F(5), F(5)])
+        optimum, dist = allocate(inst, profile)
+        planted = swap_first_two(mechanism.convex_decompose)
+        moved = planted(FractionalPoint(optimum.coords), ONE, inst)
+        # E[f(X')] is unchanged, so only a per-variable check sees it.
+        assert moved != dist
+        assert expected_welfare(moved, profile) == expected_welfare(
+            dist, profile)
+        monkeypatch.setattr(mechanism, "convex_decompose", planted)
+        with pytest.raises(InvariantError, match="calibration"):
+            run(inst, profile, seed=0)
+
+    def test_the_same_plant_fails_a_vertex_table_at_construction(
+            self, monkeypatch):
+        monkeypatch.setattr(mechanism, "convex_decompose",
+                            swap_first_two(mechanism.convex_decompose))
+        with pytest.raises(InvariantError, match="calibration"):
+            make_single_minded_ca(1, [{0}, {0}])
+
+    @pytest.mark.parametrize("build", [
+        lambda: (make_single_item(3), [F(5), F(3), F(2)]),
+        lambda: (make_case_b_family(2, F(1, 2)), [F(5), F(3)]),
+        lambda: (make_gap_toy(3, 2), [F(4), F(3), F(7, 2)]),
+        lambda: (make_single_minded_ca(3, [{0, 1}, {1, 2}, {0, 2}]),
+                 [F(3), F(2), F(2)]),
+    ])
+    def test_run_and_payments_never_value_the_lottery(self, build,
+                                                      monkeypatch):
+        instance, scalars = build()
+        profile = profile_for(instance, scalars)
+        want = run(instance, profile, seed=4)
+
+        def refuse(*args):
+            raise AssertionError("a lottery was valued")
+
+        monkeypatch.setattr(mechanism, "expected_value_per_bidder", refuse)
+        assert run(instance, profile, seed=4) == want
+        assert payments(instance, profile, None) == want.expected_payments
 
 
 class TestDistributionalRange:

@@ -108,6 +108,28 @@ class TestCheckTruthfulness:
         assert report.checks[0].domain.endswith(
             "; bundle misreports omitted (m=4 > 3)")
 
+    def test_bundle_misreports_not_requested_says_so(self):
+        inst = make_single_minded_ca(2, [{0}, {0, 1}])
+        small = [F(0), F(1)]
+        report = check_truthfulness(inst, small, small,
+                                    include_bundle_misreports=False)
+        assert report.passed
+        assert report.checks[0].domain.endswith(
+            "misreports=2 per bidder; bundle misreports omitted "
+            "(not requested)")
+
+    def test_values_are_read_once_per_truth_profile(self, monkeypatch):
+        """Payments read no lottery; only the truth's utilities and each
+        misreport's true value do, the latter from the lottery itself."""
+        inst = make_single_minded_ca(3, [{0, 1}, {1, 2}])
+        calls = []
+        cold = verify.expected_value_per_bidder
+        monkeypatch.setattr(verify, "expected_value_per_bidder",
+                            lambda *args: calls.append(args) or cold(*args))
+        grid = [F(0), F(1), F(2)]
+        assert check_truthfulness(inst, grid, grid).passed
+        assert len(calls) == len(grid) ** inst.n
+
 
 class TestCheckApproximation:
     def test_single_item_ratio_is_one(self):
@@ -192,6 +214,20 @@ class TestNonObliviousCondition:
         inst = make_single_item(2)
         report = check_nonoblivious_condition(adversarial_rounder(inst), inst, [F(2)])
         assert report.passed
+
+    def test_budget_guard_refuses_before_any_profile(self, monkeypatch):
+        inst = make_single_item(2)
+
+        def never(*args):
+            raise AssertionError("profiles were enumerated")
+
+        monkeypatch.setattr(verify, "VERIFICATION_BUDGET", 10)
+        monkeypatch.setattr(verify, "grid_profiles", never)
+        with pytest.raises(VerificationBudgetError) as err:
+            check_nonoblivious_condition(oblivious_rounder(inst), inst, GRID)
+        # 4**2 profiles, each rounded once and once per bidder and value.
+        assert err.value.required == 4 ** 2 * (1 + 2 * 4)
+        assert err.value.budget == 10
 
 
 class TestCheckWithoutMoney:
