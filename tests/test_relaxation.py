@@ -133,6 +133,22 @@ class TestSolveRelaxation:
             solve_relaxation(objective, poly)
         assert len(filled) == 1
 
+    def test_a_linear_value_off_its_terms_raises(self, monkeypatch):
+        """The charge reads L's terms at x* and L(x*) together, so the
+        check covers linear L too."""
+        inst = make_single_item(2)
+        objective, poly = build_relaxation(inst, profile_for(inst, [F(4), F(1)]))
+        exact = relaxation.water_fill
+
+        def off_by_one(costs, layout):
+            fill = exact(costs, layout)
+            return replace(fill, value=fill.value + 1)
+
+        monkeypatch.setattr(relaxation, "water_fill", off_by_one)
+        monkeypatch.setattr(relaxation, "maximize_linear", None)
+        with pytest.raises(InvariantError, match="folding"):
+            solve_relaxation(objective, poly)
+
 
 class TestResidualMaxima:
     @pytest.mark.parametrize("build", [
